@@ -24,7 +24,6 @@ from .form import BilinearForm, dual_basis
 from .params import ParameterSet, ValidationError, derive, load_params_file, validate
 from .polymodule import lattice
 from .polynomials import eval_P
-from .report import Report
 from .scalars import format_rational, parse_rational
 from .sl3 import build
 from .theorems import SUITES, run_suites

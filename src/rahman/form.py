@@ -1,9 +1,12 @@
 """The symmetric bilinear form on the degree-N module.
 
 The form is defined once, by its diagonal Gram values on the plain
-monomial basis; every statement about the tilde side is checked through
-explicit expansion rather than assumed.  Norms may be negative for some
-parameter regimes: the form is bilinear, not an inner product.
+monomial basis (``gram_diagonal``).  The tilde monomials of ``d`` are
+the plain monomials of ``d.dual()``, so their claimed norms and their
+dual basis come from the same formula on ``d.dual()``; the verifiers
+check those claims through explicit expansion into the plain basis.
+Norms may be negative for some parameter regimes: the form is
+bilinear, not an inner product.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+from .params import DerivedParams
 from .polymodule import (
     DegreeMismatch,
     Poly3,
@@ -24,12 +28,29 @@ from .sl3 import StructureSet, dagger
 
 __all__ = [
     "BilinearForm",
+    "gram_diagonal",
     "inner",
     "dual_basis",
     "verify_adjointness",
     "verify_tilde_norms",
     "verify_dual_sum_identities",
 ]
+
+
+def gram_diagonal(d: DerivedParams, n: int) -> dict:
+    """||x^r y^s z^t||^2 = r! s! t! theta^N / (eta~_0^r eta~_1^s eta~_2^t).
+
+    Keyed by lattice point.  On ``d.dual()`` these are the norms of the
+    tilde monomials of ``d``.
+    """
+    eta_t = d.eta_t
+    theta_n = d.theta**n
+    return {
+        (r, st, t): Fraction(factorial(r) * factorial(st) * factorial(t))
+        * theta_n
+        / (eta_t[0] ** r * eta_t[1] ** st * eta_t[2] ** t)
+        for (r, st, t) in lattice(n)
+    }
 
 
 class BilinearForm:
@@ -40,14 +61,7 @@ class BilinearForm:
             raise ValueError("degree must be nonnegative")
         self.n = n
         self.s = s
-        eta_t = s.d.eta_t
-        theta_n = s.d.theta**n
-        self.gram = {
-            (r, st, t): Fraction(factorial(r) * factorial(st) * factorial(t))
-            * theta_n
-            / (eta_t[0] ** r * eta_t[1] ** st * eta_t[2] ** t)
-            for (r, st, t) in lattice(n)
-        }
+        self.gram = gram_diagonal(s.d, n)
         # Cache for tilde-monomial expansions; they are dense and reused
         # heavily by the theorem verifiers.
         self._tilde_cache: dict = {}
@@ -84,24 +98,18 @@ def inner(xi: Poly3, zeta: Poly3, f: BilinearForm, s: StructureSet) -> Fraction:
 def dual_basis(f: BilinearForm, s: StructureSet, kind: str = "plain") -> list:
     """The basis dual to the monomial basis of the chosen kind.
 
-    Plain kind: (eta~_0^r eta~_1^s eta~_2^t / r!s!t!) x^r y^s z^t / theta^N.
-    Tilde kind: the eta / theta~ analogue on the tilde monomials.
+    Each dual vector is a monomial over its norm: the Gram value of
+    ``d`` for the plain kind, and of ``d.dual()`` for the tilde kind.
     """
     if kind == "plain":
-        weights, norm = f.s.d.eta_t, f.s.d.theta ** f.n
+        norms = f.gram
     elif kind == "tilde":
-        weights, norm = f.s.d.eta, f.s.d.theta_t ** f.n
+        norms = gram_diagonal(f.s.d.dual(), f.n)
     else:
         raise ValueError(f"unknown basis kind {kind!r}")
-    out = []
-    for (r, st, t) in lattice(f.n):
-        coeff = (
-            weights[0] ** r * weights[1] ** st * weights[2] ** t
-            / Fraction(factorial(r) * factorial(st) * factorial(t))
-            / norm
-        )
-        out.append(Poly3.monomial(r, st, t, coeff, kind=kind))
-    return out
+    return [
+        Poly3.monomial(*point, 1 / norms[point], kind=kind) for point in lattice(f.n)
+    ]
 
 
 def verify_adjointness(f: BilinearForm, s: StructureSet, n: int) -> Report:
@@ -124,13 +132,12 @@ def verify_adjointness(f: BilinearForm, s: StructureSet, n: int) -> Report:
 
 
 def verify_tilde_norms(f: BilinearForm, s: StructureSet, n: int) -> Report:
-    """Tilde monomials are orthogonal with the stated norm formula.
+    """Tilde monomials are orthogonal, with the Gram values of ``d.dual()``.
 
     Oracle: plain-basis expansion plus the defining Gram data.
     """
     rec = Recorder(f"form.tilde_norms.N{n}")
-    eta = s.d.eta
-    theta_t_n = s.d.theta_t**n
+    norms = gram_diagonal(s.d.dual(), n)
     points = lattice(n)
     for i, lam in enumerate(points):
         for mu in points[i:]:
@@ -141,13 +148,7 @@ def verify_tilde_norms(f: BilinearForm, s: StructureSet, n: int) -> Report:
                 s,
             )
             if lam == mu:
-                r, st, t = lam
-                expected = (
-                    Fraction(factorial(r) * factorial(st) * factorial(t))
-                    * theta_t_n
-                    / (eta[0] ** r * eta[1] ** st * eta[2] ** t)
-                )
-                rec.equal(value, expected, f"norm at {lam}")
+                rec.equal(value, norms[lam], f"norm at {lam}")
             else:
                 rec.equal(value, Fraction(0), f"orthogonality at {lam}, {mu}")
     return rec.report()

@@ -131,11 +131,6 @@ class Mat:
                     work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
         return Mat([row[n:] for row in work])
 
-    def replace_entry(self, i: int, j: int, value) -> "Mat":
-        rows = [list(row) for row in self.rows]
-        rows[i][j] = Fraction(value)
-        return Mat(rows)
-
     def to_json(self):
         """Row-major nested list of rational strings."""
         return [[format_rational(x) for x in row] for row in self.rows]

@@ -9,7 +9,7 @@ list and names the first offender.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .scalars import Rational, parse_rational
@@ -49,6 +49,10 @@ class ParameterSet:
     def as_tuple(self):
         return (self.p1, self.p2, self.p3, self.p4)
 
+    def dual(self) -> "ParameterSet":
+        """Swap p2 and p3: the parameters whose plain side is this tilde side."""
+        return ParameterSet(self.p1, self.p3, self.p2, self.p4)
+
 
 @dataclass(frozen=True)
 class DerivedParams:
@@ -71,6 +75,24 @@ class DerivedParams:
     k_t: tuple
     theta: Rational
     theta_t: Rational
+
+    def dual(self) -> "DerivedParams":
+        """The constants of the dual parameters, by swapping fields.
+
+        derive(p.dual()) == derive(p).dual().  Nothing is derived again,
+        so a corrupted constant stays corrupted on the dual.
+        """
+        return replace(
+            self,
+            u=self.v,
+            v=self.u,
+            eta=self.eta_t,
+            eta_t=self.eta,
+            k=self.k_t,
+            k_t=self.k,
+            theta=self.theta_t,
+            theta_t=self.theta,
+        )
 
 
 def validate(p: ParameterSet):

@@ -6,6 +6,11 @@ tagged with the coordinate system it lives in ("plain" for x,y,z or
 everything: a 3x3 matrix beta sends variable j to sum_i beta[i][j] *
 variable i, extended to monomials as a derivation.  The per-generator
 action tables are test vectors, not code paths.
+
+Only the tilde-to-plain substitution is written out.  The tilde
+coordinates of a structure ``s`` are the plain coordinates of
+``s.dual()``, so the same substitution on ``s.dual()`` writes plain
+monomials in tilde coordinates.
 """
 
 from __future__ import annotations
@@ -27,9 +32,7 @@ __all__ = [
     "act",
     "matrix_of",
     "tilde_variables",
-    "plain_variables_in_tilde",
     "expand_tilde_monomial_direct",
-    "expand_plain_monomial_direct",
     "verify_block_structure",
     "irreducibility_probe",
     "verify_action_tables",
@@ -114,9 +117,6 @@ class Poly3:
             and self.kind == other.kind
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self):
-        return hash((self.kind, frozenset(self.coeffs.items())))
 
     def _require_same_kind(self, other: "Poly3") -> None:
         if self.kind != other.kind:
@@ -227,31 +227,15 @@ def tilde_variables(s: StructureSet) -> tuple:
     )
 
 
-def plain_variables_in_tilde(s: StructureSet) -> tuple:
-    """x, y, z as degree-1 tilde polynomials (columns of R^-1)."""
-    return tuple(
-        Poly3(
-            {(1, 0, 0): s.Rinv[0, j], (0, 1, 0): s.Rinv[1, j], (0, 0, 1): s.Rinv[2, j]},
-            kind="tilde",
-        )
-        for j in range(3)
-    )
-
-
 def expand_tilde_monomial_direct(rho: int, sigma: int, tau: int, s: StructureSet) -> Poly3:
     """Plain-basis expansion of a tilde monomial by symbolic substitution.
 
     Independent oracle: substitute the degree-1 expressions for the
-    tilde variables and multiply out.
+    tilde variables and multiply out.  On ``s.dual()`` this is the
+    tilde-basis expansion of the plain monomial x^rho y^sigma z^tau.
     """
     xt, yt, zt = tilde_variables(s)
     return xt.power(rho) * yt.power(sigma) * zt.power(tau)
-
-
-def expand_plain_monomial_direct(rho: int, sigma: int, tau: int, s: StructureSet) -> Poly3:
-    """Tilde-basis expansion of a plain monomial (the reverse substitution)."""
-    x, y, z = plain_variables_in_tilde(s)
-    return x.power(rho) * y.power(sigma) * z.power(tau)
 
 
 def verify_block_structure(s: StructureSet, n: int) -> Report:

@@ -92,9 +92,6 @@ class BivariatePoly:
             Fraction(0),
         )
 
-    def total_degree(self) -> int:
-        return max((dc + dd for dc, dd in self.coeffs), default=0)
-
     def to_json(self) -> list:
         keys = sorted(self.coeffs)
         return [
@@ -126,27 +123,23 @@ def as_bivariate(
     """P with one argument pair fixed at (m, n_arg) and the other symbolic.
 
     ``which_pair`` names the symbolic pair: "cd" gives the polynomial
-    P(m, n_arg, c, d) in c, d; "ab" gives P(a, b, m, n_arg) in a, b.
+    P(m, n_arg, c, d) in c, d; "ab" gives P(a, b, m, n_arg) in a, b,
+    which is the "cd" polynomial of the dual parameters.
     """
     if which_pair not in ("cd", "ab"):
         raise ValueError(f"unknown pair {which_pair!r}")
+    if which_pair == "ab":
+        derived = derived.dual()
     out: dict = {}
     for (i, j, k, l), weight in term_weights(derived, n):
-        if which_pair == "cd":
-            scalar = pochhammer(-m, i + j) * pochhammer(-n_arg, k + l)
-            first_poly = _poch_coeffs(i + k)   # in c
-            second_poly = _poch_coeffs(j + l)  # in d
-        else:
-            scalar = pochhammer(-m, i + k) * pochhammer(-n_arg, j + l)
-            first_poly = _poch_coeffs(i + j)   # in a
-            second_poly = _poch_coeffs(k + l)  # in b
+        scalar = pochhammer(-m, i + j) * pochhammer(-n_arg, k + l)
         if scalar == 0:
             continue
         scalar *= weight
-        for da, ca in enumerate(first_poly):
+        for da, ca in enumerate(_poch_coeffs(i + k)):  # in c
             if ca == 0:
                 continue
-            for db, cb in enumerate(second_poly):
+            for db, cb in enumerate(_poch_coeffs(j + l)):  # in d
                 if cb == 0:
                     continue
                 key = (da, db)
@@ -173,11 +166,14 @@ def eval_P_operator(
     """P with one argument pair replaced by commuting operators.
 
     slot="back" computes P(s, t, C, D) with (s, t) = int_pair and
-    (C, D) = op_pair; slot="front" computes P(C, D, s, t).  Shifted
-    factorials of operators replace the corresponding scalar ones.
+    (C, D) = op_pair; slot="front" computes P(C, D, s, t), which is the
+    "back" value of the dual parameters.  Shifted factorials of
+    operators replace the corresponding scalar ones.
     """
     if slot not in ("front", "back"):
         raise ValueError(f"unknown slot {slot!r}")
+    if slot == "front":
+        derived = derived.dual()
     s_arg, t_arg = int_pair
     c_op, d_op = op_pair
     if c_op @ d_op != d_op @ c_op:
@@ -193,15 +189,9 @@ def eval_P_operator(
         return poch_cache[which, order]
 
     for (i, j, k, l), weight in term_weights(derived, n):
-        if slot == "back":
-            scalar = pochhammer(-s_arg, i + j) * pochhammer(-t_arg, k + l)
-            if scalar == 0:
-                continue
-            operator = op_poch("c", c_op, i + k) @ op_poch("d", d_op, j + l)
-        else:
-            scalar = pochhammer(-s_arg, i + k) * pochhammer(-t_arg, j + l)
-            if scalar == 0:
-                continue
-            operator = op_poch("c", c_op, i + j) @ op_poch("d", d_op, k + l)
+        scalar = pochhammer(-s_arg, i + j) * pochhammer(-t_arg, k + l)
+        if scalar == 0:
+            continue
+        operator = op_poch("c", c_op, i + k) @ op_poch("d", d_op, j + l)
         total = total + operator.scale(scalar * weight)
     return total

@@ -24,7 +24,6 @@ __all__ = [
     "dagger",
     "tilde_conjugate",
     "r_closed_form",
-    "rinv_closed_form",
     "expansion_coefficients",
     "verify_matrices",
     "verify_dagger",
@@ -76,6 +75,16 @@ class StructureSet:
         eta_t[index] += Fraction(delta)
         corrupted = replace(self.d, eta_t=tuple(eta_t))
         return build(self.p, corrupted)
+
+    def dual(self) -> "StructureSet":
+        """The structure of ``p.dual()``, built on ``d.dual()``.
+
+        Its R is this R^-1: read in this structure's tilde coordinates,
+        it is this structure with the plain and tilde sides exchanged.
+        The constants are swapped, not derived again, so a corrupted
+        constant carries over.
+        """
+        return build(self.p.dual(), self.d.dual())
 
 
 def build(p: ParameterSet, d: DerivedParams | None = None) -> StructureSet:
@@ -143,7 +152,10 @@ def tilde_conjugate(beta: Mat, s: StructureSet) -> Mat:
 
 
 def r_closed_form(p: ParameterSet) -> Mat:
-    """The entrywise closed form of R, transcribed independently of build."""
+    """The entrywise closed form of R, transcribed independently of build.
+
+    R^-1 is the closed form of ``p.dual()``.
+    """
     p1, p2, p3, p4 = p.as_tuple()
     total = p1 + p2 + p3 + p4
     det = p2 * p3 - p1 * p4
@@ -155,19 +167,6 @@ def r_closed_form(p: ParameterSet) -> Mat:
     ])
 
 
-def rinv_closed_form(p: ParameterSet) -> Mat:
-    """The entrywise closed form of R^-1."""
-    p1, p2, p3, p4 = p.as_tuple()
-    total = p1 + p2 + p3 + p4
-    det = p2 * p3 - p1 * p4
-    top = det / ((p1 + p2) * (p3 + p4))
-    return Mat([
-        [top, top, top],
-        [p1 * p2 * total / ((p1 + p2) * det), -p2 / (p1 + p2), p1 / (p1 + p2)],
-        [p3 * p4 * total / ((p3 + p4) * det), p4 / (p3 + p4), -p3 / (p3 + p4)],
-    ])
-
-
 def expansion_coefficients(p: ParameterSet) -> dict:
     """Coefficient tables for the four cross-basis expansions.
 
@@ -175,58 +174,45 @@ def expansion_coefficients(p: ParameterSet) -> dict:
     the plain basis {e_ij, varphi, phi}; keys "varphi" and "phi" expand
     the plain generators in the tilde basis.  Each value maps the six
     off-diagonal labels "eIJ" plus "h1", "h2" (the two diagonal basis
-    elements of the target side) to its coefficient.
+    elements of the target side) to its coefficient.  The plain
+    generators' tables are the tilde tables of ``p.dual()``.
 
     The same coefficients reappear, with shift prefactors, in the four
     seven-term recurrences, so this is their single source.
     """
+    varphi, phi = _tilde_cartan_expansions(p.dual())
+    varphi_t, phi_t = _tilde_cartan_expansions(p)
+    return {"varphi_t": varphi_t, "phi_t": phi_t, "varphi": varphi, "phi": phi}
+
+
+def _tilde_cartan_expansions(p: ParameterSet) -> tuple:
+    """The tables of varphi~ and phi~ in the plain basis."""
     p1, p2, p3, p4 = p.as_tuple()
     total = p1 + p2 + p3 + p4
     a, b, c, dd = p1 + p2, p1 + p3, p2 + p4, p3 + p4
     g = p2 * p3 - p1 * p4
 
-    return {
-        "varphi_t": {
-            "e01": -p2 * g / (a * b * c),
-            "e02": p1 * g / (a * b * c),
-            "e10": -p1 * p2 * p3 * total / (a * b * g),
-            "e12": -p1 * p3 / (a * b),
-            "e20": p1 * p2 * p4 * total / (a * c * g),
-            "e21": -p2 * p4 / (a * c),
-            "h1": p2 * p3 / (a * b) - p1 * p2 * total / (a * b * c),
-            "h2": p1 * p4 / (a * c) - p1 * p2 * total / (a * b * c),
-        },
-        "phi_t": {
-            "e01": p4 * g / (b * dd * c),
-            "e02": -p3 * g / (b * dd * c),
-            "e10": p1 * p3 * p4 * total / (b * dd * g),
-            "e12": -p1 * p3 / (b * dd),
-            "e20": -p2 * p3 * p4 * total / (c * dd * g),
-            "e21": -p2 * p4 / (c * dd),
-            "h1": p1 * p4 / (b * dd) - p3 * p4 * total / (b * dd * c),
-            "h2": p2 * p3 / (c * dd) - p3 * p4 * total / (b * dd * c),
-        },
-        "varphi": {
-            "e01": -p3 * g / (a * b * dd),
-            "e02": p1 * g / (a * b * dd),
-            "e10": -p1 * p2 * p3 * total / (a * b * g),
-            "e12": -p1 * p2 / (a * b),
-            "e20": p1 * p3 * p4 * total / (b * dd * g),
-            "e21": -p3 * p4 / (b * dd),
-            "h1": p2 * p3 / (a * b) - p1 * p3 * total / (a * b * dd),
-            "h2": p1 * p4 / (b * dd) - p1 * p3 * total / (a * b * dd),
-        },
-        "phi": {
-            "e01": p4 * g / (a * c * dd),
-            "e02": -p2 * g / (a * c * dd),
-            "e10": p1 * p2 * p4 * total / (a * c * g),
-            "e12": -p1 * p2 / (a * c),
-            "e20": -p2 * p3 * p4 * total / (c * dd * g),
-            "e21": -p3 * p4 / (c * dd),
-            "h1": p1 * p4 / (a * c) - p2 * p4 * total / (a * c * dd),
-            "h2": p2 * p3 / (c * dd) - p2 * p4 * total / (a * c * dd),
-        },
+    varphi_t = {
+        "e01": -p2 * g / (a * b * c),
+        "e02": p1 * g / (a * b * c),
+        "e10": -p1 * p2 * p3 * total / (a * b * g),
+        "e12": -p1 * p3 / (a * b),
+        "e20": p1 * p2 * p4 * total / (a * c * g),
+        "e21": -p2 * p4 / (a * c),
+        "h1": p2 * p3 / (a * b) - p1 * p2 * total / (a * b * c),
+        "h2": p1 * p4 / (a * c) - p1 * p2 * total / (a * b * c),
     }
+    phi_t = {
+        "e01": p4 * g / (b * dd * c),
+        "e02": -p3 * g / (b * dd * c),
+        "e10": p1 * p3 * p4 * total / (b * dd * g),
+        "e12": -p1 * p3 / (b * dd),
+        "e20": -p2 * p3 * p4 * total / (c * dd * g),
+        "e21": -p2 * p4 / (c * dd),
+        "h1": p1 * p4 / (b * dd) - p3 * p4 * total / (b * dd * c),
+        "h2": p2 * p3 / (c * dd) - p3 * p4 * total / (b * dd * c),
+    }
+    return varphi_t, phi_t
 
 
 def _combine(coeffs: dict, units: dict, h1: Mat, h2: Mat) -> Mat:
@@ -242,7 +228,7 @@ def verify_matrices(s: StructureSet) -> Report:
     identity = Mat.identity(3)
 
     rec.equal(s.R, r_closed_form(s.p), "R factored vs closed form")
-    rec.equal(s.Rinv, rinv_closed_form(s.p), "R^-1 factored vs closed form")
+    rec.equal(s.Rinv, r_closed_form(s.p.dual()), "R^-1 factored vs closed form")
     rec.equal(s.R @ s.Rinv, identity, "R R^-1")
     rec.equal(
         (s.W @ s.U @ s.Wt @ s.U.transpose()).scale(s.d.nu),

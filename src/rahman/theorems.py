@@ -4,6 +4,12 @@ recurrences, and the operator identities.
 Every verifier pairs an independent computation path (symbolic
 expansion, the bilinear form, or operator action on the module) against
 the theorem's closed form; none compares a formula against itself.
+
+Each theorem about the tilde side is its plain-side twin for the dual
+parameters (p2 and p3 swapped), whose P is P(c, d, a, b): trans1,
+orthogonality relation 2, recurrence parts (iii) and (iv) and the front
+operator identity run the plain-side check on ``s.dual()`` or
+``d.dual()``.
 """
 
 from __future__ import annotations
@@ -11,19 +17,38 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .form import BilinearForm, inner
+from .form import (
+    BilinearForm,
+    gram_diagonal,
+    inner,
+    verify_adjointness,
+    verify_dual_sum_identities,
+    verify_tilde_norms,
+)
 from .matrices import Mat
 from .params import DerivedParams, ParameterSet, derive
 from .polymodule import (
     Poly3,
-    expand_plain_monomial_direct,
     expand_tilde_monomial_direct,
+    irreducibility_probe,
     lattice,
     matrix_of,
+    verify_action_tables,
+    verify_block_structure,
+    verify_representation_law,
+    verify_weight_diagonality,
 )
 from .polynomials import eval_P, eval_P_operator
 from .report import Recorder, Report
-from .sl3 import StructureSet, build, expansion_coefficients
+from .sl3 import (
+    StructureSet,
+    build,
+    expansion_coefficients,
+    verify_dagger,
+    verify_expansions,
+    verify_generation,
+    verify_matrices,
+)
 from .scalars import multinomial
 
 __all__ = [
@@ -57,65 +82,46 @@ class _PCache:
             self.values[key] = eval_P(a, b, c, dd, self.d, self.n)
         return self.values[key]
 
+    def dual(self):
+        """P of the dual parameters, P(c, d, a, b), read from this cache."""
+        return lambda a, b, c, dd: self(c, dd, a, b)
 
-def verify_trans2(s: StructureSet, f: BilinearForm, d: DerivedParams, n: int) -> Report:
+
+def _tilde_monomials_in_plain_basis(
+    name: str, s: StructureSet, d: DerivedParams, n: int
+) -> Report:
     """Tilde monomials expanded in the plain basis, coefficient by coefficient.
 
-    Oracle: direct symbolic substitution of the tilde variables.
+    The coefficient of x^r y^s z^t in x~^rho y~^sigma z~^tau is
+    N! nu^N P(s, t, sigma, tau) / ||x^r y^s z^t||^2.  Oracle: direct
+    symbolic substitution of the tilde variables.
     """
-    rec = Recorder(f"transitions.trans2.N{n}")
+    rec = Recorder(name)
     p_val = _PCache(d, n)
-    theta_n = d.theta**n
+    gram = gram_diagonal(d, n)
     scale = Fraction(factorial(n)) * d.nu**n
     for (rho, sigma, tau) in lattice(n):
         expanded = expand_tilde_monomial_direct(rho, sigma, tau, s)
-        formula = Poly3.zero()
-        for (r, st, t) in lattice(n):
-            coeff = (
-                scale
-                * p_val(st, t, sigma, tau)
-                * d.eta_t[0] ** r * d.eta_t[1] ** st * d.eta_t[2] ** t
-                / Fraction(factorial(r) * factorial(st) * factorial(t))
-                / theta_n
-            )
-            formula = formula + Poly3.monomial(r, st, t, coeff)
         for key in lattice(n):
+            _, st, t = key
             rec.equal(
                 expanded[key],
-                formula[key],
-                f"tilde monomial {(rho, sigma, tau)}, coefficient of {key}",
+                scale * p_val(st, t, sigma, tau) / gram[key],
+                f"monomial {(rho, sigma, tau)}, coefficient of {key}",
             )
     return rec.report()
+
+
+def verify_trans2(s: StructureSet, f: BilinearForm, d: DerivedParams, n: int) -> Report:
+    """Tilde monomials expanded in the plain basis (the trans2 formula)."""
+    return _tilde_monomials_in_plain_basis(f"transitions.trans2.N{n}", s, d, n)
 
 
 def verify_trans1(s: StructureSet, f: BilinearForm, d: DerivedParams, n: int) -> Report:
-    """Plain monomials expanded in the tilde basis (mirror of trans2).
-
-    Oracle: symbolic substitution through the inverse transition matrix.
-    """
-    rec = Recorder(f"transitions.trans1.N{n}")
-    p_val = _PCache(d, n)
-    theta_t_n = d.theta_t**n
-    scale = Fraction(factorial(n)) * d.nu**n
-    for (rho, sigma, tau) in lattice(n):
-        expanded = expand_plain_monomial_direct(rho, sigma, tau, s)
-        formula = Poly3.zero(kind="tilde")
-        for (r, st, t) in lattice(n):
-            coeff = (
-                scale
-                * p_val(sigma, tau, st, t)
-                * d.eta[0] ** r * d.eta[1] ** st * d.eta[2] ** t
-                / Fraction(factorial(r) * factorial(st) * factorial(t))
-                / theta_t_n
-            )
-            formula = formula + Poly3.monomial(r, st, t, coeff, kind="tilde")
-        for key in lattice(n):
-            rec.equal(
-                expanded[key],
-                formula[key],
-                f"plain monomial {(rho, sigma, tau)}, coefficient of {key}",
-            )
-    return rec.report()
+    """Plain monomials expanded in the tilde basis: trans2 on the dual."""
+    return _tilde_monomials_in_plain_basis(
+        f"transitions.trans1.N{n}", s.dual(), d.dual(), n
+    )
 
 
 def verify_pcosines(s: StructureSet, f: BilinearForm, d: DerivedParams, n: int) -> Report:
@@ -138,47 +144,38 @@ def verify_pcosines(s: StructureSet, f: BilinearForm, d: DerivedParams, n: int) 
 
 
 def verify_orthogonality(d: DerivedParams, n: int) -> Report:
-    """Both weighted orthogonality relations over all index pairs."""
+    """Both weighted orthogonality relations over all index pairs.
+
+    Relation 2 is relation 1 of the dual parameters.
+    """
     rec = Recorder(f"orthogonality.N{n}")
     p_val = _PCache(d, n)
+    relations = [("relation 1", d, p_val), ("relation 2", d.dual(), p_val.dual())]
     pairs = _pairs(n)
     for (s_idx, t_idx) in pairs:
         r_idx = n - s_idx - t_idx
         rhs_base = 1 / multinomial(n, [r_idx, s_idx, t_idx])
         for (sigma, tau) in pairs:
             delta = Fraction(int((s_idx, t_idx) == (sigma, tau)))
-
-            lhs1 = sum(
-                (
-                    p_val(j, k, s_idx, t_idx)
-                    * p_val(j, k, sigma, tau)
-                    * d.eta_t[0] ** i * d.eta_t[1] ** j * d.eta_t[2] ** k
-                    * multinomial(n, [i, j, k])
-                    for (i, j, k) in lattice(n)
-                ),
-                Fraction(0),
-            )
-            rhs1 = delta / (d.k_t[1] ** s_idx * d.k_t[2] ** t_idx) * rhs_base
-            rec.equal(lhs1, rhs1, f"relation 1 at {(s_idx, t_idx, sigma, tau)}")
-
-            lhs2 = sum(
-                (
-                    p_val(s_idx, t_idx, j, k)
-                    * p_val(sigma, tau, j, k)
-                    * d.eta[0] ** i * d.eta[1] ** j * d.eta[2] ** k
-                    * multinomial(n, [i, j, k])
-                    for (i, j, k) in lattice(n)
-                ),
-                Fraction(0),
-            )
-            rhs2 = delta / (d.k[1] ** s_idx * d.k[2] ** t_idx) * rhs_base
-            rec.equal(lhs2, rhs2, f"relation 2 at {(s_idx, t_idx, sigma, tau)}")
+            for label, side, p_side in relations:
+                lhs = sum(
+                    (
+                        p_side(j, k, s_idx, t_idx)
+                        * p_side(j, k, sigma, tau)
+                        * side.eta_t[0] ** i * side.eta_t[1] ** j * side.eta_t[2] ** k
+                        * multinomial(n, [i, j, k])
+                        for (i, j, k) in lattice(n)
+                    ),
+                    Fraction(0),
+                )
+                rhs = delta / (side.k_t[1] ** s_idx * side.k_t[2] ** t_idx) * rhs_base
+                rec.equal(lhs, rhs, f"{label} at {(s_idx, t_idx, sigma, tau)}")
     return rec.report()
 
 
-# Recurrence shift patterns: (shift of the varying pair, which counter
+# Recurrence shift patterns: (shift of the back pair, which counter
 # multiplies the coefficient, expansion-coefficient key).  The counters
-# are the varying pair (A, B) and the complement C = N - A - B.
+# are the back pair (A, B) and the complement C = N - A - B.
 _SHIFT_PATTERN = [
     ((-1, 0), "A", "e01"),
     ((0, -1), "B", "e02"),
@@ -192,41 +189,41 @@ _SHIFT_PATTERN = [
 def verify_recurrences(p: ParameterSet, d: DerivedParams, n: int) -> Report:
     """The four seven-term recurrences, against direct P evaluation.
 
-    Whenever a shifted index leaves the lattice its coefficient carries
-    a counter that must vanish; that vanishing is asserted, not assumed.
+    Parts (i) and (ii) shift the back pair (sigma, tau) of P(s, t, sigma,
+    tau).  Parts (iii) and (iv) are parts (i) and (ii) of the dual
+    parameters, so their failures name the dual's indices (sigma, tau,
+    s, t).  Whenever a shifted index leaves the lattice its coefficient
+    carries a counter that must vanish; that vanishing is asserted, not
+    assumed.
     """
     rec = Recorder(f"recurrences.N{n}")
     p_val = _PCache(d, n)
-    coeff_tables = expansion_coefficients(p)
     third = Fraction(n, 3)
     pairs = _pairs(n)
 
-    # part -> (coefficient table, varying pair is the back one?, eigenvalue counter)
-    parts = [
-        ("i", coeff_tables["varphi"], True, "s"),
-        ("ii", coeff_tables["phi"], True, "t"),
-        ("iii", coeff_tables["varphi_t"], False, "sigma"),
-        ("iv", coeff_tables["phi_t"], False, "tau"),
-    ]
+    # (part, coefficient table, index of the eigenvalue in (s, t), P)
+    parts = []
+    for (first, second), q, p_side in (
+        (("i", "ii"), p, p_val),
+        (("iii", "iv"), p.dual(), p_val.dual()),
+    ):
+        tables = expansion_coefficients(q)
+        parts.append((first, tables["varphi"], 0, p_side))
+        parts.append((second, tables["phi"], 1, p_side))
 
     for (s_idx, t_idx) in pairs:
         for (sigma, tau) in pairs:
-            base = p_val(s_idx, t_idx, sigma, tau)
-            for name, coeffs, vary_back, eig in parts:
-                if vary_back:
-                    a_idx, b_idx = sigma, tau
-                else:
-                    a_idx, b_idx = s_idx, t_idx
-                c_idx = n - a_idx - b_idx
-                counters = {"A": a_idx, "B": b_idx, "C": c_idx}
-
+            c_idx = n - sigma - tau
+            counters = {"A": sigma, "B": tau, "C": c_idx}
+            for name, coeffs, eig, p_side in parts:
+                base = p_side(s_idx, t_idx, sigma, tau)
                 total = (
-                    (Fraction(a_idx) - third) * coeffs["h1"]
-                    + (Fraction(b_idx) - third) * coeffs["h2"]
+                    (Fraction(sigma) - third) * coeffs["h1"]
+                    + (Fraction(tau) - third) * coeffs["h2"]
                 ) * base
                 for (da, db), counter, key in _SHIFT_PATTERN:
                     factor = counters[counter]
-                    new_a, new_b = a_idx + da, b_idx + db
+                    new_a, new_b = sigma + da, tau + db
                     in_range = new_a >= 0 and new_b >= 0 and new_a + new_b <= n
                     if not in_range:
                         rec.check(
@@ -237,20 +234,10 @@ def verify_recurrences(p: ParameterSet, d: DerivedParams, n: int) -> Report:
                         continue
                     if factor == 0:
                         continue
-                    if vary_back:
-                        shifted = p_val(s_idx, t_idx, new_a, new_b)
-                    else:
-                        shifted = p_val(new_a, new_b, sigma, tau)
-                    total += factor * coeffs[key] * shifted
+                    total += factor * coeffs[key] * p_side(s_idx, t_idx, new_a, new_b)
 
-                eig_value = {
-                    "s": s_idx,
-                    "t": t_idx,
-                    "sigma": sigma,
-                    "tau": tau,
-                }[eig]
                 rec.equal(
-                    (Fraction(eig_value) - third) * base,
+                    (Fraction((s_idx, t_idx)[eig]) - third) * base,
                     total,
                     f"part ({name}) at {(s_idx, t_idx, sigma, tau)}",
                 )
@@ -260,64 +247,61 @@ def verify_recurrences(p: ParameterSet, d: DerivedParams, n: int) -> Report:
 def verify_operator_identities(
     s: StructureSet, f: BilinearForm, d: DerivedParams, n: int
 ) -> Report:
-    """P with Cartan-shifted operator arguments maps x^N onto each monomial."""
+    """P with Cartan-shifted operator arguments maps x^N onto each monomial.
+
+    The back identity P(s, t, varphi~ + N/3, phi~ + N/3) x^N = x^r y^s z^t
+    acts on plain monomials; the front identity is the back identity of
+    the dual, which acts on tilde monomials.
+    """
     rec = Recorder(f"operators.N{n}")
     points = lattice(n)
     dim = len(points)
     shift = Mat.identity(dim).scale(Fraction(n, 3))
 
-    back_c = matrix_of(s.varphi_t, n, "plain", s) + shift
-    back_d = matrix_of(s.phi_t, n, "plain", s) + shift
-    front_a = matrix_of(s.varphi, n, "tilde", s) + shift
-    front_b = matrix_of(s.phi, n, "tilde", s) + shift
+    identities = []
+    for label, side, side_d in (("back", s, d), ("front", s.dual(), d.dual())):
+        ops = (
+            matrix_of(side.varphi_t, n, "plain", side) + shift,
+            matrix_of(side.phi_t, n, "plain", side) + shift,
+        )
+        identities.append((label, ops, side_d))
 
     start = [Fraction(int(point == (n, 0, 0))) for point in points]
     for (s_idx, t_idx) in _pairs(n):
         r_idx = n - s_idx - t_idx
         target = [Fraction(int(point == (r_idx, s_idx, t_idx))) for point in points]
-
-        op = eval_P_operator((s_idx, t_idx), (back_c, back_d), d, n, slot="back")
-        rec.equal(
-            op.apply(start), target, f"back identity at (s,t)={(s_idx, t_idx)}"
-        )
-
-        op = eval_P_operator((s_idx, t_idx), (front_a, front_b), d, n, slot="front")
-        rec.equal(
-            op.apply(start), target, f"front identity at (s,t)={(s_idx, t_idx)}"
-        )
+        for label, ops, side_d in identities:
+            op = eval_P_operator((s_idx, t_idx), ops, side_d, n)
+            rec.equal(
+                op.apply(start), target, f"{label} identity at (s,t)={(s_idx, t_idx)}"
+            )
     return rec.report()
 
 
 def _structure_suite(s, f, d, n):
-    from . import sl3
-
     return [
-        sl3.verify_matrices(s),
-        sl3.verify_dagger(s),
-        sl3.verify_expansions(s),
-        sl3.verify_generation(s),
+        verify_matrices(s),
+        verify_dagger(s),
+        verify_expansions(s),
+        verify_generation(s),
     ]
 
 
 def _module_suite(s, f, d, n):
-    from . import polymodule as pm
-
     return [
-        pm.verify_action_tables(s, n),
-        pm.verify_representation_law(s, n),
-        pm.verify_weight_diagonality(s, n),
-        pm.verify_block_structure(s, n),
-        pm.irreducibility_probe(s, n),
+        verify_action_tables(s, n),
+        verify_representation_law(s, n),
+        verify_weight_diagonality(s, n),
+        verify_block_structure(s, n),
+        irreducibility_probe(s, n),
     ]
 
 
 def _form_suite(s, f, d, n):
-    from . import form as fm
-
     return [
-        fm.verify_adjointness(f, s, n),
-        fm.verify_tilde_norms(f, s, n),
-        fm.verify_dual_sum_identities(f, s, n),
+        verify_adjointness(f, s, n),
+        verify_tilde_norms(f, s, n),
+        verify_dual_sum_identities(f, s, n),
     ]
 
 
@@ -339,6 +323,9 @@ SUITES = {
     "operators": lambda s, f, d, n: [verify_operator_identities(s, f, d, n)],
 }
 
+# The suites that read the BilinearForm; the others get None for it.
+_FORM_SUITES = {"form", "transitions"}
+
 
 def run_suites(p: ParameterSet, n: int, names=("all",)) -> list:
     """Run the named verification suites and return their Reports."""
@@ -353,7 +340,9 @@ def run_suites(p: ParameterSet, n: int, names=("all",)) -> list:
 
     d = derive(p)
     s = build(p, d)
-    f = BilinearForm(s, n)
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    f = BilinearForm(s, n) if _FORM_SUITES.intersection(selected) else None
     reports = []
     for name in selected:
         reports.extend(SUITES[name](s, f, d, n))

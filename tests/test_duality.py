@@ -1,0 +1,137 @@
+"""The p2 <-> p3 swap exchanges the plain and tilde sides exactly.
+
+The tilde-side verifiers run their plain-side twin on the dual, so these
+identities are what makes that sound.
+"""
+
+from hypothesis import given, settings
+
+from rahman.form import (
+    BilinearForm,
+    verify_adjointness,
+    verify_dual_sum_identities,
+    verify_tilde_norms,
+)
+from rahman.params import ParameterSet, derive
+from rahman.polymodule import (
+    irreducibility_probe,
+    lattice,
+    verify_action_tables,
+    verify_block_structure,
+    verify_representation_law,
+    verify_weight_diagonality,
+)
+from rahman.polynomials import eval_P
+from rahman.sl3 import (
+    NotTraceless,
+    build,
+    expansion_coefficients,
+    r_closed_form,
+    verify_dagger,
+    verify_expansions,
+    verify_generation,
+    verify_matrices,
+)
+from rahman.theorems import (
+    verify_operator_identities,
+    verify_orthogonality,
+    verify_pcosines,
+    verify_recurrences,
+    verify_trans1,
+    verify_trans2,
+)
+
+from test_params import valid_parameter_sets
+
+SWAPPED_TABLES = {"varphi": "varphi_t", "varphi_t": "varphi", "phi": "phi_t", "phi_t": "phi"}
+
+
+@given(valid_parameter_sets())
+@settings(max_examples=40, deadline=None)
+def test_dual_is_an_involution(p):
+    assert p.dual().dual() == p
+    assert derive(p).dual().dual() == derive(p)
+
+
+@given(valid_parameter_sets())
+@settings(max_examples=40, deadline=None)
+def test_derive_commutes_with_dual(p):
+    assert derive(p.dual()) == derive(p).dual()
+
+
+@given(valid_parameter_sets())
+@settings(max_examples=40, deadline=None)
+def test_dual_transition_matrix_is_the_inverse(p):
+    s, s_dual = build(p), build(p.dual())
+    assert s_dual.R == s.Rinv
+    assert s_dual.Rinv == s.R
+    assert r_closed_form(p.dual()) == s.Rinv
+
+
+@given(valid_parameter_sets())
+@settings(max_examples=40, deadline=None)
+def test_dual_swaps_expansion_tables(p):
+    tables = expansion_coefficients(p)
+    dual_tables = expansion_coefficients(p.dual())
+    assert {SWAPPED_TABLES[key]: value for key, value in tables.items()} == dual_tables
+
+
+@given(valid_parameter_sets())
+@settings(max_examples=20, deadline=None)
+def test_dual_swaps_argument_pairs_of_P(p):
+    d, d_dual = derive(p), derive(p.dual())
+    for n in range(3):
+        pairs = [(s, t) for (_, s, t) in lattice(n)]
+        for a, b in pairs:
+            for c, dd in pairs:
+                assert eval_P(a, b, c, dd, d, n) == eval_P(c, dd, a, b, d_dual, n)
+
+
+def test_dual_keeps_a_corrupted_constant():
+    p = ParameterSet.of(1, 2, 3, 5)
+    corrupted = build(p).with_corrupted_eta_t(1, 1)
+    assert corrupted.d.eta_t[1] == derive(p).eta_t[1] + 1
+    assert corrupted.dual().d.eta[1] == corrupted.d.eta_t[1]
+
+
+def test_corruption_trips_the_same_verifiers():
+    """A dual derived again from p would repair the corruption and let
+    the tilde-side checks pass; these 11 fail or raise on it."""
+    s = build(ParameterSet.of(1, 2, 3, 5)).with_corrupted_eta_t(1, 1)
+    d = s.d
+    n = 2
+    f = BilinearForm(s, n)
+    verifiers = {
+        "matrices": lambda: verify_matrices(s),
+        "dagger": lambda: verify_dagger(s),
+        "expansions": lambda: verify_expansions(s),
+        "generation": lambda: verify_generation(s),
+        "block_structure": lambda: verify_block_structure(s, n),
+        "action_tables": lambda: verify_action_tables(s, n),
+        "representation": lambda: verify_representation_law(s, n),
+        "weights": lambda: verify_weight_diagonality(s, n),
+        "irreducibility": lambda: irreducibility_probe(s, n),
+        "adjointness": lambda: verify_adjointness(f, s, n),
+        "tilde_norms": lambda: verify_tilde_norms(f, s, n),
+        "dual_sums": lambda: verify_dual_sum_identities(f, s, n),
+        "trans1": lambda: verify_trans1(s, f, d, n),
+        "trans2": lambda: verify_trans2(s, f, d, n),
+        "pcosines": lambda: verify_pcosines(s, f, d, n),
+        "orthogonality": lambda: verify_orthogonality(d, n),
+        "recurrences": lambda: verify_recurrences(s.p, d, n),
+        "operators": lambda: verify_operator_identities(s, f, d, n),
+    }
+    tripped = set()
+    for name, verifier in verifiers.items():
+        try:
+            report = verifier()
+        except NotTraceless:
+            tripped.add(name)
+        else:
+            if not report.ok:
+                tripped.add(name)
+    assert tripped >= {
+        "matrices", "dagger", "expansions", "block_structure", "action_tables",
+        "representation", "weights", "tilde_norms", "dual_sums",
+        "orthogonality", "operators",
+    }

@@ -96,6 +96,17 @@ def test_dual_basis_pairing_is_identity(reference_structure):
                     assert inner(xi, dual, f, s) == int(i == j)
 
 
+def test_gram_values_off_the_axis(reference_structure):
+    """Mixed-exponent norms at (1,2,3,5), N=3, worked by hand from eta,
+    eta~, theta = 28 and theta~ = 24: both sides of the one Gram formula."""
+    s = reference_structure
+    f = BilinearForm(s, 3)
+    assert f.gram[(1, 1, 1)] == Fraction(39652687872, 605)
+    assert f.gram[(0, 2, 1)] == Fraction(3776446464, 6655)
+    xyz_t = Poly3.monomial(1, 1, 1, kind="tilde")
+    assert inner(xyz_t, xyz_t, f, s) == Fraction(29132587008, 605)
+
+
 def test_tilde_base_norm(reference_structure):
     s = reference_structure
     n = 3

@@ -15,7 +15,6 @@ from rahman.polymodule import (
     lattice,
     lattice_dimension,
     matrix_of,
-    plain_variables_in_tilde,
     tilde_variables,
     verify_action_tables,
     verify_block_structure,
@@ -96,27 +95,16 @@ def test_derivation_law(point_a, point_b, coeff, name):
 
 
 def test_tilde_variable_normalized_forms(reference_structure):
-    s = reference_structure
-    d = s.d
-    xt, yt, zt = tilde_variables(s)
-    eta_t = d.eta_t
     x, y, z = Poly3.monomial(1, 0, 0), Poly3.monomial(0, 1, 0), Poly3.monomial(0, 0, 1)
-
-    key_sum = x.scale(eta_t[0]) + y.scale(eta_t[1]) + z.scale(eta_t[2])
-    assert xt.scale(1 / d.theta_t) == key_sum
-    assert yt.scale(1 / d.theta_t) == key_sum - y.scale(d.t * eta_t[1]) - z.scale(d.v * eta_t[2])
-    assert zt.scale(1 / d.theta_t) == key_sum - y.scale(d.u * eta_t[1]) - z.scale(d.w * eta_t[2])
-
-    # Inverse direction, in tilde coordinates.
-    xp, yp, zp = plain_variables_in_tilde(s)
-    eta = d.eta
-    xt_m = Poly3.monomial(1, 0, 0, kind="tilde")
-    yt_m = Poly3.monomial(0, 1, 0, kind="tilde")
-    zt_m = Poly3.monomial(0, 0, 1, kind="tilde")
-    inv_sum = xt_m.scale(eta[0]) + yt_m.scale(eta[1]) + zt_m.scale(eta[2])
-    assert xp.scale(1 / d.theta) == inv_sum
-    assert yp.scale(1 / d.theta) == inv_sum - yt_m.scale(d.t * eta[1]) - zt_m.scale(d.u * eta[2])
-    assert zp.scale(1 / d.theta) == inv_sum - yt_m.scale(d.v * eta[1]) - zt_m.scale(d.w * eta[2])
+    # On the dual, the tilde variables are x, y, z in tilde coordinates.
+    for s in (reference_structure, reference_structure.dual()):
+        d = s.d
+        xt, yt, zt = tilde_variables(s)
+        eta_t = d.eta_t
+        key_sum = x.scale(eta_t[0]) + y.scale(eta_t[1]) + z.scale(eta_t[2])
+        assert xt.scale(1 / d.theta_t) == key_sum
+        assert yt.scale(1 / d.theta_t) == key_sum - y.scale(d.t * eta_t[1]) - z.scale(d.v * eta_t[2])
+        assert zt.scale(1 / d.theta_t) == key_sum - y.scale(d.u * eta_t[1]) - z.scale(d.w * eta_t[2])
 
 
 def test_expand_tilde_monomial_small_cases(reference_structure):

@@ -93,7 +93,9 @@ def test_corrupted_r_entry_is_caught(reference_params):
     import dataclasses
 
     s = build(reference_params)
-    bad_r = s.R.replace_entry(1, 1, s.R[1, 1] + 1)
+    rows = [list(row) for row in s.R.rows]
+    rows[1][1] += 1
+    bad_r = Mat(rows)
     corrupted = dataclasses.replace(
         s,
         R=bad_r,

@@ -112,6 +112,11 @@ def test_run_suites_rejects_unknown():
         run_suites(ParameterSet.of(1, 2, 3, 5), 1, ["nope"])
 
 
+def test_run_suites_rejects_negative_degree():
+    with pytest.raises(ValueError):
+        run_suites(ParameterSet.of(1, 2, 3, 5), -1, ["structure"])
+
+
 def test_suite_determinism():
     p = ParameterSet.of(2, 1, 7, 3)
     first = [r.to_json() for r in run_suites(p, 2, ["transitions"])]
