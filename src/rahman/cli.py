@@ -20,7 +20,7 @@ import sys
 
 import click
 
-from .form import BilinearForm, dual_basis
+from .form import BilinearForm, dual_basis, p_table
 from .params import ParameterSet, ValidationError, derive, load_params_file, validate
 from .polymodule import lattice
 from .polynomials import eval_P
@@ -48,7 +48,7 @@ def _resolve_params(p: str | None, params_file: str | None, n: int | None):
     if params_file is not None:
         try:
             params, file_n = load_params_file(params_file)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             raise click.UsageError(f"bad parameter file: {exc}")
         if n is None:
             n = file_n
@@ -79,11 +79,18 @@ def _require_n(n: int | None) -> int:
 
 
 def _emit(text: str, out: str | None) -> None:
+    # Not click.echo: it caches each stdout it sees, keyed by that stream
+    # and holding it, so an in-process caller that swaps stdout per call
+    # would keep every output alive.
     if out is None:
-        click.echo(text)
-    else:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+        return
+    try:
         with open(out, "w") as handle:
             handle.write(text + "\n")
+    except OSError as exc:
+        raise click.UsageError(f"cannot write --out file: {exc}")
 
 
 def _dump_json(data) -> str:
@@ -139,18 +146,18 @@ def eval_command(a, b, c, d, p, params_file, n, fmt, out):
         raise click.UsageError(str(exc))
     if min(a, b, c, d) < 0:
         raise click.UsageError("arguments must be nonnegative integers")
+    if a + b > n or c + d > n:
+        raise click.UsageError(
+            f"arguments off the lattice: need A+B <= N and C+D <= N (N={n})"
+        )
     _emit(format_rational(eval_P(a, b, c, d, derived, n)), out)
 
 
 def _value_table(params: ParameterSet, n: int) -> tuple:
     """Header pairs and the full P(s,t,sigma,tau) matrix in lattice order."""
-    derived = derive(params)
+    f = BilinearForm(build(params), n)
     pairs = [(s, t) for (_, s, t) in lattice(n)]
-    rows = [
-        [format_rational(eval_P(s, t, sigma, tau, derived, n))
-         for (sigma, tau) in pairs]
-        for (s, t) in pairs
-    ]
+    rows = [[format_rational(value) for value in row] for row in p_table(f)]
     return pairs, rows
 
 

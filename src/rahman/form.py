@@ -31,6 +31,7 @@ __all__ = [
     "gram_diagonal",
     "inner",
     "dual_basis",
+    "p_table",
     "verify_adjointness",
     "verify_tilde_norms",
     "verify_dual_sum_identities",
@@ -100,15 +101,37 @@ def dual_basis(f: BilinearForm, s: StructureSet, kind: str = "plain") -> list:
 
     Each dual vector is a monomial over its norm: the Gram value of
     ``d`` for the plain kind, and of ``d.dual()`` for the tilde kind.
+    ``s`` must be the structure the form was built on.
     """
+    if s != f.s:
+        raise ValueError("structure differs from the one the form was built on")
     if kind == "plain":
         norms = f.gram
     elif kind == "tilde":
-        norms = gram_diagonal(f.s.d.dual(), f.n)
+        norms = gram_diagonal(s.d.dual(), f.n)
     else:
         raise ValueError(f"unknown basis kind {kind!r}")
     return [
         Poly3.monomial(*point, 1 / norms[point], kind=kind) for point in lattice(f.n)
+    ]
+
+
+def p_table(f: BilinearForm) -> list:
+    """P(s, t, sigma, tau) for all index pairs, rows (s, t), columns (sigma, tau).
+
+    By the pairing theorem <x^r y^s z^t, x~^rho y~^sigma z~^tau> =
+    N! nu^N P(s, t, sigma, tau), so column (sigma, tau) is the plain
+    expansion of x~^rho y~^sigma z~^tau weighted by the Gram diagonal:
+    the N-th symmetric power of R, one expansion per column instead of
+    one defining sum per entry.  ``eval_P`` is its oracle.
+    """
+    points = lattice(f.n)
+    scale = Fraction(factorial(f.n)) * f.s.d.nu**f.n
+    weights = [f.gram[key] / scale for key in points]
+    columns = [f.expand(Poly3.monomial(*point, kind="tilde")) for point in points]
+    return [
+        [weight * column[key] for column in columns]
+        for key, weight in zip(points, weights)
     ]
 
 

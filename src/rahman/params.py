@@ -165,16 +165,23 @@ def derive(p: ParameterSet) -> DerivedParams:
 def load_params_file(path) -> tuple:
     """Read a JSON parameter file: {"p": ["1","2","3","5"], "N": 4}.
 
-    Returns (ParameterSet, N) where N is None if absent.
+    Returns (ParameterSet, N) where N is None if absent.  Any other
+    shape, or an N that is not a nonnegative JSON integer, raises
+    ValueError.
     """
     with open(path) as handle:
         data = json.load(handle)
+    if not isinstance(data, dict) or "p" not in data:
+        raise ValueError('expected a JSON object with a "p" list')
+    if not isinstance(data["p"], list):
+        raise ValueError('"p" must be a list of 4 rationals')
     values = [parse_rational(str(x)) for x in data["p"]]
     if len(values) != 4:
         raise ValueError(f"expected 4 parameters, got {len(values)}")
     n = data.get("N")
     if n is not None:
-        n = int(n)
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"N must be an integer, got {n!r}")
         if n < 0:
             raise ValueError("N must be nonnegative")
     return ParameterSet(*values), n

@@ -32,9 +32,13 @@ def parse_rational(text: str) -> Rational:
     """Parse a rational from its canonical "num/den" string form.
 
     The denominator part is optional ("672" and "672/1" are the same
-    value). Whitespace around the string is ignored.
+    value). Whitespace around the string is ignored.  A zero
+    denominator raises ValueError, like any other malformed string.
     """
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
 
 def format_rational(value: Rational) -> str:

@@ -1,4 +1,8 @@
+import contextlib
+import gc
+import io
 import json
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -115,3 +119,56 @@ def test_n_ceiling(runner, monkeypatch):
     monkeypatch.setenv("RAHMAN_MAX_N", "2")
     result = runner.invoke(main, ["table", "--p", "1,2,3,5", "--N", "3"])
     assert result.exit_code == 2
+
+
+@pytest.fixture
+def defect_files(tmp_path):
+    contents = {
+        "list.json": ["1", "2", "3", "5"],
+        "scalar-p.json": {"p": 5, "N": 2},
+        "fractional-n.json": {"p": ["1", "2", "3", "5"], "N": 2.7},
+    }
+    for name, data in contents.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--p", "1/0,2,3,5"],
+        ["check", "--params-file", "{dir}/list.json"],
+        ["check", "--params-file", "{dir}/scalar-p.json"],
+        ["table", "--params-file", "{dir}/fractional-n.json"],
+        ["export", "lattice", "--p", "1,2,3,5", "--N", "2", "--out", "{dir}/missing/out.json"],
+        ["eval", "5", "0", "0", "0", "--p", "1,2,3,5", "--N", "2"],
+    ],
+    ids=[
+        "zero-denominator-param",
+        "params-file-list",
+        "params-file-scalar-p",
+        "params-file-fractional-n",
+        "out-missing-dir",
+        "eval-off-lattice",
+    ],
+)
+def test_malformed_input_exits_2(runner, defect_files, argv):
+    result = runner.invoke(main, [arg.format(dir=defect_files) for arg in argv])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert sum(line.startswith("Error:") for line in result.stderr.splitlines()) == 1
+    assert result.stdout == ""
+
+
+def test_stdout_is_not_retained():
+    """Output written to a redirected stdout is freed with its stream."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--p", "1,2,3,5", "--N", "1"], prog_name="rahman")
+    assert exc.value.code == 0 and out.getvalue()
+    ref = weakref.ref(out)
+    del out
+    gc.collect()
+    assert ref() is None

@@ -8,13 +8,18 @@ from rahman.form import (
     BilinearForm,
     dual_basis,
     inner,
+    p_table,
     verify_adjointness,
     verify_dual_sum_identities,
     verify_tilde_norms,
 )
+from rahman.params import derive
 from rahman.polymodule import DegreeMismatch, Poly3, lattice
+from rahman.polynomials import eval_P
+from rahman.sl3 import build
 
 from conftest import PARAM_MATRIX
+from test_params import valid_parameter_sets
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +99,34 @@ def test_dual_basis_pairing_is_identity(reference_structure):
             for i, xi in enumerate(monomials):
                 for j, dual in enumerate(duals):
                     assert inner(xi, dual, f, s) == int(i == j)
+
+
+def test_dual_basis_rejects_other_structure(structures):
+    s, other = (structures[p] for p in PARAM_MATRIX[:2])
+    f = BilinearForm(s, 2)
+    for kind in ("plain", "tilde"):
+        with pytest.raises(ValueError):
+            dual_basis(f, other, kind)
+
+
+def _assert_table_matches_eval_P(s, n):
+    pairs = [(st, t) for (_, st, t) in lattice(n)]
+    table = p_table(BilinearForm(s, n))
+    assert len(table) == len(pairs)
+    for (st, t), row in zip(pairs, table):
+        assert row == [eval_P(st, t, sigma, tau, s.d, n) for (sigma, tau) in pairs]
+
+
+@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("p", PARAM_MATRIX, ids=str)
+def test_p_table_matches_eval_P(structures, p, n):
+    _assert_table_matches_eval_P(structures[p], n)
+
+
+@given(valid_parameter_sets(), st.integers(0, 3))
+@settings(max_examples=25, deadline=None)
+def test_p_table_matches_eval_P_random(p, n):
+    _assert_table_matches_eval_P(build(p, derive(p)), n)
 
 
 def test_gram_values_off_the_axis(reference_structure):

@@ -78,3 +78,5 @@ def test_rational_string_forms():
     assert format_rational(Fraction(-1, 11)) == "-1/11"
     assert format_rational(Fraction(672)) == "672"
     assert parse_rational(" 672 ") == 672
+    with pytest.raises(ValueError):
+        parse_rational("1/0")

@@ -53,6 +53,21 @@ def test_pcosines(contexts, p, n):
     assert report.ok, report.first_failure
 
 
+@pytest.mark.parametrize("verifier", [verify_trans1, verify_trans2, verify_pcosines],
+                         ids=lambda v: v.__name__)
+def test_transition_verifiers_read_eval_P(contexts, monkeypatch, verifier):
+    """Each transition check compares against eval_P itself, not a table
+    built by the code it checks: one wrong eval_P value must trip it."""
+
+    def perturbed(a, b, c, dd, derived, n):
+        value = eval_P(a, b, c, dd, derived, n)
+        return value + 1 if (a, b, c, dd) == (1, 0, 0, 1) else value
+
+    monkeypatch.setattr("rahman.theorems.eval_P", perturbed)
+    s, f, d = contexts[PARAM_MATRIX[0], 2]
+    assert not verifier(s, f, d, 2).ok
+
+
 @pytest.mark.parametrize("n", [0, 2, 3])
 @pytest.mark.parametrize("p", PARAM_MATRIX, ids=str)
 def test_orthogonality(contexts, p, n):
