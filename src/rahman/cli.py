@@ -183,10 +183,10 @@ def table(p, params_file, n, fmt, out):
 
 @main.command()
 @click.argument("suites", nargs=-1)
-@click.option("--suite", "suite_flag", default=None,
-              help="suite name (alternative to the positional form)")
+@click.option("--suite", "suite_flags", multiple=True,
+              help="suite name (alternative to the positional form); repeatable")
 @shared_options
-def verify(suites, suite_flag, p, params_file, n, fmt, out):
+def verify(suites, suite_flags, p, params_file, n, fmt, out):
     """Run verification suites; exits 1 if any identity fails.
 
     SUITES may be "all" (default) or any of: structure, module, form,
@@ -194,11 +194,7 @@ def verify(suites, suite_flag, p, params_file, n, fmt, out):
     """
     params, n = _resolve_params(p, params_file, n)
     n = _require_n(n)
-    names = list(suites)
-    if suite_flag is not None:
-        names.append(suite_flag)
-    if not names:
-        names = ["all"]
+    names = list(suites) + list(suite_flags) or ["all"]
     for name in names:
         if name != "all" and name not in SUITES:
             raise click.UsageError(

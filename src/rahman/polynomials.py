@@ -1,15 +1,26 @@
 """The Rahman polynomial kernel P(a, b, c, d).
 
-P is the four-fold shifted-factorial sum over i+j+k+l <= N with weights
-t^i u^j v^k w^l.  It is evaluated three ways: at integer arguments, as
+P is the four-fold shifted-factorial sum
+
+    P(a, b | c, d) = sum (-a)_{i+j} (-b)_{k+l} (-c)_{i+k} (-d)_{j+l}
+                     t^i u^j v^k w^l / (i! j! k! l! (-N)_{i+j+k+l})
+
+over i+j+k+l <= N.  It is evaluated three ways: at integer arguments, as
 a bivariate polynomial in one argument pair, and with a commuting pair
 of module operators substituted for one pair.
+
+At integer arguments on the lattice (a+b <= N, c+d <= N) a term is
+nonzero only inside the box i+j <= a, k+l <= b, i+k <= c, j+l <= d,
+since (-m)_q = 0 for q > m; the box already implies i+j+k+l <= N.
+``eval_P`` sums that box only.  Its factors, and the weights of
+``term_weights``, are read from O(N) prefix tables built once per call:
+the shifted factorials (-a)_q .. (-d)_q, the scaled powers t^i/i!,
+u^j/j!, v^k/k!, w^l/l!, and 1/(-N)_m.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 from .matrices import Mat
 from .params import DerivedParams
@@ -29,43 +40,83 @@ class NonCommutingOperators(ValueError):
     """Raised when an operator argument pair fails to commute."""
 
 
+def _falling(m: int) -> list:
+    """[(-m)_0, (-m)_1, ..., (-m)_m]; (-m)_q is 0 for every q > m."""
+    table = [1]
+    for q in range(m):
+        table.append(table[-1] * (q - m))
+    return table
+
+
+def _scaled_powers(x: Fraction, n: int) -> list:
+    """[x^0/0!, x^1/1!, ..., x^n/n!]."""
+    table = [Fraction(1)]
+    for q in range(1, n + 1):
+        table.append(table[-1] * x / q)
+    return table
+
+
+def _factor_tables(d: DerivedParams, n: int, top: tuple) -> tuple:
+    """The per-index factors of the weight t^i u^j v^k w^l / (i! j! k! l! (-N)_m).
+
+    Returns the scaled powers t^i/i!, u^j/j!, v^k/k!, w^l/l! and the
+    inverses 1/(-N)_m, each as a list indexed by its exponent, up to the
+    largest exponents ``top`` = (i, j, k, l, m); m must not exceed N.
+    """
+    top_i, top_j, top_k, top_l, top_m = top
+    return (
+        _scaled_powers(d.t, top_i),
+        _scaled_powers(d.u, top_j),
+        _scaled_powers(d.v, top_k),
+        _scaled_powers(d.w, top_l),
+        [Fraction(1, value) for value in _falling(n)[: top_m + 1]],
+    )
+
+
 def term_weights(d: DerivedParams, n: int):
     """Yield ((i, j, k, l), weight) for every term of the defining sum.
 
     weight = t^i u^j v^k w^l / (i! j! k! l! (-N)_{i+j+k+l}); the
     shifted-factorial arguments are supplied by the caller.
     """
+    ts, us, vs, ws, inverse = _factor_tables(d, n, (n,) * 5)
     for i in range(n + 1):
         for j in range(n + 1 - i):
+            tu = ts[i] * us[j]
             for k in range(n + 1 - i - j):
+                tuv = tu * vs[k]
                 for l in range(n + 1 - i - j - k):
-                    weight = (
-                        d.t**i * d.u**j * d.v**k * d.w**l
-                        / (
-                            Fraction(
-                                factorial(i) * factorial(j) * factorial(k) * factorial(l)
-                            )
-                            * pochhammer(-n, i + j + k + l)
-                        )
-                    )
-                    yield (i, j, k, l), weight
+                    yield (i, j, k, l), tuv * ws[l] * inverse[i + j + k + l]
 
 
 def eval_P(a: int, b: int, c: int, d: int, derived: DerivedParams, n: int) -> Fraction:
-    """Exact value of P at nonnegative integer arguments."""
+    """Exact value of P at a lattice point: a+b <= N and c+d <= N.
+
+    Only the box i+j <= a, k+l <= b, i+k <= c, j+l <= d is summed; every
+    other term has a vanishing shifted factorial.  Raises ValueError for
+    a negative argument or N, and for arguments off the lattice.
+    """
     for name, value in (("a", a), ("b", b), ("c", c), ("d", d)):
         if value < 0:
             raise ValueError(f"argument {name} must be a nonnegative integer")
-    total = Fraction(0)
-    for (i, j, k, l), weight in term_weights(derived, n):
-        factor = (
-            pochhammer(-a, i + j)
-            * pochhammer(-b, k + l)
-            * pochhammer(-c, i + k)
-            * pochhammer(-d, j + l)
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    if a + b > n or c + d > n:
+        raise ValueError(
+            f"arguments off the lattice: need a+b <= N and c+d <= N (N={n})"
         )
-        if factor != 0:
-            total += factor * weight
+    ts, us, vs, ws, inverse = _factor_tables(
+        derived, n, (min(a, c), min(a, d), min(b, c), min(b, d), min(a + b, c + d))
+    )
+    fa, fb, fc, fd = _falling(a), _falling(b), _falling(c), _falling(d)
+    total = Fraction(0)
+    for i in range(min(a, c) + 1):
+        for j in range(min(a - i, d) + 1):
+            ij = fa[i + j] * ts[i] * us[j]
+            for k in range(min(b, c - i) + 1):
+                ijk = ij * fc[i + k] * vs[k]
+                for l in range(min(b - k, d - j) + 1):
+                    total += ijk * (fb[k + l] * fd[j + l]) * ws[l] * inverse[i + j + k + l]
     return total
 
 

@@ -32,13 +32,18 @@ def parse_rational(text: str) -> Rational:
     """Parse a rational from its canonical "num/den" string form.
 
     The denominator part is optional ("672" and "672/1" are the same
-    value). Whitespace around the string is ignored.  A zero
-    denominator raises ValueError, like any other malformed string.
+    value), and plain decimals ("1.25") are accepted.  Whitespace around
+    the string is ignored.  A zero denominator raises ValueError, like
+    any other malformed string; so does exponent notation ("1e3"), whose
+    exact value can be far too large to build.
     """
+    text = text.strip()
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent notation is not accepted in {text!r}")
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text.strip()!r}") from None
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(value: Rational) -> str:

@@ -73,6 +73,18 @@ def test_verify_single_suite_flag(runner):
     assert all(r["name"].startswith("structure.") for r in reports)
 
 
+def test_verify_repeated_suite_flag(runner):
+    """Repeated --suite flags all run, in order, after the positional suites."""
+    result = runner.invoke(main, [
+        "verify", "module", "--suite", "structure", "--suite", "form",
+        "--p", "2,1,7,3", "--N", "1",
+    ])
+    assert result.exit_code == 0
+    prefixes = [r["name"].split(".")[0] for r in json.loads(result.output)]
+    assert prefixes == sorted(prefixes, key=["module", "structure", "form"].index)
+    assert set(prefixes) == {"module", "structure", "form"}
+
+
 def test_verify_unknown_suite(runner):
     result = runner.invoke(main, ["verify", "bogus", "--p", "1,2,3,5", "--N", "1"])
     assert result.exit_code == 2
@@ -142,6 +154,7 @@ def defect_files(tmp_path):
         ["table", "--params-file", "{dir}/fractional-n.json"],
         ["export", "lattice", "--p", "1,2,3,5", "--N", "2", "--out", "{dir}/missing/out.json"],
         ["eval", "5", "0", "0", "0", "--p", "1,2,3,5", "--N", "2"],
+        ["check", "--p", "1e3000000,2,3,5"],
     ],
     ids=[
         "zero-denominator-param",
@@ -150,6 +163,7 @@ def defect_files(tmp_path):
         "params-file-fractional-n",
         "out-missing-dir",
         "eval-off-lattice",
+        "exponent-notation-param",
     ],
 )
 def test_malformed_input_exits_2(runner, defect_files, argv):
@@ -159,6 +173,15 @@ def test_malformed_input_exits_2(runner, defect_files, argv):
     assert "Traceback" not in result.output
     assert sum(line.startswith("Error:") for line in result.stderr.splitlines()) == 1
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("args", [["3", "0", "0", "0"], ["0", "0", "1", "2"]])
+def test_eval_off_the_lattice_message(runner, args):
+    result = runner.invoke(main, ["eval", *args, "--p", "1,2,3,5", "--N", "2"])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines()[-1] == (
+        "Error: arguments off the lattice: need A+B <= N and C+D <= N (N=2)"
+    )
 
 
 def test_stdout_is_not_retained():

@@ -129,6 +129,21 @@ def test_p_table_matches_eval_P_random(p, n):
     _assert_table_matches_eval_P(build(p, derive(p)), n)
 
 
+def test_p_table_matches_eval_P_at_the_ceiling(reference_structure):
+    """At the ceiling N=12, where the box bounds of eval_P cut the most
+    terms: the four corners, the diagonal and the rows (6,6) and (0,12)."""
+    s, n = reference_structure, 12
+    pairs = [(st, t) for (_, st, t) in lattice(n)]
+    table = p_table(BilinearForm(s, n))
+    last = len(pairs) - 1
+    sample = {(0, 0), (0, last), (last, 0), (last, last)}
+    sample.update((i, i) for i in range(len(pairs)))
+    for row in (pairs.index((6, 6)), pairs.index((0, 12))):
+        sample.update((row, col) for col in range(len(pairs)))
+    for row, col in sorted(sample):
+        assert table[row][col] == eval_P(*pairs[row], *pairs[col], s.d, n)
+
+
 def test_gram_values_off_the_axis(reference_structure):
     """Mixed-exponent norms at (1,2,3,5), N=3, worked by hand from eta,
     eta~, theta = 28 and theta~ = 24: both sides of the one Gram formula."""

@@ -1,6 +1,8 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rahman.matrices import Mat
 from rahman.params import ParameterSet, derive
@@ -9,9 +11,12 @@ from rahman.polynomials import (
     as_bivariate,
     eval_P,
     eval_P_operator,
+    term_weights,
 )
+from rahman.scalars import pochhammer
 
 from conftest import PARAM_MATRIX
+from test_params import valid_parameter_sets
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +52,77 @@ def test_rejects_negative_arguments(derived_matrix):
     d = derived_matrix[ParameterSet.of(1, 2, 3, 5)]
     with pytest.raises(ValueError):
         eval_P(-1, 0, 0, 0, d, 2)
+
+
+@pytest.mark.parametrize(
+    "args, n",
+    [((0, 0, 0, 0), -1), ((2, 1, 0, 0), 2), ((0, 0, 1, 2), 2), ((3, 0, 0, 3), 2)],
+    ids=["negative-degree", "first-pair-off", "second-pair-off", "both-off"],
+)
+def test_rejects_arguments_off_the_lattice(derived_matrix, args, n):
+    d = derived_matrix[ParameterSet.of(1, 2, 3, 5)]
+    with pytest.raises(ValueError):
+        eval_P(*args, d, n)
+
+
+def _defining_term_weights(d, n):
+    """The defining sum's weights, written out term by term: independent
+    of the prefix tables in rahman.polynomials."""
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            for k in range(n + 1 - i - j):
+                for l in range(n + 1 - i - j - k):
+                    weight = (
+                        d.t**i * d.u**j * d.v**k * d.w**l
+                        / (
+                            Fraction(
+                                factorial(i) * factorial(j) * factorial(k) * factorial(l)
+                            )
+                            * pochhammer(-n, i + j + k + l)
+                        )
+                    )
+                    yield (i, j, k, l), weight
+
+
+def _defining_sum(a, b, c, d, derived, n):
+    """P summed over every i+j+k+l <= N, zero terms included."""
+    total = Fraction(0)
+    for (i, j, k, l), weight in _defining_term_weights(derived, n):
+        factor = (
+            pochhammer(-a, i + j)
+            * pochhammer(-b, k + l)
+            * pochhammer(-c, i + k)
+            * pochhammer(-d, j + l)
+        )
+        if factor != 0:
+            total += factor * weight
+    return total
+
+
+def _assert_eval_P_is_the_defining_sum(d, n):
+    for a in range(n + 1):
+        for b in range(n + 1 - a):
+            for c in range(n + 1):
+                for dd in range(n + 1 - c):
+                    assert eval_P(a, b, c, dd, d, n) == _defining_sum(a, b, c, dd, d, n)
+
+
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("p", PARAM_MATRIX, ids=str)
+def test_eval_P_is_the_defining_sum(derived_matrix, p, n):
+    _assert_eval_P_is_the_defining_sum(derived_matrix[p], n)
+
+
+@given(valid_parameter_sets(), st.integers(0, 3))
+@settings(max_examples=25, deadline=None)
+def test_eval_P_is_the_defining_sum_random(p, n):
+    _assert_eval_P_is_the_defining_sum(derive(p), n)
+
+
+@pytest.mark.parametrize("n", [0, 2, 4])
+def test_term_weights_are_the_defining_weights(derived_matrix, n):
+    d = derived_matrix[ParameterSet.of(2, 1, 7, 3)]
+    assert list(term_weights(d, n)) == list(_defining_term_weights(d, n))
 
 
 def test_extended_sum_range_changes_nothing(derived_matrix):

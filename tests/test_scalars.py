@@ -80,3 +80,12 @@ def test_rational_string_forms():
     assert parse_rational(" 672 ") == 672
     with pytest.raises(ValueError):
         parse_rational("1/0")
+
+
+def test_rational_refuses_exponent_notation():
+    for text in ("1e3", "2E-1", "1e3000000", " 5e0 "):
+        with pytest.raises(ValueError, match="exponent"):
+            parse_rational(text)
+    assert parse_rational("1.25") == Fraction(5, 4)
+    assert parse_rational("-3/4") == Fraction(-3, 4)
+    assert parse_rational("-0.5") == Fraction(-1, 2)
