@@ -5,17 +5,24 @@ P is the four-fold shifted-factorial sum
     P(a, b | c, d) = sum (-a)_{i+j} (-b)_{k+l} (-c)_{i+k} (-d)_{j+l}
                      t^i u^j v^k w^l / (i! j! k! l! (-N)_{i+j+k+l})
 
-over i+j+k+l <= N.  It is evaluated three ways: at integer arguments, as
-a bivariate polynomial in one argument pair, and with a commuting pair
-of module operators substituted for one pair.
+over i+j+k+l <= N.  Grouping the terms by (p, q) = (i+k, j+l) gives one
+coefficient table
+
+    P(a, b | c, d) = sum A_pq (-c)_p (-d)_q,
+
+and every evaluation reads it: ``eval_P`` at integer c, d;
+``as_bivariate`` expanding each (-c)_p (-d)_q in powers of c and d;
+``eval_P_operator`` with a commuting operator pair (C, D) for (c, d),
+applied to one vector.  The other pair is the first pair on the dual
+parameters, since P(a, b | c, d) is P(c, d | a, b) there.
 
 At integer arguments on the lattice (a+b <= N, c+d <= N) a term is
 nonzero only inside the box i+j <= a, k+l <= b, i+k <= c, j+l <= d,
 since (-m)_q = 0 for q > m; the box already implies i+j+k+l <= N.
-``eval_P`` sums that box only.  Its factors, and the weights of
-``term_weights``, are read from O(N) prefix tables built once per call:
-the shifted factorials (-a)_q .. (-d)_q, the scaled powers t^i/i!,
-u^j/j!, v^k/k!, w^l/l!, and 1/(-N)_m.
+``_falling_coefficients`` sums that box only, reading its factors from
+O(N) prefix tables built once per call: the shifted factorials (-a)_q
+and (-b)_q, the scaled powers t^i/i!, u^j/j!, v^k/k!, w^l/l!, and
+1/(-N)_m.
 """
 
 from __future__ import annotations
@@ -24,12 +31,11 @@ from fractions import Fraction
 
 from .matrices import Mat
 from .params import DerivedParams
-from .scalars import format_rational, pochhammer
+from .scalars import format_rational
 
 __all__ = [
     "NonCommutingOperators",
     "BivariatePoly",
-    "term_weights",
     "eval_P",
     "as_bivariate",
     "eval_P_operator",
@@ -56,37 +62,48 @@ def _scaled_powers(x: Fraction, n: int) -> list:
     return table
 
 
-def _factor_tables(d: DerivedParams, n: int, top: tuple) -> tuple:
-    """The per-index factors of the weight t^i u^j v^k w^l / (i! j! k! l! (-N)_m).
+def _check_lattice(n: int, *args: int) -> None:
+    """Raise ValueError unless N >= 0 and the arguments, read as the pairs
+    (a, b) and (c, d), are nonnegative with each pair summing to at most N."""
+    for name, value in zip("abcd", args):
+        if value < 0:
+            raise ValueError(f"argument {name} must be a nonnegative integer")
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    if any(first + second > n for first, second in zip(args[::2], args[1::2])):
+        raise ValueError(
+            f"arguments off the lattice: need a+b <= N and c+d <= N (N={n})"
+        )
 
-    Returns the scaled powers t^i/i!, u^j/j!, v^k/k!, w^l/l! and the
-    inverses 1/(-N)_m, each as a list indexed by its exponent, up to the
-    largest exponents ``top`` = (i, j, k, l, m); m must not exceed N.
+
+def _falling_coefficients(
+    a: int, b: int, derived: DerivedParams, n: int, top_c: int, top_d: int
+) -> dict:
+    """{(p, q): A_pq} with P(a, b | c, d) = sum A_pq (-c)_p (-d)_q.
+
+    Sums the box i+j <= a, k+l <= b, i+k <= top_c, j+l <= top_d once;
+    the term (i, j, k, l) adds to A_{i+k, j+l}.  Coefficients with
+    p > top_c or q > top_d are left out, so top = (c, d) suffices for
+    integer c, d and top = (N, N) keeps every coefficient.
     """
-    top_i, top_j, top_k, top_l, top_m = top
-    return (
-        _scaled_powers(d.t, top_i),
-        _scaled_powers(d.u, top_j),
-        _scaled_powers(d.v, top_k),
-        _scaled_powers(d.w, top_l),
-        [Fraction(1, value) for value in _falling(n)[: top_m + 1]],
-    )
-
-
-def term_weights(d: DerivedParams, n: int):
-    """Yield ((i, j, k, l), weight) for every term of the defining sum.
-
-    weight = t^i u^j v^k w^l / (i! j! k! l! (-N)_{i+j+k+l}); the
-    shifted-factorial arguments are supplied by the caller.
-    """
-    ts, us, vs, ws, inverse = _factor_tables(d, n, (n,) * 5)
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            tu = ts[i] * us[j]
-            for k in range(n + 1 - i - j):
-                tuv = tu * vs[k]
-                for l in range(n + 1 - i - j - k):
-                    yield (i, j, k, l), tuv * ws[l] * inverse[i + j + k + l]
+    ts = _scaled_powers(derived.t, min(a, top_c))
+    us = _scaled_powers(derived.u, min(a, top_d))
+    vs = _scaled_powers(derived.v, min(b, top_c))
+    ws = _scaled_powers(derived.w, min(b, top_d))
+    top_m = min(a + b, top_c + top_d)
+    inverse = [Fraction(1, value) for value in _falling(n)[: top_m + 1]]
+    fa, fb = _falling(a), _falling(b)
+    sums: dict = {}
+    for i in range(min(a, top_c) + 1):
+        for j in range(min(a - i, top_d) + 1):
+            ij = fa[i + j] * ts[i] * us[j]
+            for k in range(min(b, top_c - i) + 1):
+                ijk = ij * vs[k]
+                for l in range(min(b - k, top_d - j) + 1):
+                    key = (i + k, j + l)
+                    term = ijk * fb[k + l] * ws[l]
+                    sums[key] = sums[key] + term if key in sums else term
+    return {(p, q): value * inverse[p + q] for (p, q), value in sums.items()}
 
 
 def eval_P(a: int, b: int, c: int, d: int, derived: DerivedParams, n: int) -> Fraction:
@@ -96,27 +113,11 @@ def eval_P(a: int, b: int, c: int, d: int, derived: DerivedParams, n: int) -> Fr
     other term has a vanishing shifted factorial.  Raises ValueError for
     a negative argument or N, and for arguments off the lattice.
     """
-    for name, value in (("a", a), ("b", b), ("c", c), ("d", d)):
-        if value < 0:
-            raise ValueError(f"argument {name} must be a nonnegative integer")
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if a + b > n or c + d > n:
-        raise ValueError(
-            f"arguments off the lattice: need a+b <= N and c+d <= N (N={n})"
-        )
-    ts, us, vs, ws, inverse = _factor_tables(
-        derived, n, (min(a, c), min(a, d), min(b, c), min(b, d), min(a + b, c + d))
-    )
-    fa, fb, fc, fd = _falling(a), _falling(b), _falling(c), _falling(d)
+    _check_lattice(n, a, b, c, d)
+    fc, fd = _falling(c), _falling(d)
     total = Fraction(0)
-    for i in range(min(a, c) + 1):
-        for j in range(min(a - i, d) + 1):
-            ij = fa[i + j] * ts[i] * us[j]
-            for k in range(min(b, c - i) + 1):
-                ijk = ij * fc[i + k] * vs[k]
-                for l in range(min(b - k, d - j) + 1):
-                    total += ijk * (fb[k + l] * fd[j + l]) * ws[l] * inverse[i + j + k + l]
+    for (p, q), value in _falling_coefficients(a, b, derived, n, c, d).items():
+        total += value * (fc[p] * fd[q])
     return total
 
 
@@ -168,81 +169,53 @@ def _poch_coeffs(n: int) -> list:
     return coeffs
 
 
-def as_bivariate(
-    m: int, n_arg: int, derived: DerivedParams, n: int, which_pair: str = "cd"
-) -> BivariatePoly:
-    """P with one argument pair fixed at (m, n_arg) and the other symbolic.
+def as_bivariate(m: int, n_arg: int, derived: DerivedParams, n: int) -> BivariatePoly:
+    """P(m, n_arg | c, d) as a polynomial in the symbolic pair (c, d).
 
-    ``which_pair`` names the symbolic pair: "cd" gives the polynomial
-    P(m, n_arg, c, d) in c, d; "ab" gives P(a, b, m, n_arg) in a, b,
-    which is the "cd" polynomial of the dual parameters.
+    The polynomial in the first pair, P(a, b | m, n_arg), is this one on
+    ``derived.dual()``.  Raises ValueError like ``eval_P``.
     """
-    if which_pair not in ("cd", "ab"):
-        raise ValueError(f"unknown pair {which_pair!r}")
-    if which_pair == "ab":
-        derived = derived.dual()
+    _check_lattice(n, m, n_arg)
+    falling = [_poch_coeffs(q) for q in range(m + n_arg + 1)]
     out: dict = {}
-    for (i, j, k, l), weight in term_weights(derived, n):
-        scalar = pochhammer(-m, i + j) * pochhammer(-n_arg, k + l)
-        if scalar == 0:
-            continue
-        scalar *= weight
-        for da, ca in enumerate(_poch_coeffs(i + k)):  # in c
-            if ca == 0:
-                continue
-            for db, cb in enumerate(_poch_coeffs(j + l)):  # in d
-                if cb == 0:
-                    continue
-                key = (da, db)
-                out[key] = out.get(key, Fraction(0)) + scalar * ca * cb
+    for (p, q), value in _falling_coefficients(m, n_arg, derived, n, n, n).items():
+        for dc, cc in enumerate(falling[p]):
+            for dd, cd in enumerate(falling[q]):
+                out[dc, dd] = out.get((dc, dd), 0) + value * cc * cd
     return BivariatePoly(out)
 
 
-def _operator_pochhammer(op: Mat, n: int) -> Mat:
-    """(-C)(-C+I)...(-C+(n-1)I), computed left to right."""
-    dim = op.nrows
-    result = Mat.identity(dim)
-    for q in range(n):
-        result = result @ (Mat.identity(dim).scale(q) - op)
-    return result
+def _falling_powers(op: Mat, vector: list, top: int):
+    """Yield (-op)_q v for q = 0, ..., top, by (-op)_{q+1} v = q w - op w
+    with w = (-op)_q v."""
+    w = vector
+    yield w
+    for q in range(top):
+        w = [q * x - y for x, y in zip(w, op.apply(w))]
+        yield w
 
 
 def eval_P_operator(
-    int_pair: tuple,
-    op_pair: tuple,
-    derived: DerivedParams,
-    n: int,
-    slot: str = "back",
-) -> Mat:
-    """P with one argument pair replaced by commuting operators.
+    int_pair: tuple, op_pair: tuple, vector: list, derived: DerivedParams, n: int
+) -> list:
+    """P(s, t | C, D) applied to ``vector``, for a commuting pair (C, D).
 
-    slot="back" computes P(s, t, C, D) with (s, t) = int_pair and
-    (C, D) = op_pair; slot="front" computes P(C, D, s, t), which is the
-    "back" value of the dual parameters.  Shifted factorials of
-    operators replace the corresponding scalar ones.
+    (s, t) = int_pair.  The table A_pq has p+q <= s+t, and each
+    (-C)_p (-D)_q v is built from (-D)_q v by matrix-vector products;
+    P(C, D | s, t) is this value on ``derived.dual()``.  Raises
+    ValueError like ``eval_P``, and NonCommutingOperators unless CD = DC.
     """
-    if slot not in ("front", "back"):
-        raise ValueError(f"unknown slot {slot!r}")
-    if slot == "front":
-        derived = derived.dual()
     s_arg, t_arg = int_pair
+    _check_lattice(n, s_arg, t_arg)
     c_op, d_op = op_pair
     if c_op @ d_op != d_op @ c_op:
         raise NonCommutingOperators("operator pair does not commute")
 
-    dim = c_op.nrows
-    total = Mat.zero(dim)
-    poch_cache: dict = {}
-
-    def op_poch(which: str, op: Mat, order: int) -> Mat:
-        if (which, order) not in poch_cache:
-            poch_cache[which, order] = _operator_pochhammer(op, order)
-        return poch_cache[which, order]
-
-    for (i, j, k, l), weight in term_weights(derived, n):
-        scalar = pochhammer(-s_arg, i + j) * pochhammer(-t_arg, k + l)
-        if scalar == 0:
-            continue
-        operator = op_poch("c", c_op, i + k) @ op_poch("d", d_op, j + l)
-        total = total + operator.scale(scalar * weight)
+    coeffs = _falling_coefficients(s_arg, t_arg, derived, n, n, n)
+    top = s_arg + t_arg
+    total = [Fraction(0)] * len(vector)
+    for q, d_power in enumerate(_falling_powers(d_op, vector, top)):
+        for p, both in enumerate(_falling_powers(c_op, d_power, top - q)):
+            weight = coeffs[p, q]
+            total = [x + weight * y for x, y in zip(total, both)]
     return total

@@ -271,9 +271,10 @@ def verify_operator_identities(
         r_idx = n - s_idx - t_idx
         target = [Fraction(int(point == (r_idx, s_idx, t_idx))) for point in points]
         for label, ops, side_d in identities:
-            op = eval_P_operator((s_idx, t_idx), ops, side_d, n)
             rec.equal(
-                op.apply(start), target, f"{label} identity at (s,t)={(s_idx, t_idx)}"
+                eval_P_operator((s_idx, t_idx), ops, start, side_d, n),
+                target,
+                f"{label} identity at (s,t)={(s_idx, t_idx)}",
             )
     return rec.report()
 

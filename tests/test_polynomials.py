@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from rahman.matrices import Mat
 from rahman.params import ParameterSet, derive
+from rahman.polymodule import lattice, matrix_of
 from rahman.polynomials import (
     NonCommutingOperators,
     as_bivariate,
     eval_P,
     eval_P_operator,
-    term_weights,
 )
 from rahman.scalars import pochhammer
 
@@ -119,12 +119,6 @@ def test_eval_P_is_the_defining_sum_random(p, n):
     _assert_eval_P_is_the_defining_sum(derive(p), n)
 
 
-@pytest.mark.parametrize("n", [0, 2, 4])
-def test_term_weights_are_the_defining_weights(derived_matrix, n):
-    d = derived_matrix[ParameterSet.of(2, 1, 7, 3)]
-    assert list(term_weights(d, n)) == list(_defining_term_weights(d, n))
-
-
 def test_extended_sum_range_changes_nothing(derived_matrix):
     """Terms beyond total order N vanish via the truncation law, so the
     bounded sum is exhaustive for arguments <= N."""
@@ -172,37 +166,51 @@ def test_extended_sum_range_changes_nothing(derived_matrix):
 
 def test_bivariate_constant_cases(derived_matrix):
     d = derived_matrix[ParameterSet.of(1, 2, 3, 5)]
-    for pair in ("cd", "ab"):
-        poly = as_bivariate(0, 0, d, 3, pair)
+    for derived in (d, d.dual()):
+        poly = as_bivariate(0, 0, derived, 3)
         assert poly.coeffs == {(0, 0): Fraction(1)}
 
 
 def test_bivariate_linear_case(derived_matrix):
     d = derived_matrix[ParameterSet.of(1, 2, 3, 5)]
-    poly = as_bivariate(1, 0, d, 1, "cd")
+    poly = as_bivariate(1, 0, d, 1)
     assert poly.coeffs == {(0, 0): Fraction(1), (1, 0): -d.t, (0, 1): -d.u}
 
 
 @pytest.mark.parametrize("p", PARAM_MATRIX, ids=str)
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_bivariate_agrees_with_eval(derived_matrix, p, n):
+    """Both symbolic pairs, the first through the dual, against the defining sum."""
     d = derived_matrix[p]
     for m in range(n + 1):
         for m2 in range(n + 1 - m):
-            cd_poly = as_bivariate(m, m2, d, n, "cd")
-            ab_poly = as_bivariate(m, m2, d, n, "ab")
+            cd_poly = as_bivariate(m, m2, d, n)
+            ab_poly = as_bivariate(m, m2, d.dual(), n)
             for c in range(n + 1):
                 for dd in range(n + 1 - c):
-                    assert cd_poly.evaluate(c, dd) == eval_P(m, m2, c, dd, d, n)
-                    assert ab_poly.evaluate(c, dd) == eval_P(c, dd, m, m2, d, n)
+                    assert cd_poly.evaluate(c, dd) == _defining_sum(m, m2, c, dd, d, n)
+                    assert ab_poly.evaluate(c, dd) == _defining_sum(c, dd, m, m2, d, n)
+
+
+def _basis(dim):
+    return [[Fraction(int(i == j)) for i in range(dim)] for j in range(dim)]
+
+
+def _operator_columns(int_pair, op_pair, derived, n):
+    """The matrix of v -> P(s, t | C, D) v, one basis vector per column."""
+    dim = op_pair[0].nrows
+    columns = [
+        eval_P_operator(int_pair, op_pair, e, derived, n) for e in _basis(dim)
+    ]
+    return Mat(columns).transpose()
 
 
 def test_operator_identity_at_zero(derived_matrix):
     d = derived_matrix[ParameterSet.of(1, 2, 3, 5)]
     c_op = Mat.diag([1, 2, 3])
     d_op = Mat.diag([4, 5, 6])
-    assert eval_P_operator((0, 0), (c_op, d_op), d, 2, "back") == Mat.identity(3)
-    assert eval_P_operator((0, 0), (c_op, d_op), d, 2, "front") != Mat.zero(3)
+    for derived in (d, d.dual()):
+        assert _operator_columns((0, 0), (c_op, d_op), derived, 2) == Mat.identity(3)
 
 
 def test_operator_noncommuting_rejected(derived_matrix):
@@ -210,27 +218,98 @@ def test_operator_noncommuting_rejected(derived_matrix):
     c_op = Mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     d_op = Mat([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
     with pytest.raises(NonCommutingOperators):
-        eval_P_operator((0, 0), (c_op, d_op), d, 2, "back")
+        eval_P_operator((0, 0), (c_op, d_op), _basis(3)[0], d, 2)
 
 
 @pytest.mark.parametrize(
-    "slot, scalar",
+    "dual, scalar",
     [
-        ("back", lambda sigma, tau, d, n: eval_P(1, 1, sigma, tau, d, n)),
-        ("front", lambda sigma, tau, d, n: eval_P(sigma, tau, 1, 1, d, n)),
+        (False, lambda sigma, tau, d, n: _defining_sum(1, 1, sigma, tau, d, n)),
+        (True, lambda sigma, tau, d, n: _defining_sum(sigma, tau, 1, 1, d, n)),
     ],
     ids=["back", "front"],
 )
-def test_diagonal_operator_consistency(derived_matrix, slot, scalar):
+def test_diagonal_operator_consistency(derived_matrix, dual, scalar):
     """Commuting diagonal arguments reduce to scalar evaluation per eigenvalue."""
     p = ParameterSet.of(2, 1, 7, 3)
     d = derived_matrix[p]
     n = 2
-    from rahman.polymodule import lattice
-
     points = lattice(n)
     c_op = Mat.diag([Fraction(sigma) for (_, sigma, _) in points])
     d_op = Mat.diag([Fraction(tau) for (_, _, tau) in points])
-    op = eval_P_operator((1, 1), (c_op, d_op), d, n, slot)
+    op = _operator_columns((1, 1), (c_op, d_op), d.dual() if dual else d, n)
     expected = Mat.diag([scalar(sigma, tau, d, n) for (_, sigma, tau) in points])
     assert op == expected
+
+
+def _operator_pochhammer(op, n):
+    """(-C)(-C+I)...(-C+(n-1)I), computed left to right."""
+    dim = op.nrows
+    result = Mat.identity(dim)
+    for q in range(n):
+        result = result @ (Mat.identity(dim).scale(q) - op)
+    return result
+
+
+def _dense_operator(int_pair, op_pair, derived, n):
+    """P(s, t | C, D) as a dense matrix: every term of the defining sum with
+    its shifted factorials of C and D multiplied out as matrices."""
+    s_arg, t_arg = int_pair
+    c_op, d_op = op_pair
+    total = Mat.zero(c_op.nrows)
+    for (i, j, k, l), weight in _defining_term_weights(derived, n):
+        scalar = pochhammer(-s_arg, i + j) * pochhammer(-t_arg, k + l)
+        if scalar == 0:
+            continue
+        operator = _operator_pochhammer(c_op, i + k) @ _operator_pochhammer(d_op, j + l)
+        total = total + operator.scale(scalar * weight)
+    return total
+
+
+@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("p", PARAM_MATRIX, ids=str)
+def test_operator_matches_dense_oracle(structures, derived_matrix, p, n):
+    """With the module operators C = varphi~ + N/3 and D = phi~ + N/3 of
+    both sides, every column of P(s, t | C, D) matches the dense sum."""
+    shift = Mat.identity(len(lattice(n))).scale(Fraction(n, 3))
+    d = derived_matrix[p]
+    for side, side_d in ((structures[p], d), (structures[p].dual(), d.dual())):
+        ops = (
+            matrix_of(side.varphi_t, n, "plain", side) + shift,
+            matrix_of(side.phi_t, n, "plain", side) + shift,
+        )
+        for s_arg in range(n + 1):
+            for t_arg in range(n + 1 - s_arg):
+                assert _operator_columns(
+                    (s_arg, t_arg), ops, side_d, n
+                ) == _dense_operator((s_arg, t_arg), ops, side_d, n)
+
+
+@pytest.mark.parametrize(
+    "call, same_as",
+    [
+        (lambda d, ops: as_bivariate(2, 0, d, 1), (2, 0, 0, 0, 1)),
+        (lambda d, ops: as_bivariate(-1, 0, d, 2), (-1, 0, 0, 0, 2)),
+        (lambda d, ops: as_bivariate(0, 0, d, -1), (0, 0, 0, 0, -1)),
+        (
+            lambda d, ops: eval_P_operator((3, 0), ops, _basis(3)[0], d, 1),
+            (3, 0, 0, 0, 1),
+        ),
+    ],
+    ids=[
+        "bivariate-off-the-lattice",
+        "bivariate-negative-argument",
+        "bivariate-negative-degree",
+        "operator-off-the-lattice",
+    ],
+)
+def test_entry_points_share_the_range_contract(derived_matrix, call, same_as):
+    """as_bivariate and eval_P_operator reject what eval_P rejects, with its message."""
+    d = derived_matrix[ParameterSet.of(1, 2, 3, 5)]
+    ops = (Mat.diag([1, 2, 3]), Mat.diag([4, 5, 6]))
+    *args, n = same_as
+    with pytest.raises(ValueError) as expected:
+        eval_P(*args, d, n)
+    with pytest.raises(ValueError) as raised:
+        call(d, ops)
+    assert str(raised.value) == str(expected.value)
