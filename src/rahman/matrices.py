@@ -1,8 +1,8 @@
-"""Small exact rational matrices.
+"""Small exact rational matrices: the 3x3 structural layer only.
 
-One dense matrix class serves both the 3x3 structural layer and the
-DxD module-operator layer.  Entries are Fractions; rows are tuples so a
-matrix is immutable and hashable enough to share freely.
+Operators on the degree-N module are applied by ``polymodule.act`` and
+never stored as matrices.  Entries are Fractions; rows are tuples, so a
+matrix is immutable and can be shared freely.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ class Mat:
         return len(self.rows[0]) if self.rows else 0
 
     @classmethod
-    def zero(cls, n: int, m: int | None = None) -> "Mat":
-        m = n if m is None else m
-        return cls([[0] * m for _ in range(n)])
+    def zero(cls, n: int) -> "Mat":
+        return cls([[0] * n for _ in range(n)])
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
@@ -57,9 +56,6 @@ class Mat:
 
     def __eq__(self, other):
         return isinstance(other, Mat) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __add__(self, other: "Mat") -> "Mat":
         return Mat(

@@ -4,8 +4,9 @@ A Poly3 is a sparse map from exponent triples to rational coefficients,
 tagged with the coordinate system it lives in ("plain" for x,y,z or
 "tilde" for the R-transformed variables).  A single action rule drives
 everything: a 3x3 matrix beta sends variable j to sum_i beta[i][j] *
-variable i, extended to monomials as a derivation.  The per-generator
-action tables are test vectors, not code paths.
+variable i, extended to monomials as a derivation.  ``act`` is the only
+way an operator reaches the module; no DxD matrix is built.  The
+per-generator action tables are test vectors, not code paths.
 
 Only the tilde-to-plain substitution is written out.  The tilde
 coordinates of a structure ``s`` are the plain coordinates of
@@ -30,7 +31,6 @@ __all__ = [
     "lattice_dimension",
     "adjacent",
     "act",
-    "matrix_of",
     "tilde_variables",
     "expand_tilde_monomial_direct",
     "verify_block_structure",
@@ -157,10 +157,6 @@ class Poly3:
             raise DegreeMismatch(f"degree {self.degree}, expected {n}")
         return [self[key] for key in lattice(n)]
 
-    @classmethod
-    def from_vector(cls, vector, n: int, kind: str = "plain") -> "Poly3":
-        return cls(dict(zip(lattice(n), vector)), kind)
-
     def to_json(self) -> list:
         """Deterministic JSON form: list of {"index", "coeff"} in lattice order."""
         keys = sorted(self.coeffs, key=lambda k: (-k[0], -k[1]))
@@ -173,23 +169,16 @@ class Poly3:
         return f"Poly3({self.coeffs}, kind={self.kind!r})"
 
 
-def _action_matrix(beta: Mat, kind: str, s: StructureSet) -> Mat:
-    """The 3x3 matrix giving beta's action on the chosen variable triple.
+def act(beta: Mat, xi: Poly3, s: StructureSet) -> Poly3:
+    """Derivation action of a traceless 3x3 matrix on a polynomial.
 
     In tilde coordinates beta acts with matrix R^-1 beta R, so the
     conjugated units act on tilde monomials exactly like the plain
     units act on plain monomials.
     """
-    if kind == "plain":
-        return beta
-    return s.Rinv @ beta @ s.R
-
-
-def act(beta: Mat, xi: Poly3, s: StructureSet) -> Poly3:
-    """Derivation action of a traceless 3x3 matrix on a polynomial."""
     if beta.trace() != 0:
         raise NotTraceless(f"trace is {beta.trace()}, expected 0")
-    action = _action_matrix(beta, xi.kind, s)
+    action = beta if xi.kind == "plain" else s.Rinv @ beta @ s.R
     out: dict = {}
     for exps, coeff in xi.coeffs.items():
         for j in range(3):
@@ -206,17 +195,6 @@ def act(beta: Mat, xi: Poly3, s: StructureSet) -> Poly3:
                 key = tuple(raised)
                 out[key] = out.get(key, Fraction(0)) + coeff * exps[j] * entry
     return Poly3(out, xi.kind)
-
-
-def matrix_of(beta: Mat, n: int, kind: str, s: StructureSet) -> Mat:
-    """DxD matrix of beta on degree-n polynomials, columns in lattice order."""
-    points = lattice(n)
-    dim = len(points)
-    columns = []
-    for point in points:
-        image = act(beta, Poly3.monomial(*point, kind=kind), s)
-        columns.append(image.to_vector(n))
-    return Mat([[columns[j][i] for j in range(dim)] for i in range(dim)])
 
 
 def tilde_variables(s: StructureSet) -> tuple:
@@ -240,7 +218,6 @@ def expand_tilde_monomial_direct(rho: int, sigma: int, tau: int, s: StructureSet
 
 def verify_block_structure(s: StructureSet, n: int) -> Report:
     """Cross-Cartan action support: diagonal plus adjacent entries only."""
-    rec = Recorder(f"module.block_structure.N{n}")
     points = lattice(n)
     cases = [
         ("varphi~ on plain", s.varphi_t, "plain"),
@@ -248,16 +225,17 @@ def verify_block_structure(s: StructureSet, n: int) -> Report:
         ("varphi on tilde", s.varphi, "tilde"),
         ("phi on tilde", s.phi, "tilde"),
     ]
-    for label, beta, kind in cases:
-        matrix = matrix_of(beta, n, kind, s)
-        for i, mu in enumerate(points):
-            for j, lam in enumerate(points):
-                if mu == lam or adjacent(mu, lam):
-                    continue
-                rec.check(
-                    matrix[i, j] == 0,
-                    f"{label}: nonzero entry at row {mu}, column {lam}",
-                )
+    with Recorder(f"module.block_structure.N{n}") as rec:
+        for label, beta, kind in cases:
+            images = [act(beta, Poly3.monomial(*lam, kind=kind), s) for lam in points]
+            for mu in points:
+                for lam, image in zip(points, images):
+                    if mu == lam or adjacent(mu, lam):
+                        continue
+                    rec.check(
+                        image[mu] == 0,
+                        f"{label}: nonzero entry at row {mu}, column {lam}",
+                    )
     return rec.report()
 
 
@@ -284,54 +262,62 @@ def verify_action_tables(s: StructureSet, n: int) -> Report:
         ]
 
     labels = {f"e{i}{j}": (i, j) for i, j in OFF_DIAGONAL}
-    for kind in ("plain", "tilde"):
-        if kind == "plain":
-            gens = {**{k: s.e[v] for k, v in labels.items()},
-                    "varphi": s.varphi, "phi": s.phi}
-        else:
-            gens = {**{k: s.e_t[v] for k, v in labels.items()},
-                    "varphi": s.varphi_t, "phi": s.phi_t}
-        for point in lattice(n):
-            for label, image in expected_rows(*point):
-                rec.equal(
-                    act(gens[label], Poly3.monomial(*point, kind=kind), s),
-                    Poly3(image, kind),
-                    f"{kind} table {label} at {point}",
-                )
+    with rec:
+        for kind in ("plain", "tilde"):
+            if kind == "plain":
+                gens = {**{k: s.e[v] for k, v in labels.items()},
+                        "varphi": s.varphi, "phi": s.phi}
+            else:
+                gens = {**{k: s.e_t[v] for k, v in labels.items()},
+                        "varphi": s.varphi_t, "phi": s.phi_t}
+            for point in lattice(n):
+                for label, image in expected_rows(*point):
+                    rec.equal(
+                        act(gens[label], Poly3.monomial(*point, kind=kind), s),
+                        Poly3(image, kind),
+                        f"{kind} table {label} at {point}",
+                    )
     return rec.report()
 
 
 def verify_representation_law(s: StructureSet, n: int) -> Report:
-    """matrix_of is a Lie algebra homomorphism on the 8-element basis.
+    """act is a Lie algebra homomorphism on the 8-element basis.
 
-    Also checks tilde compatibility: conjugated elements acting in the
-    tilde basis reproduce the plain matrices entry for entry.
+    For each pair, the 3x3 bracket acting on every plain monomial is
+    compared with the module bracket of the two actions.  Also checks
+    tilde compatibility: conjugated elements acting on tilde monomials
+    give the coefficients of the plain elements on plain monomials.
     """
-    rec = Recorder(f"module.representation.N{n}")
     basis = s.cartan_basis()
-    matrices = {name: matrix_of(beta, n, "plain", s) for name, beta in basis.items()}
     names = list(basis)
-    for a, name_b in enumerate(names):
-        for name_g in names[a + 1:]:
-            bracket_mat = matrix_of(basis[name_b].bracket(basis[name_g]), n, "plain", s)
+    plain = [Poly3.monomial(*point) for point in lattice(n)]
+    tilde = [Poly3.monomial(*point, kind="tilde") for point in lattice(n)]
+    with Recorder(f"module.representation.N{n}") as rec:
+        for a, name_b in enumerate(names):
+            beta = basis[name_b]
+            for name_g in names[a + 1:]:
+                gamma = basis[name_g]
+                bracket = beta.bracket(gamma)
+                rec.equal(
+                    [act(bracket, m, s) for m in plain],
+                    [
+                        act(beta, act(gamma, m, s), s) - act(gamma, act(beta, m, s), s)
+                        for m in plain
+                    ],
+                    f"bracket pair ({name_b}, {name_g})",
+                )
+        for name, beta in basis.items():
+            conjugated = s.R @ beta @ s.Rinv
             rec.equal(
-                bracket_mat,
-                matrices[name_b].bracket(matrices[name_g]),
-                f"bracket pair ({name_b}, {name_g})",
+                [act(conjugated, m, s).coeffs for m in tilde],
+                [act(beta, m, s).coeffs for m in plain],
+                f"tilde compatibility for {name}",
             )
-    for name, beta in basis.items():
-        conjugated = s.R @ beta @ s.Rinv
-        rec.equal(
-            matrix_of(conjugated, n, "tilde", s),
-            matrices[name],
-            f"tilde compatibility for {name}",
-        )
     return rec.report()
 
 
 def verify_weight_diagonality(s: StructureSet, n: int) -> Report:
     """Both Cartan pairs are diagonal in their own basis, with s-N/3, t-N/3."""
-    rec = Recorder(f"module.weights.N{n}")
     points = lattice(n)
     cases = [
         ("varphi plain", s.varphi, "plain", 1),
@@ -339,12 +325,17 @@ def verify_weight_diagonality(s: StructureSet, n: int) -> Report:
         ("varphi~ tilde", s.varphi_t, "tilde", 1),
         ("phi~ tilde", s.phi_t, "tilde", 2),
     ]
-    for label, beta, kind, slot in cases:
-        matrix = matrix_of(beta, n, kind, s)
-        expected = Mat.diag(
-            [Fraction(point[slot]) - Fraction(n, 3) for point in points]
-        )
-        rec.equal(matrix, expected, label)
+    with Recorder(f"module.weights.N{n}") as rec:
+        for label, beta, kind, slot in cases:
+            monomials = [Poly3.monomial(*point, kind=kind) for point in points]
+            rec.equal(
+                [act(beta, m, s) for m in monomials],
+                [
+                    m.scale(Fraction(point[slot]) - Fraction(n, 3))
+                    for m, point in zip(monomials, points)
+                ],
+                label,
+            )
     return rec.report()
 
 
@@ -352,12 +343,9 @@ def irreducibility_probe(s: StructureSet, n: int) -> Report:
     """Closure of x^N under the six unit actions must fill the module."""
     rec = Recorder(f"module.irreducibility.N{n}")
     dim = lattice_dimension(n)
-    generators = [matrix_of(s.e[key], n, "plain", s) for key in s.e]
-
     basis: list = []  # reduced row-echelon rows spanning the reached subspace
 
     def insert(vector) -> bool:
-        vector = list(vector)
         for row in basis:
             pivot = next(i for i, x in enumerate(row) if x != 0)
             if vector[pivot] != 0:
@@ -368,14 +356,14 @@ def irreducibility_probe(s: StructureSet, n: int) -> Report:
         basis.append(vector)
         return True
 
-    start = Poly3.monomial(n, 0, 0).to_vector(n)
-    insert(start)
+    start = Poly3.monomial(n, 0, 0)
+    insert(start.to_vector(n))
     frontier = [start]
     while frontier:
-        vector = frontier.pop()
-        for gen in generators:
-            image = gen.apply(vector)
-            if insert(image):
+        xi = frontier.pop()
+        for beta in s.e.values():
+            image = act(beta, xi, s)
+            if insert(image.to_vector(n)):
                 frontier.append(image)
     rec.check(
         len(basis) == dim,

@@ -12,9 +12,9 @@ coefficient table
 
 and every evaluation reads it: ``eval_P`` at integer c, d;
 ``as_bivariate`` expanding each (-c)_p (-d)_q in powers of c and d;
-``eval_P_operator`` with a commuting operator pair (C, D) for (c, d),
-applied to one vector.  The other pair is the first pair on the dual
-parameters, since P(a, b | c, d) is P(c, d | a, b) there.
+``eval_P_operator`` with commuting module operators (C, D) for (c, d),
+applied to one polynomial for many (a, b).  The other pair is the first
+pair on the dual parameters, since P(a, b | c, d) is P(c, d | a, b) there.
 
 At integer arguments on the lattice (a+b <= N, c+d <= N) a term is
 nonzero only inside the box i+j <= a, k+l <= b, i+k <= c, j+l <= d,
@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .matrices import Mat
 from .params import DerivedParams
+from .polymodule import Poly3, lattice
 from .scalars import format_rational
 
 __all__ = [
@@ -185,37 +185,45 @@ def as_bivariate(m: int, n_arg: int, derived: DerivedParams, n: int) -> Bivariat
     return BivariatePoly(out)
 
 
-def _falling_powers(op: Mat, vector: list, top: int):
+def _falling_powers(op, vector: Poly3, top: int):
     """Yield (-op)_q v for q = 0, ..., top, by (-op)_{q+1} v = q w - op w
     with w = (-op)_q v."""
     w = vector
     yield w
     for q in range(top):
-        w = [q * x - y for x, y in zip(w, op.apply(w))]
+        w = w.scale(q) - op(w)
         yield w
 
 
 def eval_P_operator(
-    int_pair: tuple, op_pair: tuple, vector: list, derived: DerivedParams, n: int
+    int_pairs: list, op_pair: tuple, vector: Poly3, derived: DerivedParams, n: int
 ) -> list:
-    """P(s, t | C, D) applied to ``vector``, for a commuting pair (C, D).
+    """[P(s, t | C, D) v for (s, t) in int_pairs], for a commuting pair (C, D).
 
-    (s, t) = int_pair.  The table A_pq has p+q <= s+t, and each
-    (-C)_p (-D)_q v is built from (-D)_q v by matrix-vector products;
-    P(C, D | s, t) is this value on ``derived.dual()``.  Raises
-    ValueError like ``eval_P``, and NonCommutingOperators unless CD = DC.
+    C and D map Poly3 to Poly3 on the degree-n module; CD = DC is checked
+    once, on every monomial.  Each (-C)_p (-D)_q v with p+q <= max(s+t)
+    is built once and weighted by every pair's table A_pq.  P(C, D | s, t)
+    is this value on ``derived.dual()``.  Raises ValueError like
+    ``eval_P``, and NonCommutingOperators unless CD = DC.
     """
-    s_arg, t_arg = int_pair
-    _check_lattice(n, s_arg, t_arg)
+    for s_arg, t_arg in int_pairs:
+        _check_lattice(n, s_arg, t_arg)
     c_op, d_op = op_pair
-    if c_op @ d_op != d_op @ c_op:
-        raise NonCommutingOperators("operator pair does not commute")
+    for point in lattice(n):
+        m = Poly3.monomial(*point, kind=vector.kind)
+        if c_op(d_op(m)) != d_op(c_op(m)):
+            raise NonCommutingOperators("operator pair does not commute")
 
-    coeffs = _falling_coefficients(s_arg, t_arg, derived, n, n, n)
-    top = s_arg + t_arg
-    total = [Fraction(0)] * len(vector)
+    top = max((s_arg + t_arg for s_arg, t_arg in int_pairs), default=0)
+    powers = {}
     for q, d_power in enumerate(_falling_powers(d_op, vector, top)):
         for p, both in enumerate(_falling_powers(c_op, d_power, top - q)):
-            weight = coeffs[p, q]
-            total = [x + weight * y for x, y in zip(total, both)]
-    return total
+            powers[p, q] = both.coeffs
+    images = []
+    for s_arg, t_arg in int_pairs:
+        total: dict = {}
+        for (p, q), value in _falling_coefficients(s_arg, t_arg, derived, n, n, n).items():
+            for key, x in powers[p, q].items():
+                total[key] = total.get(key, 0) + value * x
+        images.append(Poly3(total, vector.kind))
+    return images

@@ -27,11 +27,25 @@ class Report:
 
 @dataclass
 class Recorder:
-    """Counts checks and remembers the first failure."""
+    """Counts checks and remembers the first failure.
+
+    As a context manager it records a ValueError or ArithmeticError raised
+    by the checks (say NotTraceless on corrupted constants) as one failed
+    check, so the verifier returns a failing Report instead of raising.
+    """
 
     name: str
     checked: int = 0
     first_failure: str | None = field(default=None)
+
+    def __enter__(self) -> "Recorder":
+        return self
+
+    def __exit__(self, kind, error, traceback) -> bool:
+        if kind is None or not issubclass(kind, (ValueError, ArithmeticError)):
+            return False
+        self.check(False, f"raised {kind.__name__}: {error}")
+        return True
 
     def check(self, condition: bool, describe) -> None:
         """Record one check; ``describe`` is a string or a thunk for one."""

@@ -22,7 +22,6 @@ __all__ = [
     "StructureSet",
     "build",
     "dagger",
-    "tilde_conjugate",
     "r_closed_form",
     "expansion_coefficients",
     "verify_matrices",
@@ -146,11 +145,6 @@ def dagger(beta: Mat, s: StructureSet) -> Mat:
     return s.Wt @ beta.transpose() @ s.Wt.inverse()
 
 
-def tilde_conjugate(beta: Mat, s: StructureSet) -> Mat:
-    """Conjugation by the transition matrix: beta -> R beta R^-1."""
-    return s.R @ beta @ s.Rinv
-
-
 def r_closed_form(p: ParameterSet) -> Mat:
     """The entrywise closed form of R, transcribed independently of build.
 
@@ -253,34 +247,35 @@ def verify_dagger(s: StructureSet) -> Report:
     tilde = s.tilde_basis()
     everything = {**plain, **tilde}
 
-    for name, beta in everything.items():
-        rec.equal(dagger(dagger(beta, s), s), beta, f"involution on {name}")
-        rec.check(dagger(beta, s).trace() == 0, f"trace preserved on {name}")
+    with rec:
+        for name, beta in everything.items():
+            rec.equal(dagger(dagger(beta, s), s), beta, f"involution on {name}")
+            rec.check(dagger(beta, s).trace() == 0, f"trace preserved on {name}")
 
-    # Plain table: e_ij -> e_ji * eta~_j / eta~_i; fixes varphi, phi.
-    for (i, j) in OFF_DIAGONAL:
-        expected = s.e[j, i].scale(eta_t[j] / eta_t[i])
-        rec.equal(dagger(s.e[i, j], s), expected, f"table1 e{i}{j}")
-    rec.equal(dagger(s.varphi, s), s.varphi, "table1 varphi")
-    rec.equal(dagger(s.phi, s), s.phi, "table1 phi")
+        # Plain table: e_ij -> e_ji * eta~_j / eta~_i; fixes varphi, phi.
+        for (i, j) in OFF_DIAGONAL:
+            expected = s.e[j, i].scale(eta_t[j] / eta_t[i])
+            rec.equal(dagger(s.e[i, j], s), expected, f"table1 e{i}{j}")
+        rec.equal(dagger(s.varphi, s), s.varphi, "table1 varphi")
+        rec.equal(dagger(s.phi, s), s.phi, "table1 phi")
 
-    # Tilde table: e~_ij -> e~_ji * eta_j / eta_i; fixes varphi~, phi~.
-    for (i, j) in OFF_DIAGONAL:
-        expected = s.e_t[j, i].scale(eta[j] / eta[i])
-        rec.equal(dagger(s.e_t[i, j], s), expected, f"table2 e~{i}{j}")
-    rec.equal(dagger(s.varphi_t, s), s.varphi_t, "table2 varphi~")
-    rec.equal(dagger(s.phi_t, s), s.phi_t, "table2 phi~")
+        # Tilde table: e~_ij -> e~_ji * eta_j / eta_i; fixes varphi~, phi~.
+        for (i, j) in OFF_DIAGONAL:
+            expected = s.e_t[j, i].scale(eta[j] / eta[i])
+            rec.equal(dagger(s.e_t[i, j], s), expected, f"table2 e~{i}{j}")
+        rec.equal(dagger(s.varphi_t, s), s.varphi_t, "table2 varphi~")
+        rec.equal(dagger(s.phi_t, s), s.phi_t, "table2 phi~")
 
-    # Antiautomorphism law over all 64 ordered pairs of the plain basis.
-    for name_b, beta in plain.items():
-        for name_g, gamma in plain.items():
-            rec.equal(
-                dagger(beta.bracket(gamma), s),
-                -(dagger(beta, s).bracket(dagger(gamma, s))),
-                f"bracket law [{name_b},{name_g}]",
-            )
+        # Antiautomorphism law over all 64 ordered pairs of the plain basis.
+        for name_b, beta in plain.items():
+            for name_g, gamma in plain.items():
+                rec.equal(
+                    dagger(beta.bracket(gamma), s),
+                    -(dagger(beta, s).bracket(dagger(gamma, s))),
+                    f"bracket law [{name_b},{name_g}]",
+                )
 
-    rec.equal(s.varphi_t.bracket(s.phi_t), Mat.zero(3), "[varphi~, phi~]")
+        rec.equal(s.varphi_t.bracket(s.phi_t), Mat.zero(3), "[varphi~, phi~]")
     return rec.report()
 
 

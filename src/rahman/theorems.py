@@ -25,14 +25,13 @@ from .form import (
     verify_dual_sum_identities,
     verify_tilde_norms,
 )
-from .matrices import Mat
 from .params import DerivedParams, ParameterSet, derive
 from .polymodule import (
     Poly3,
+    act,
     expand_tilde_monomial_direct,
     irreducibility_probe,
     lattice,
-    matrix_of,
     verify_action_tables,
     verify_block_structure,
     verify_representation_law,
@@ -251,31 +250,30 @@ def verify_operator_identities(
 
     The back identity P(s, t, varphi~ + N/3, phi~ + N/3) x^N = x^r y^s z^t
     acts on plain monomials; the front identity is the back identity of
-    the dual, which acts on tilde monomials.
+    the dual, which acts on tilde monomials.  Each side is one
+    ``eval_P_operator`` call over every (s, t), so CD = DC is checked
+    once per side.
     """
-    rec = Recorder(f"operators.N{n}")
-    points = lattice(n)
-    dim = len(points)
-    shift = Mat.identity(dim).scale(Fraction(n, 3))
+    pairs = _pairs(n)
+    third = Fraction(n, 3)
+    start = Poly3.monomial(n, 0, 0)
 
-    identities = []
-    for label, side, side_d in (("back", s, d), ("front", s.dual(), d.dual())):
-        ops = (
-            matrix_of(side.varphi_t, n, "plain", side) + shift,
-            matrix_of(side.phi_t, n, "plain", side) + shift,
-        )
-        identities.append((label, ops, side_d))
+    def shifted(beta, side):
+        return lambda m: act(beta, m, side) + m.scale(third)
 
-    start = [Fraction(int(point == (n, 0, 0))) for point in points]
-    for (s_idx, t_idx) in _pairs(n):
-        r_idx = n - s_idx - t_idx
-        target = [Fraction(int(point == (r_idx, s_idx, t_idx))) for point in points]
-        for label, ops, side_d in identities:
-            rec.equal(
-                eval_P_operator((s_idx, t_idx), ops, start, side_d, n),
-                target,
-                f"{label} identity at (s,t)={(s_idx, t_idx)}",
-            )
+    with Recorder(f"operators.N{n}") as rec:
+        images = []
+        for label, side, side_d in (("back", s, d), ("front", s.dual(), d.dual())):
+            ops = (shifted(side.varphi_t, side), shifted(side.phi_t, side))
+            images.append((label, eval_P_operator(pairs, ops, start, side_d, n)))
+        for index, (s_idx, t_idx) in enumerate(pairs):
+            target = Poly3.monomial(n - s_idx - t_idx, s_idx, t_idx)
+            for label, side_images in images:
+                rec.equal(
+                    side_images[index],
+                    target,
+                    f"{label} identity at (s,t)={(s_idx, t_idx)}",
+                )
     return rec.report()
 
 

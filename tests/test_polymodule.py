@@ -14,7 +14,6 @@ from rahman.polymodule import (
     irreducibility_probe,
     lattice,
     lattice_dimension,
-    matrix_of,
     tilde_variables,
     verify_action_tables,
     verify_block_structure,
@@ -59,15 +58,67 @@ def test_action_examples(reference_structure):
     assert act(s.e_t[2, 1], tilde, s) == Poly3.monomial(1, 1, 1, 2, kind="tilde")
 
 
+def _dense_matrix_of(beta, n, kind, s):
+    """DxD matrix of beta on degree-n polynomials: the act columns of the
+    monomials in lattice order.  A test-only oracle for the dense products."""
+    points = lattice(n)
+    columns = [act(beta, Poly3.monomial(*point, kind=kind), s).to_vector(n) for point in points]
+    return Mat(columns).transpose()
+
+
 def test_matrix_of_examples(reference_structure):
     s = reference_structure
-    assert matrix_of(Mat.zero(3), 2, "plain", s) == Mat.zero(6)
-    m = matrix_of(s.e[0, 1], 1, "plain", s)
+    assert _dense_matrix_of(Mat.zero(3), 2, "plain", s) == Mat.zero(6)
+    m = _dense_matrix_of(s.e[0, 1], 1, "plain", s)
     assert m == Mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    weights = matrix_of(s.varphi, 2, "plain", s)
+    weights = _dense_matrix_of(s.varphi, 2, "plain", s)
     assert weights == Mat.diag(
         [Fraction(st) - Fraction(2, 3) for (_, st, _) in lattice(2)]
     )
+
+
+@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("p", PARAM_MATRIX, ids=str)
+def test_act_matches_dense_products(structures, p, n):
+    """The module bracket, the weights and the cross-Cartan support that
+    the verifiers read through act agree with dense matrix products.
+
+    T has the plain expansion of each tilde monomial as its column, so an
+    operator with plain matrix M has tilde matrix T^-1 M T.
+    """
+    s = structures[p]
+    points = lattice(n)
+    plain = [Poly3.monomial(*point) for point in points]
+
+    def columns(images):
+        return Mat([image.to_vector(n) for image in images]).transpose()
+
+    basis = s.cartan_basis()
+    dense = {name: _dense_matrix_of(beta, n, "plain", s) for name, beta in basis.items()}
+    for name_b, beta in basis.items():
+        for name_g, gamma in basis.items():
+            module_bracket = columns(
+                act(beta, act(gamma, m, s), s) - act(gamma, act(beta, m, s), s)
+                for m in plain
+            )
+            assert module_bracket == dense[name_b] @ dense[name_g] - dense[name_g] @ dense[name_b]
+            assert module_bracket == _dense_matrix_of(beta.bracket(gamma), n, "plain", s)
+
+    t = columns(expand_tilde_monomial_direct(*point, s) for point in points)
+    t_inv = t.inverse()
+    for beta, beta_t, slot in ((s.varphi, s.varphi_t, 1), (s.phi, s.phi_t, 2)):
+        weights = Mat.diag([Fraction(point[slot]) - Fraction(n, 3) for point in points])
+        plain_beta_t = _dense_matrix_of(beta_t, n, "plain", s)
+        assert _dense_matrix_of(beta, n, "plain", s) == weights
+        assert _dense_matrix_of(beta_t, n, "tilde", s) == t_inv @ plain_beta_t @ t == weights
+        for gamma, kind, matrix in (
+            (beta_t, "plain", t @ weights @ t_inv),
+            (beta, "tilde", t_inv @ weights @ t),
+        ):
+            for j, lam in enumerate(points):
+                support = set(act(gamma, Poly3.monomial(*lam, kind=kind), s).coeffs)
+                assert support == {mu for i, mu in enumerate(points) if matrix[i, j] != 0}
+                assert all(mu == lam or adjacent(mu, lam) for mu in support)
 
 
 @given(

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from rahman.matrices import Mat
 from rahman.params import ParameterSet, derive
-from rahman.polymodule import lattice, matrix_of
+from rahman.polymodule import Poly3, act, lattice
 from rahman.polynomials import (
     NonCommutingOperators,
     as_bivariate,
@@ -192,33 +192,62 @@ def test_bivariate_agrees_with_eval(derived_matrix, p, n):
                     assert ab_poly.evaluate(c, dd) == _defining_sum(c, dd, m, m2, d, n)
 
 
-def _basis(dim):
-    return [[Fraction(int(i == j)) for i in range(dim)] for j in range(dim)]
+def _matrix(op, n):
+    """Dense matrix of a module operator, one basis monomial per column."""
+    return Mat(
+        [op(Poly3.monomial(*point)).to_vector(n) for point in lattice(n)]
+    ).transpose()
+
+
+def _diagonal(weight):
+    """The module operator scaling x^r y^s z^t by weight(r, s, t)."""
+    return lambda v: Poly3(
+        {key: weight(*key) * value for key, value in v.coeffs.items()}, v.kind
+    )
+
+
+def _shifted_action(beta, side, n):
+    """The module operator beta + N/3 of a structure."""
+    return lambda v: act(beta, v, side) + v.scale(Fraction(n, 3))
 
 
 def _operator_columns(int_pair, op_pair, derived, n):
-    """The matrix of v -> P(s, t | C, D) v, one basis vector per column."""
-    dim = op_pair[0].nrows
-    columns = [
-        eval_P_operator(int_pair, op_pair, e, derived, n) for e in _basis(dim)
-    ]
-    return Mat(columns).transpose()
+    """The matrix of v -> P(s, t | C, D) v, one basis monomial per column."""
+    return _matrix(
+        lambda v: eval_P_operator([int_pair], op_pair, v, derived, n)[0], n
+    )
 
 
 def test_operator_identity_at_zero(derived_matrix):
     d = derived_matrix[ParameterSet.of(1, 2, 3, 5)]
-    c_op = Mat.diag([1, 2, 3])
-    d_op = Mat.diag([4, 5, 6])
+    c_op = _diagonal(lambda r, s, t: r + 1)
+    d_op = _diagonal(lambda r, s, t: s + 4)
     for derived in (d, d.dual()):
-        assert _operator_columns((0, 0), (c_op, d_op), derived, 2) == Mat.identity(3)
+        assert _operator_columns((0, 0), (c_op, d_op), derived, 2) == Mat.identity(6)
 
 
-def test_operator_noncommuting_rejected(derived_matrix):
+def test_operator_noncommuting_rejected(reference_structure, derived_matrix):
+    s = reference_structure
     d = derived_matrix[ParameterSet.of(1, 2, 3, 5)]
-    c_op = Mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    d_op = Mat([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    c_op = lambda v: act(s.e[0, 1], v, s)
+    d_op = lambda v: act(s.e[1, 0], v, s)
     with pytest.raises(NonCommutingOperators):
-        eval_P_operator((0, 0), (c_op, d_op), _basis(3)[0], d, 2)
+        eval_P_operator([(0, 0)], (c_op, d_op), Poly3.monomial(2, 0, 0), d, 2)
+
+
+def test_operator_commutation_is_checked_on_the_whole_module(
+    reference_structure, derived_matrix
+):
+    """e12 and e21 both annihilate x^N, so they commute on it, but not on
+    the module: [e12, e21] = e11 - e22 does not vanish on y^N."""
+    s = reference_structure
+    d = derived_matrix[ParameterSet.of(1, 2, 3, 5)]
+    c_op = lambda v: act(s.e[1, 2], v, s)
+    d_op = lambda v: act(s.e[2, 1], v, s)
+    start = Poly3.monomial(2, 0, 0)
+    assert c_op(d_op(start)) == d_op(c_op(start))
+    with pytest.raises(NonCommutingOperators):
+        eval_P_operator([(0, 0), (1, 1)], (c_op, d_op), start, d, 2)
 
 
 @pytest.mark.parametrize(
@@ -235,8 +264,8 @@ def test_diagonal_operator_consistency(derived_matrix, dual, scalar):
     d = derived_matrix[p]
     n = 2
     points = lattice(n)
-    c_op = Mat.diag([Fraction(sigma) for (_, sigma, _) in points])
-    d_op = Mat.diag([Fraction(tau) for (_, _, tau) in points])
+    c_op = _diagonal(lambda r, sigma, tau: sigma)
+    d_op = _diagonal(lambda r, sigma, tau: tau)
     op = _operator_columns((1, 1), (c_op, d_op), d.dual() if dual else d, n)
     expected = Mat.diag([scalar(sigma, tau, d, n) for (_, sigma, tau) in points])
     assert op == expected
@@ -270,19 +299,23 @@ def _dense_operator(int_pair, op_pair, derived, n):
 @pytest.mark.parametrize("p", PARAM_MATRIX, ids=str)
 def test_operator_matches_dense_oracle(structures, derived_matrix, p, n):
     """With the module operators C = varphi~ + N/3 and D = phi~ + N/3 of
-    both sides, every column of P(s, t | C, D) matches the dense sum."""
-    shift = Mat.identity(len(lattice(n))).scale(Fraction(n, 3))
+    both sides, every column of P(s, t | C, D) matches the dense sum, for
+    all (s, t) of one batch call."""
     d = derived_matrix[p]
+    pairs = [(s_arg, t_arg) for (_, s_arg, t_arg) in lattice(n)]
     for side, side_d in ((structures[p], d), (structures[p].dual(), d.dual())):
         ops = (
-            matrix_of(side.varphi_t, n, "plain", side) + shift,
-            matrix_of(side.phi_t, n, "plain", side) + shift,
+            _shifted_action(side.varphi_t, side, n),
+            _shifted_action(side.phi_t, side, n),
         )
-        for s_arg in range(n + 1):
-            for t_arg in range(n + 1 - s_arg):
-                assert _operator_columns(
-                    (s_arg, t_arg), ops, side_d, n
-                ) == _dense_operator((s_arg, t_arg), ops, side_d, n)
+        dense_ops = tuple(_matrix(op, n) for op in ops)
+        columns = [
+            eval_P_operator(pairs, ops, Poly3.monomial(*point), side_d, n)
+            for point in lattice(n)
+        ]
+        for index, pair in enumerate(pairs):
+            batch = Mat([images[index].to_vector(n) for images in columns]).transpose()
+            assert batch == _dense_operator(pair, dense_ops, side_d, n)
 
 
 @pytest.mark.parametrize(
@@ -292,8 +325,14 @@ def test_operator_matches_dense_oracle(structures, derived_matrix, p, n):
         (lambda d, ops: as_bivariate(-1, 0, d, 2), (-1, 0, 0, 0, 2)),
         (lambda d, ops: as_bivariate(0, 0, d, -1), (0, 0, 0, 0, -1)),
         (
-            lambda d, ops: eval_P_operator((3, 0), ops, _basis(3)[0], d, 1),
+            lambda d, ops: eval_P_operator([(3, 0)], ops, Poly3.monomial(1, 0, 0), d, 1),
             (3, 0, 0, 0, 1),
+        ),
+        (
+            lambda d, ops: eval_P_operator(
+                [(0, 0), (1, 0), (0, 2)], ops, Poly3.monomial(1, 0, 0), d, 1
+            ),
+            (0, 2, 0, 0, 1),
         ),
     ],
     ids=[
@@ -301,12 +340,13 @@ def test_operator_matches_dense_oracle(structures, derived_matrix, p, n):
         "bivariate-negative-argument",
         "bivariate-negative-degree",
         "operator-off-the-lattice",
+        "operator-batch-off-the-lattice",
     ],
 )
 def test_entry_points_share_the_range_contract(derived_matrix, call, same_as):
     """as_bivariate and eval_P_operator reject what eval_P rejects, with its message."""
     d = derived_matrix[ParameterSet.of(1, 2, 3, 5)]
-    ops = (Mat.diag([1, 2, 3]), Mat.diag([4, 5, 6]))
+    ops = (_diagonal(lambda r, s, t: r + 1), _diagonal(lambda r, s, t: s + 4))
     *args, n = same_as
     with pytest.raises(ValueError) as expected:
         eval_P(*args, d, n)

@@ -9,7 +9,6 @@ from rahman.sl3 import (
     build,
     dagger,
     r_closed_form,
-    tilde_conjugate,
     verify_dagger,
     verify_expansions,
     verify_generation,
@@ -71,9 +70,9 @@ def test_dagger_requires_traceless(reference_structure):
 
 def test_tilde_conjugate(reference_structure):
     s = reference_structure
-    assert tilde_conjugate(Mat.identity(3), s) == Mat.identity(3)
-    assert tilde_conjugate(s.varphi, s) == s.varphi_t
-    assert tilde_conjugate(s.phi, s) == s.phi_t
+    assert s.R @ Mat.identity(3) @ s.Rinv == Mat.identity(3)
+    assert s.R @ s.varphi @ s.Rinv == s.varphi_t
+    assert s.R @ s.phi @ s.Rinv == s.phi_t
 
 
 def test_tilde_cartan_is_abelian(reference_structure):
@@ -84,7 +83,7 @@ def test_tilde_cartan_is_abelian(reference_structure):
 def test_trace_preserved_by_conjugation(reference_structure):
     s = reference_structure
     for beta in list(s.e.values()) + [s.varphi, s.phi]:
-        assert tilde_conjugate(beta, s).trace() == 0
+        assert (s.R @ beta @ s.Rinv).trace() == 0
         assert dagger(beta, s).trace() == 0
 
 

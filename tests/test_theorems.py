@@ -1,11 +1,20 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rahman.form import BilinearForm
 from rahman.params import ParameterSet, derive
+from rahman.polymodule import (
+    verify_action_tables,
+    verify_block_structure,
+    verify_representation_law,
+    verify_weight_diagonality,
+)
 from rahman.polynomials import eval_P
+from rahman.report import Recorder
 from rahman.scalars import multinomial
+from rahman.sl3 import build, verify_dagger
 from rahman.theorems import (
     run_suites,
     verify_operator_identities,
@@ -17,6 +26,7 @@ from rahman.theorems import (
 )
 
 from conftest import PARAM_MATRIX
+from test_params import valid_parameter_sets
 
 
 @pytest.fixture(scope="module")
@@ -146,3 +156,39 @@ def test_corruption_sensitivity(structures):
     from rahman.sl3 import verify_matrices
 
     assert not verify_matrices(corrupted).ok
+
+
+@pytest.mark.parametrize(
+    "verifier",
+    [
+        lambda s, n: verify_dagger(s),
+        verify_action_tables,
+        verify_block_structure,
+        verify_representation_law,
+        verify_weight_diagonality,
+        lambda s, n: verify_operator_identities(s, None, s.d, n),
+    ],
+    ids=["dagger", "action_tables", "block_structure", "representation",
+         "weights", "operators"],
+)
+def test_verifier_reports_a_raised_error_as_a_failure(verifier):
+    """On a corrupted eta~_1 the tilde elements lose their zero trace; the
+    verifier returns a failing Report naming the error instead of raising."""
+    s = build(ParameterSet.of(1, 2, 3, 5)).with_corrupted_eta_t(1, 1)
+    report = verifier(s, 2)
+    assert report.status == "fail"
+    assert report.checked >= 1
+    assert report.first_failure.startswith("raised NotTraceless: trace is ")
+
+
+def test_recorder_lets_other_errors_through():
+    with pytest.raises(TypeError):
+        with Recorder("probe"):
+            raise TypeError("a programming error, not a failed check")
+
+
+@given(valid_parameter_sets(), st.integers(min_value=0, max_value=3))
+@settings(max_examples=15, deadline=None)
+def test_module_and_operator_suites_on_random_parameters(p, n):
+    reports = run_suites(p, n, ["module", "operators"])
+    assert [r.name for r in reports if not r.ok] == []
