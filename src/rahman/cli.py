@@ -263,7 +263,7 @@ def export(what, p, params_file, n, fmt, out):
                               "gram": f.gram_json()}), out)
     elif what == "dual-bases":
         data = {
-            kind: [vector.to_json() for vector in dual_basis(f, s, kind)]
+            kind: [vector.to_json() for vector in dual_basis(f, kind)]
             for kind in ("plain", "tilde")
         }
         _emit(_dump_json(data), out)

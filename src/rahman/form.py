@@ -82,7 +82,7 @@ class BilinearForm:
         return [format_rational(self.gram[key]) for key in lattice(self.n)]
 
 
-def inner(xi: Poly3, zeta: Poly3, f: BilinearForm, s: StructureSet) -> Fraction:
+def inner(xi: Poly3, zeta: Poly3, f: BilinearForm) -> Fraction:
     """Evaluate the form; tilde inputs are expanded to plain coordinates."""
     for arg in (xi, zeta):
         if not arg.is_zero() and arg.degree != f.n:
@@ -96,19 +96,16 @@ def inner(xi: Poly3, zeta: Poly3, f: BilinearForm, s: StructureSet) -> Fraction:
     )
 
 
-def dual_basis(f: BilinearForm, s: StructureSet, kind: str = "plain") -> list:
+def dual_basis(f: BilinearForm, kind: str = "plain") -> list:
     """The basis dual to the monomial basis of the chosen kind.
 
     Each dual vector is a monomial over its norm: the Gram value of
     ``d`` for the plain kind, and of ``d.dual()`` for the tilde kind.
-    ``s`` must be the structure the form was built on.
     """
-    if s != f.s:
-        raise ValueError("structure differs from the one the form was built on")
     if kind == "plain":
         norms = f.gram
     elif kind == "tilde":
-        norms = gram_diagonal(s.d.dual(), f.n)
+        norms = gram_diagonal(f.s.d.dual(), f.n)
     else:
         raise ValueError(f"unknown basis kind {kind!r}")
     return [
@@ -135,49 +132,48 @@ def p_table(f: BilinearForm) -> list:
     ]
 
 
-def verify_adjointness(f: BilinearForm, s: StructureSet, n: int) -> Report:
+def verify_adjointness(f: BilinearForm) -> Report:
     """<beta xi, zeta> = <xi, beta^dagger zeta> over the whole basis grid."""
-    rec = Recorder(f"form.adjointness.N{n}")
-    points = lattice(n)
-    basis = s.cartan_basis()
-    monomials = [Poly3.monomial(*point) for point in points]
-    for name, beta in basis.items():
-        beta_dag = dagger(beta, s)
-        for xi in monomials:
-            images = act(beta, xi, s)
-            for zeta in monomials:
-                rec.equal(
-                    inner(images, zeta, f, s),
-                    inner(xi, act(beta_dag, zeta, s), f, s),
-                    f"beta={name}, xi={xi.coeffs}, zeta={zeta.coeffs}",
-                )
+    s, n = f.s, f.n
+    monomials = [Poly3.monomial(*point) for point in lattice(n)]
+    with Recorder(f"form.adjointness.N{n}") as rec:
+        for name, beta in s.cartan_basis().items():
+            beta_dag = dagger(beta, s)
+            for xi in monomials:
+                images = act(beta, xi, s)
+                for zeta in monomials:
+                    rec.equal(
+                        inner(images, zeta, f),
+                        inner(xi, act(beta_dag, zeta, s), f),
+                        f"beta={name}, xi={xi.coeffs}, zeta={zeta.coeffs}",
+                    )
     return rec.report()
 
 
-def verify_tilde_norms(f: BilinearForm, s: StructureSet, n: int) -> Report:
+def verify_tilde_norms(f: BilinearForm) -> Report:
     """Tilde monomials are orthogonal, with the Gram values of ``d.dual()``.
 
     Oracle: plain-basis expansion plus the defining Gram data.
     """
-    rec = Recorder(f"form.tilde_norms.N{n}")
-    norms = gram_diagonal(s.d.dual(), n)
+    n = f.n
     points = lattice(n)
-    for i, lam in enumerate(points):
-        for mu in points[i:]:
-            value = inner(
-                Poly3.monomial(*lam, kind="tilde"),
-                Poly3.monomial(*mu, kind="tilde"),
-                f,
-                s,
-            )
-            if lam == mu:
-                rec.equal(value, norms[lam], f"norm at {lam}")
-            else:
-                rec.equal(value, Fraction(0), f"orthogonality at {lam}, {mu}")
+    with Recorder(f"form.tilde_norms.N{n}") as rec:
+        norms = gram_diagonal(f.s.d.dual(), n)
+        for i, lam in enumerate(points):
+            for mu in points[i:]:
+                value = inner(
+                    Poly3.monomial(*lam, kind="tilde"),
+                    Poly3.monomial(*mu, kind="tilde"),
+                    f,
+                )
+                if lam == mu:
+                    rec.equal(value, norms[lam], f"norm at {lam}")
+                else:
+                    rec.equal(value, Fraction(0), f"orthogonality at {lam}, {mu}")
     return rec.report()
 
 
-def verify_dual_sum_identities(f: BilinearForm, s: StructureSet, n: int) -> Report:
+def verify_dual_sum_identities(f: BilinearForm) -> Report:
     """Both uniform dual-sum identities, at scale N! nu^N.
 
     The sum of the plain dual basis reconstructs x~^N, and symmetrically
@@ -185,37 +181,37 @@ def verify_dual_sum_identities(f: BilinearForm, s: StructureSet, n: int) -> Repo
     any tilde monomial gives the same value N! nu^N, so its tilde-dual
     coordinates are constant (and the mirror argument on the plain side).
     """
-    rec = Recorder(f"form.dual_sums.N{n}")
-    scale = Fraction(factorial(n)) * s.d.nu**n
+    n = f.n
+    scale = Fraction(factorial(n)) * f.s.d.nu**n
+    with Recorder(f"form.dual_sums.N{n}") as rec:
+        plain_sum = Poly3.zero()
+        for vector in dual_basis(f, "plain"):
+            plain_sum = plain_sum + vector
+        rec.equal(
+            f.expand(Poly3.monomial(n, 0, 0, kind="tilde")),
+            plain_sum.scale(scale),
+            "plain dual sum vs x~^N",
+        )
 
-    plain_sum = Poly3.zero()
-    for vector in dual_basis(f, s, "plain"):
-        plain_sum = plain_sum + vector
-    rec.equal(
-        f.expand(Poly3.monomial(n, 0, 0, kind="tilde")),
-        plain_sum.scale(scale),
-        "plain dual sum vs x~^N",
-    )
+        tilde_sum = Poly3.zero(kind="tilde")
+        for vector in dual_basis(f, "tilde"):
+            tilde_sum = tilde_sum + vector
+        rec.equal(
+            Poly3.monomial(n, 0, 0),
+            f.expand(tilde_sum.scale(scale)),
+            "tilde dual sum vs x^N",
+        )
 
-    tilde_sum = Poly3.zero(kind="tilde")
-    for vector in dual_basis(f, s, "tilde"):
-        tilde_sum = tilde_sum + vector
-    rec.equal(
-        Poly3.monomial(n, 0, 0),
-        f.expand(tilde_sum.scale(scale)),
-        "tilde dual sum vs x^N",
-    )
-
-    # Duality itself: pairing each basis with its claimed dual is the
-    # identity matrix.
-    for kind in ("plain", "tilde"):
-        duals = dual_basis(f, s, kind)
-        monomials = [Poly3.monomial(*pt, kind=kind) for pt in lattice(n)]
-        for i, xi in enumerate(monomials):
-            for j, eta_vec in enumerate(duals):
-                rec.equal(
-                    inner(xi, eta_vec, f, s),
-                    Fraction(int(i == j)),
-                    f"{kind} duality entry ({i},{j})",
-                )
+        # Duality itself: pairing each basis with its claimed dual is the
+        # identity matrix.
+        for kind in ("plain", "tilde"):
+            duals = dual_basis(f, kind)
+            monomials = [Poly3.monomial(*pt, kind=kind) for pt in lattice(n)]
+            for i, xi in enumerate(monomials):
+                for j, eta_vec in enumerate(duals):
+                    rec.equal(
+                        inner(xi, eta_vec, f),
+                        Fraction(int(i == j)),
+                        f"{kind} duality entry ({i},{j})",
+                    )
     return rec.report()

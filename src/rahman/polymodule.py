@@ -246,8 +246,6 @@ def verify_action_tables(s: StructureSet, n: int) -> Report:
     tilde generators must act on tilde monomials exactly as the plain
     generators act on plain ones.
     """
-    rec = Recorder(f"module.action_tables.N{n}")
-
     def expected_rows(r, st, t):
         # (generator label, resulting monomial dict)
         return [
@@ -262,7 +260,7 @@ def verify_action_tables(s: StructureSet, n: int) -> Report:
         ]
 
     labels = {f"e{i}{j}": (i, j) for i, j in OFF_DIAGONAL}
-    with rec:
+    with Recorder(f"module.action_tables.N{n}") as rec:
         for kind in ("plain", "tilde"):
             if kind == "plain":
                 gens = {**{k: s.e[v] for k, v in labels.items()},
@@ -341,7 +339,6 @@ def verify_weight_diagonality(s: StructureSet, n: int) -> Report:
 
 def irreducibility_probe(s: StructureSet, n: int) -> Report:
     """Closure of x^N under the six unit actions must fill the module."""
-    rec = Recorder(f"module.irreducibility.N{n}")
     dim = lattice_dimension(n)
     basis: list = []  # reduced row-echelon rows spanning the reached subspace
 
@@ -357,16 +354,17 @@ def irreducibility_probe(s: StructureSet, n: int) -> Report:
         return True
 
     start = Poly3.monomial(n, 0, 0)
-    insert(start.to_vector(n))
-    frontier = [start]
-    while frontier:
-        xi = frontier.pop()
-        for beta in s.e.values():
-            image = act(beta, xi, s)
-            if insert(image.to_vector(n)):
-                frontier.append(image)
-    rec.check(
-        len(basis) == dim,
-        f"reached dimension {len(basis)}, expected {dim}",
-    )
+    with Recorder(f"module.irreducibility.N{n}") as rec:
+        insert(start.to_vector(n))
+        frontier = [start]
+        while frontier:
+            xi = frontier.pop()
+            for beta in s.e.values():
+                image = act(beta, xi, s)
+                if insert(image.to_vector(n)):
+                    frontier.append(image)
+        rec.check(
+            len(basis) == dim,
+            f"reached dimension {len(basis)}, expected {dim}",
+        )
     return rec.report()

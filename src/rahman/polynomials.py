@@ -10,8 +10,7 @@ coefficient table
 
     P(a, b | c, d) = sum A_pq (-c)_p (-d)_q,
 
-and every evaluation reads it: ``eval_P`` at integer c, d;
-``as_bivariate`` expanding each (-c)_p (-d)_q in powers of c and d;
+and both evaluations read it: ``eval_P`` at integer c, d, and
 ``eval_P_operator`` with commuting module operators (C, D) for (c, d),
 applied to one polynomial for many (a, b).  The other pair is the first
 pair on the dual parameters, since P(a, b | c, d) is P(c, d | a, b) there.
@@ -31,13 +30,10 @@ from fractions import Fraction
 
 from .params import DerivedParams
 from .polymodule import Poly3, lattice
-from .scalars import format_rational
 
 __all__ = [
     "NonCommutingOperators",
-    "BivariatePoly",
     "eval_P",
-    "as_bivariate",
     "eval_P_operator",
 ]
 
@@ -119,70 +115,6 @@ def eval_P(a: int, b: int, c: int, d: int, derived: DerivedParams, n: int) -> Fr
     for (p, q), value in _falling_coefficients(a, b, derived, n, c, d).items():
         total += value * (fc[p] * fd[q])
     return total
-
-
-class BivariatePoly:
-    """Sparse polynomial in one symbolic argument pair of P."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict):
-        self.coeffs = {
-            key: Fraction(value) for key, value in coeffs.items() if value != 0
-        }
-
-    def __eq__(self, other):
-        return isinstance(other, BivariatePoly) and self.coeffs == other.coeffs
-
-    def evaluate(self, first, second) -> Fraction:
-        first, second = Fraction(first), Fraction(second)
-        return sum(
-            (
-                value * first**dc * second**dd
-                for (dc, dd), value in self.coeffs.items()
-            ),
-            Fraction(0),
-        )
-
-    def to_json(self) -> list:
-        keys = sorted(self.coeffs)
-        return [
-            {"powers": list(key), "coeff": format_rational(self.coeffs[key])}
-            for key in keys
-        ]
-
-    def __repr__(self):
-        return f"BivariatePoly({self.coeffs})"
-
-
-def _poch_coeffs(n: int) -> list:
-    """Coefficients of (-X)_n = (-X)(-X+1)...(-X+n-1) as a polynomial in X.
-
-    Returned as a list indexed by the power of X.
-    """
-    coeffs = [Fraction(1)]
-    for q in range(n):
-        # multiply by (q - X)
-        shifted = [Fraction(0)] + [-c for c in coeffs]
-        coeffs = [q * c for c in coeffs] + [Fraction(0)]
-        coeffs = [a + b for a, b in zip(coeffs, shifted)]
-    return coeffs
-
-
-def as_bivariate(m: int, n_arg: int, derived: DerivedParams, n: int) -> BivariatePoly:
-    """P(m, n_arg | c, d) as a polynomial in the symbolic pair (c, d).
-
-    The polynomial in the first pair, P(a, b | m, n_arg), is this one on
-    ``derived.dual()``.  Raises ValueError like ``eval_P``.
-    """
-    _check_lattice(n, m, n_arg)
-    falling = [_poch_coeffs(q) for q in range(m + n_arg + 1)]
-    out: dict = {}
-    for (p, q), value in _falling_coefficients(m, n_arg, derived, n, n, n).items():
-        for dc, cc in enumerate(falling[p]):
-            for dd, cd in enumerate(falling[q]):
-                out[dc, dd] = out.get((dc, dd), 0) + value * cc * cd
-    return BivariatePoly(out)
 
 
 def _falling_powers(op, vector: Poly3, top: int):

@@ -138,11 +138,13 @@ def build(p: ParameterSet, d: DerivedParams | None = None) -> StructureSet:
 def dagger(beta: Mat, s: StructureSet) -> Mat:
     """The antiautomorphism: beta -> W~ beta^t W~^-1.
 
+    W~ is diagonal, so entry (i, j) is eta~_i beta[j][i] / eta~_j.
     Requires a traceless argument; fixes both Cartan subalgebras.
     """
     if beta.trace() != 0:
         raise NotTraceless(f"trace is {beta.trace()}, expected 0")
-    return s.Wt @ beta.transpose() @ s.Wt.inverse()
+    eta_t = s.d.eta_t
+    return Mat([[eta_t[i] * beta[j, i] / eta_t[j] for j in range(3)] for i in range(3)])
 
 
 def r_closed_form(p: ParameterSet) -> Mat:
@@ -218,28 +220,26 @@ def _combine(coeffs: dict, units: dict, h1: Mat, h2: Mat) -> Mat:
 
 def verify_matrices(s: StructureSet) -> Report:
     """Cross-check R and R^-1 against their closed forms and the W identities."""
-    rec = Recorder("structure.matrices")
     identity = Mat.identity(3)
-
-    rec.equal(s.R, r_closed_form(s.p), "R factored vs closed form")
-    rec.equal(s.Rinv, r_closed_form(s.p.dual()), "R^-1 factored vs closed form")
-    rec.equal(s.R @ s.Rinv, identity, "R R^-1")
-    rec.equal(
-        (s.W @ s.U @ s.Wt @ s.U.transpose()).scale(s.d.nu),
-        identity,
-        "nu W U W~ U^t",
-    )
-    rec.equal(
-        s.R @ s.W @ s.R.transpose(),
-        s.Wt.scale(s.d.theta_t / s.d.theta),
-        "R W R^t vs (theta~/theta) W~",
-    )
+    with Recorder("structure.matrices") as rec:
+        rec.equal(s.R, r_closed_form(s.p), "R factored vs closed form")
+        rec.equal(s.Rinv, r_closed_form(s.p.dual()), "R^-1 factored vs closed form")
+        rec.equal(s.R @ s.Rinv, identity, "R R^-1")
+        rec.equal(
+            (s.W @ s.U @ s.Wt @ s.U.transpose()).scale(s.d.nu),
+            identity,
+            "nu W U W~ U^t",
+        )
+        rec.equal(
+            s.R @ s.W @ s.R.transpose(),
+            s.Wt.scale(s.d.theta_t / s.d.theta),
+            "R W R^t vs (theta~/theta) W~",
+        )
     return rec.report()
 
 
 def verify_dagger(s: StructureSet) -> Report:
     """Involution, both transformation tables, and the bracket law."""
-    rec = Recorder("structure.dagger")
     eta = s.d.eta
     eta_t = s.d.eta_t
 
@@ -247,7 +247,7 @@ def verify_dagger(s: StructureSet) -> Report:
     tilde = s.tilde_basis()
     everything = {**plain, **tilde}
 
-    with rec:
+    with Recorder("structure.dagger") as rec:
         for name, beta in everything.items():
             rec.equal(dagger(dagger(beta, s), s), beta, f"involution on {name}")
             rec.check(dagger(beta, s).trace() == 0, f"trace preserved on {name}")
@@ -285,35 +285,21 @@ def verify_expansions(s: StructureSet) -> Report:
     Oracle: the conjugation definitions (varphi~ = R varphi R^-1 and
     the inverse conjugation for the reverse direction).
     """
-    rec = Recorder("structure.expansions")
-    coeffs = expansion_coefficients(s.p)
-
-    rec.equal(
-        s.varphi_t,
-        _combine(coeffs["varphi_t"], s.e, s.varphi, s.phi),
-        "varphi~ expansion",
-    )
-    rec.equal(
-        s.phi_t,
-        _combine(coeffs["phi_t"], s.e, s.varphi, s.phi),
-        "phi~ expansion",
-    )
-    rec.equal(
-        s.varphi,
-        _combine(coeffs["varphi"], s.e_t, s.varphi_t, s.phi_t),
-        "varphi expansion",
-    )
-    rec.equal(
-        s.phi,
-        _combine(coeffs["phi"], s.e_t, s.varphi_t, s.phi_t),
-        "phi expansion",
-    )
+    cases = [
+        ("varphi~", s.varphi_t, "varphi_t", s.e, s.varphi, s.phi),
+        ("phi~", s.phi_t, "phi_t", s.e, s.varphi, s.phi),
+        ("varphi", s.varphi, "varphi", s.e_t, s.varphi_t, s.phi_t),
+        ("phi", s.phi, "phi", s.e_t, s.varphi_t, s.phi_t),
+    ]
+    with Recorder("structure.expansions") as rec:
+        coeffs = expansion_coefficients(s.p)
+        for label, target, key, units, h1, h2 in cases:
+            rec.equal(target, _combine(coeffs[key], units, h1, h2), f"{label} expansion")
     return rec.report()
 
 
 def verify_generation(s: StructureSet) -> Report:
     """The six nested-bracket formulas producing the matrix units."""
-    rec = Recorder("structure.generation")
     eta_t = s.d.eta_t
     vp, ph = s.varphi, s.phi
     inner_a = s.psi.bracket(s.psi_t)    # [psi, psi~]
@@ -327,6 +313,7 @@ def verify_generation(s: StructureSet) -> Report:
         ("e12", (1, 2), -vp.bracket(inner_b) - vp.bracket(vp.bracket(inner_b)), eta_t[1]),
         ("e21", (2, 1), -vp.bracket(inner_b) + vp.bracket(vp.bracket(inner_b)), eta_t[2]),
     ]
-    for name, (i, j), numerator, weight in cases:
-        rec.equal(numerator.scale(Fraction(1, 2) / weight), s.e[i, j], name)
+    with Recorder("structure.generation") as rec:
+        for name, (i, j), numerator, weight in cases:
+            rec.equal(numerator.scale(Fraction(1, 2) / weight), s.e[i, j], name)
     return rec.report()

@@ -25,7 +25,7 @@ from .form import (
     verify_dual_sum_identities,
     verify_tilde_norms,
 )
-from .params import DerivedParams, ParameterSet, derive
+from .params import DerivedParams, ParameterSet
 from .polymodule import (
     Poly3,
     act,
@@ -86,89 +86,97 @@ class _PCache:
         return lambda a, b, c, dd: self(c, dd, a, b)
 
 
-def _tilde_monomials_in_plain_basis(
-    name: str, s: StructureSet, d: DerivedParams, n: int
-) -> Report:
+def _tilde_monomials_in_plain_basis(name: str, s: StructureSet, n: int) -> Report:
     """Tilde monomials expanded in the plain basis, coefficient by coefficient.
 
     The coefficient of x^r y^s z^t in x~^rho y~^sigma z~^tau is
     N! nu^N P(s, t, sigma, tau) / ||x^r y^s z^t||^2.  Oracle: direct
     symbolic substitution of the tilde variables.
     """
-    rec = Recorder(name)
+    d = s.d
     p_val = _PCache(d, n)
-    gram = gram_diagonal(d, n)
-    scale = Fraction(factorial(n)) * d.nu**n
-    for (rho, sigma, tau) in lattice(n):
-        expanded = expand_tilde_monomial_direct(rho, sigma, tau, s)
-        for key in lattice(n):
-            _, st, t = key
-            rec.equal(
-                expanded[key],
-                scale * p_val(st, t, sigma, tau) / gram[key],
-                f"monomial {(rho, sigma, tau)}, coefficient of {key}",
-            )
+    with Recorder(name) as rec:
+        gram = gram_diagonal(d, n)
+        scale = Fraction(factorial(n)) * d.nu**n
+        for (rho, sigma, tau) in lattice(n):
+            expanded = expand_tilde_monomial_direct(rho, sigma, tau, s)
+            for key in lattice(n):
+                _, st, t = key
+                rec.equal(
+                    expanded[key],
+                    scale * p_val(st, t, sigma, tau) / gram[key],
+                    f"monomial {(rho, sigma, tau)}, coefficient of {key}",
+                )
     return rec.report()
 
 
-def verify_trans2(s: StructureSet, f: BilinearForm, d: DerivedParams, n: int) -> Report:
+def verify_trans2(s: StructureSet, n: int) -> Report:
     """Tilde monomials expanded in the plain basis (the trans2 formula)."""
-    return _tilde_monomials_in_plain_basis(f"transitions.trans2.N{n}", s, d, n)
+    return _tilde_monomials_in_plain_basis(f"transitions.trans2.N{n}", s, n)
 
 
-def verify_trans1(s: StructureSet, f: BilinearForm, d: DerivedParams, n: int) -> Report:
+def verify_trans1(s: StructureSet, n: int) -> Report:
     """Plain monomials expanded in the tilde basis: trans2 on the dual."""
-    return _tilde_monomials_in_plain_basis(
-        f"transitions.trans1.N{n}", s.dual(), d.dual(), n
-    )
+    return _tilde_monomials_in_plain_basis(f"transitions.trans1.N{n}", s.dual(), n)
 
 
-def verify_pcosines(s: StructureSet, f: BilinearForm, d: DerivedParams, n: int) -> Report:
+def verify_pcosines(f: BilinearForm) -> Report:
     """<x^r y^s z^t, x~^rho y~^sigma z~^tau> = N! nu^N P(s, t, sigma, tau).
 
     Left side through the form module, right side through eval_P.
     """
-    rec = Recorder(f"transitions.pcosines.N{n}")
+    d, n = f.s.d, f.n
     p_val = _PCache(d, n)
     scale = Fraction(factorial(n)) * d.nu**n
-    for (r, st, t) in lattice(n):
-        plain = Poly3.monomial(r, st, t)
-        for (rho, sigma, tau) in lattice(n):
-            rec.equal(
-                inner(plain, Poly3.monomial(rho, sigma, tau, kind="tilde"), f, s),
-                scale * p_val(st, t, sigma, tau),
-                f"pair ({(r, st, t)}, {(rho, sigma, tau)})",
-            )
+    with Recorder(f"transitions.pcosines.N{n}") as rec:
+        for (r, st, t) in lattice(n):
+            plain = Poly3.monomial(r, st, t)
+            for (rho, sigma, tau) in lattice(n):
+                rec.equal(
+                    inner(plain, Poly3.monomial(rho, sigma, tau, kind="tilde"), f),
+                    scale * p_val(st, t, sigma, tau),
+                    f"pair ({(r, st, t)}, {(rho, sigma, tau)})",
+                )
     return rec.report()
 
 
 def verify_orthogonality(d: DerivedParams, n: int) -> Report:
     """Both weighted orthogonality relations over all index pairs.
 
-    Relation 2 is relation 1 of the dual parameters.
+    Relation 2 is relation 1 of the dual parameters.  The weight
+    eta~_0^i eta~_1^j eta~_2^k multinomial(N; i, j, k) of each lattice
+    point is computed once per relation.
     """
-    rec = Recorder(f"orthogonality.N{n}")
     p_val = _PCache(d, n)
-    relations = [("relation 1", d, p_val), ("relation 2", d.dual(), p_val.dual())]
+    points = lattice(n)
     pairs = _pairs(n)
-    for (s_idx, t_idx) in pairs:
-        r_idx = n - s_idx - t_idx
-        rhs_base = 1 / multinomial(n, [r_idx, s_idx, t_idx])
-        for (sigma, tau) in pairs:
-            delta = Fraction(int((s_idx, t_idx) == (sigma, tau)))
-            for label, side, p_side in relations:
-                lhs = sum(
-                    (
-                        p_side(j, k, s_idx, t_idx)
-                        * p_side(j, k, sigma, tau)
-                        * side.eta_t[0] ** i * side.eta_t[1] ** j * side.eta_t[2] ** k
-                        * multinomial(n, [i, j, k])
-                        for (i, j, k) in lattice(n)
-                    ),
-                    Fraction(0),
-                )
-                rhs = delta / (side.k_t[1] ** s_idx * side.k_t[2] ** t_idx) * rhs_base
-                rec.equal(lhs, rhs, f"{label} at {(s_idx, t_idx, sigma, tau)}")
+    with Recorder(f"orthogonality.N{n}") as rec:
+        relations = []
+        for label, side, p_side in (
+            ("relation 1", d, p_val),
+            ("relation 2", d.dual(), p_val.dual()),
+        ):
+            weights = [
+                side.eta_t[0] ** i * side.eta_t[1] ** j * side.eta_t[2] ** k
+                * multinomial(n, [i, j, k])
+                for (i, j, k) in points
+            ]
+            relations.append((label, side, p_side, weights))
+        for (s_idx, t_idx) in pairs:
+            r_idx = n - s_idx - t_idx
+            rhs_base = 1 / multinomial(n, [r_idx, s_idx, t_idx])
+            for (sigma, tau) in pairs:
+                delta = Fraction(int((s_idx, t_idx) == (sigma, tau)))
+                for label, side, p_side, weights in relations:
+                    lhs = sum(
+                        (
+                            p_side(j, k, s_idx, t_idx) * p_side(j, k, sigma, tau) * weight
+                            for (_, j, k), weight in zip(points, weights)
+                        ),
+                        Fraction(0),
+                    )
+                    rhs = delta / (side.k_t[1] ** s_idx * side.k_t[2] ** t_idx) * rhs_base
+                    rec.equal(lhs, rhs, f"{label} at {(s_idx, t_idx, sigma, tau)}")
     return rec.report()
 
 
@@ -185,7 +193,7 @@ _SHIFT_PATTERN = [
 ]
 
 
-def verify_recurrences(p: ParameterSet, d: DerivedParams, n: int) -> Report:
+def verify_recurrences(s: StructureSet, n: int) -> Report:
     """The four seven-term recurrences, against direct P evaluation.
 
     Parts (i) and (ii) shift the back pair (sigma, tau) of P(s, t, sigma,
@@ -195,57 +203,55 @@ def verify_recurrences(p: ParameterSet, d: DerivedParams, n: int) -> Report:
     carries a counter that must vanish; that vanishing is asserted, not
     assumed.
     """
-    rec = Recorder(f"recurrences.N{n}")
-    p_val = _PCache(d, n)
+    p_val = _PCache(s.d, n)
     third = Fraction(n, 3)
     pairs = _pairs(n)
 
-    # (part, coefficient table, index of the eigenvalue in (s, t), P)
-    parts = []
-    for (first, second), q, p_side in (
-        (("i", "ii"), p, p_val),
-        (("iii", "iv"), p.dual(), p_val.dual()),
-    ):
-        tables = expansion_coefficients(q)
-        parts.append((first, tables["varphi"], 0, p_side))
-        parts.append((second, tables["phi"], 1, p_side))
+    with Recorder(f"recurrences.N{n}") as rec:
+        # (part, coefficient table, index of the eigenvalue in (s, t), P)
+        parts = []
+        for (first, second), q, p_side in (
+            (("i", "ii"), s.p, p_val),
+            (("iii", "iv"), s.p.dual(), p_val.dual()),
+        ):
+            tables = expansion_coefficients(q)
+            parts.append((first, tables["varphi"], 0, p_side))
+            parts.append((second, tables["phi"], 1, p_side))
 
-    for (s_idx, t_idx) in pairs:
-        for (sigma, tau) in pairs:
-            c_idx = n - sigma - tau
-            counters = {"A": sigma, "B": tau, "C": c_idx}
-            for name, coeffs, eig, p_side in parts:
-                base = p_side(s_idx, t_idx, sigma, tau)
-                total = (
-                    (Fraction(sigma) - third) * coeffs["h1"]
-                    + (Fraction(tau) - third) * coeffs["h2"]
-                ) * base
-                for (da, db), counter, key in _SHIFT_PATTERN:
-                    factor = counters[counter]
-                    new_a, new_b = sigma + da, tau + db
-                    in_range = new_a >= 0 and new_b >= 0 and new_a + new_b <= n
-                    if not in_range:
-                        rec.check(
-                            factor == 0,
-                            f"part ({name}) at {(s_idx, t_idx, sigma, tau)}: "
-                            f"out-of-range term {key} has nonzero counter {factor}",
-                        )
-                        continue
-                    if factor == 0:
-                        continue
-                    total += factor * coeffs[key] * p_side(s_idx, t_idx, new_a, new_b)
+        for (s_idx, t_idx) in pairs:
+            for (sigma, tau) in pairs:
+                c_idx = n - sigma - tau
+                counters = {"A": sigma, "B": tau, "C": c_idx}
+                for name, coeffs, eig, p_side in parts:
+                    base = p_side(s_idx, t_idx, sigma, tau)
+                    total = (
+                        (Fraction(sigma) - third) * coeffs["h1"]
+                        + (Fraction(tau) - third) * coeffs["h2"]
+                    ) * base
+                    for (da, db), counter, key in _SHIFT_PATTERN:
+                        factor = counters[counter]
+                        new_a, new_b = sigma + da, tau + db
+                        in_range = new_a >= 0 and new_b >= 0 and new_a + new_b <= n
+                        if not in_range:
+                            rec.check(
+                                factor == 0,
+                                f"part ({name}) at {(s_idx, t_idx, sigma, tau)}: "
+                                f"out-of-range term {key} has nonzero counter {factor}",
+                            )
+                            continue
+                        if factor == 0:
+                            continue
+                        total += factor * coeffs[key] * p_side(s_idx, t_idx, new_a, new_b)
 
-                rec.equal(
-                    (Fraction((s_idx, t_idx)[eig]) - third) * base,
-                    total,
-                    f"part ({name}) at {(s_idx, t_idx, sigma, tau)}",
-                )
+                    rec.equal(
+                        (Fraction((s_idx, t_idx)[eig]) - third) * base,
+                        total,
+                        f"part ({name}) at {(s_idx, t_idx, sigma, tau)}",
+                    )
     return rec.report()
 
 
-def verify_operator_identities(
-    s: StructureSet, f: BilinearForm, d: DerivedParams, n: int
-) -> Report:
+def verify_operator_identities(s: StructureSet, n: int) -> Report:
     """P with Cartan-shifted operator arguments maps x^N onto each monomial.
 
     The back identity P(s, t, varphi~ + N/3, phi~ + N/3) x^N = x^r y^s z^t
@@ -263,9 +269,9 @@ def verify_operator_identities(
 
     with Recorder(f"operators.N{n}") as rec:
         images = []
-        for label, side, side_d in (("back", s, d), ("front", s.dual(), d.dual())):
+        for label, side in (("back", s), ("front", s.dual())):
             ops = (shifted(side.varphi_t, side), shifted(side.phi_t, side))
-            images.append((label, eval_P_operator(pairs, ops, start, side_d, n)))
+            images.append((label, eval_P_operator(pairs, ops, start, side.d, n)))
         for index, (s_idx, t_idx) in enumerate(pairs):
             target = Poly3.monomial(n - s_idx - t_idx, s_idx, t_idx)
             for label, side_images in images:
@@ -277,49 +283,33 @@ def verify_operator_identities(
     return rec.report()
 
 
-def _structure_suite(s, f, d, n):
-    return [
+SUITES = {
+    "structure": lambda s, f, n: [
         verify_matrices(s),
         verify_dagger(s),
         verify_expansions(s),
         verify_generation(s),
-    ]
-
-
-def _module_suite(s, f, d, n):
-    return [
+    ],
+    "module": lambda s, f, n: [
         verify_action_tables(s, n),
         verify_representation_law(s, n),
         verify_weight_diagonality(s, n),
         verify_block_structure(s, n),
         irreducibility_probe(s, n),
-    ]
-
-
-def _form_suite(s, f, d, n):
-    return [
-        verify_adjointness(f, s, n),
-        verify_tilde_norms(f, s, n),
-        verify_dual_sum_identities(f, s, n),
-    ]
-
-
-def _transitions_suite(s, f, d, n):
-    return [
-        verify_trans1(s, f, d, n),
-        verify_trans2(s, f, d, n),
-        verify_pcosines(s, f, d, n),
-    ]
-
-
-SUITES = {
-    "structure": _structure_suite,
-    "module": _module_suite,
-    "form": _form_suite,
-    "transitions": _transitions_suite,
-    "orthogonality": lambda s, f, d, n: [verify_orthogonality(d, n)],
-    "recurrence": lambda s, f, d, n: [verify_recurrences(s.p, d, n)],
-    "operators": lambda s, f, d, n: [verify_operator_identities(s, f, d, n)],
+    ],
+    "form": lambda s, f, n: [
+        verify_adjointness(f),
+        verify_tilde_norms(f),
+        verify_dual_sum_identities(f),
+    ],
+    "transitions": lambda s, f, n: [
+        verify_trans1(s, n),
+        verify_trans2(s, n),
+        verify_pcosines(f),
+    ],
+    "orthogonality": lambda s, f, n: [verify_orthogonality(s.d, n)],
+    "recurrence": lambda s, f, n: [verify_recurrences(s, n)],
+    "operators": lambda s, f, n: [verify_operator_identities(s, n)],
 }
 
 # The suites that read the BilinearForm; the others get None for it.
@@ -337,12 +327,11 @@ def run_suites(p: ParameterSet, n: int, names=("all",)) -> list:
             raise ValueError(f"unknown suite {name!r}")
         selected.append(name)
 
-    d = derive(p)
-    s = build(p, d)
+    s = build(p)
     if n < 0:
         raise ValueError("degree must be nonnegative")
     f = BilinearForm(s, n) if _FORM_SUITES.intersection(selected) else None
     reports = []
     for name in selected:
-        reports.extend(SUITES[name](s, f, d, n))
+        reports.extend(SUITES[name](s, f, n))
     return reports

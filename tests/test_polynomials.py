@@ -9,7 +9,6 @@ from rahman.params import ParameterSet, derive
 from rahman.polymodule import Poly3, act, lattice
 from rahman.polynomials import (
     NonCommutingOperators,
-    as_bivariate,
     eval_P,
     eval_P_operator,
 )
@@ -164,34 +163,6 @@ def test_extended_sum_range_changes_nothing(derived_matrix):
     assert eval_with_range(n) == eval_with_range(2 * n) == eval_P(2, 1, 1, 2, d, n)
 
 
-def test_bivariate_constant_cases(derived_matrix):
-    d = derived_matrix[ParameterSet.of(1, 2, 3, 5)]
-    for derived in (d, d.dual()):
-        poly = as_bivariate(0, 0, derived, 3)
-        assert poly.coeffs == {(0, 0): Fraction(1)}
-
-
-def test_bivariate_linear_case(derived_matrix):
-    d = derived_matrix[ParameterSet.of(1, 2, 3, 5)]
-    poly = as_bivariate(1, 0, d, 1)
-    assert poly.coeffs == {(0, 0): Fraction(1), (1, 0): -d.t, (0, 1): -d.u}
-
-
-@pytest.mark.parametrize("p", PARAM_MATRIX, ids=str)
-@pytest.mark.parametrize("n", [1, 2, 4])
-def test_bivariate_agrees_with_eval(derived_matrix, p, n):
-    """Both symbolic pairs, the first through the dual, against the defining sum."""
-    d = derived_matrix[p]
-    for m in range(n + 1):
-        for m2 in range(n + 1 - m):
-            cd_poly = as_bivariate(m, m2, d, n)
-            ab_poly = as_bivariate(m, m2, d.dual(), n)
-            for c in range(n + 1):
-                for dd in range(n + 1 - c):
-                    assert cd_poly.evaluate(c, dd) == _defining_sum(m, m2, c, dd, d, n)
-                    assert ab_poly.evaluate(c, dd) == _defining_sum(c, dd, m, m2, d, n)
-
-
 def _matrix(op, n):
     """Dense matrix of a module operator, one basis monomial per column."""
     return Mat(
@@ -321,9 +292,6 @@ def test_operator_matches_dense_oracle(structures, derived_matrix, p, n):
 @pytest.mark.parametrize(
     "call, same_as",
     [
-        (lambda d, ops: as_bivariate(2, 0, d, 1), (2, 0, 0, 0, 1)),
-        (lambda d, ops: as_bivariate(-1, 0, d, 2), (-1, 0, 0, 0, 2)),
-        (lambda d, ops: as_bivariate(0, 0, d, -1), (0, 0, 0, 0, -1)),
         (
             lambda d, ops: eval_P_operator([(3, 0)], ops, Poly3.monomial(1, 0, 0), d, 1),
             (3, 0, 0, 0, 1),
@@ -336,15 +304,12 @@ def test_operator_matches_dense_oracle(structures, derived_matrix, p, n):
         ),
     ],
     ids=[
-        "bivariate-off-the-lattice",
-        "bivariate-negative-argument",
-        "bivariate-negative-degree",
         "operator-off-the-lattice",
         "operator-batch-off-the-lattice",
     ],
 )
 def test_entry_points_share_the_range_contract(derived_matrix, call, same_as):
-    """as_bivariate and eval_P_operator reject what eval_P rejects, with its message."""
+    """eval_P_operator rejects what eval_P rejects, with its message."""
     d = derived_matrix[ParameterSet.of(1, 2, 3, 5)]
     ops = (_diagonal(lambda r, s, t: r + 1), _diagonal(lambda r, s, t: s + 4))
     *args, n = same_as

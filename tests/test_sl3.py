@@ -63,6 +63,14 @@ def test_dagger_unit_example(reference_structure):
     assert dagger(s.e_t[0, 1], s) == s.e_t[1, 0].scale(eta[1] / eta[0])
 
 
+@pytest.mark.parametrize("p", PARAM_MATRIX, ids=str)
+def test_dagger_is_the_conjugated_transpose(structures, p):
+    """The entrywise formula against W~ beta^t W~^-1 with a general inverse."""
+    s = structures[p]
+    for beta in {**s.cartan_basis(), **s.tilde_basis()}.values():
+        assert dagger(beta, s) == s.Wt @ beta.transpose() @ s.Wt.inverse()
+
+
 def test_dagger_requires_traceless(reference_structure):
     with pytest.raises(NotTraceless):
         dagger(Mat.identity(3), reference_structure)

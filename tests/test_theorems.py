@@ -1,20 +1,35 @@
+import inspect
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rahman.form import BilinearForm
+from rahman.form import (
+    BilinearForm,
+    dual_basis,
+    inner,
+    verify_adjointness,
+    verify_dual_sum_identities,
+    verify_tilde_norms,
+)
 from rahman.params import ParameterSet, derive
 from rahman.polymodule import (
+    irreducibility_probe,
     verify_action_tables,
     verify_block_structure,
     verify_representation_law,
     verify_weight_diagonality,
 )
 from rahman.polynomials import eval_P
-from rahman.report import Recorder
+from rahman.report import Recorder, Report
 from rahman.scalars import multinomial
-from rahman.sl3 import build, verify_dagger
+from rahman.sl3 import (
+    build,
+    verify_dagger,
+    verify_expansions,
+    verify_generation,
+    verify_matrices,
+)
 from rahman.theorems import (
     run_suites,
     verify_operator_identities,
@@ -30,42 +45,45 @@ from test_params import valid_parameter_sets
 
 
 @pytest.fixture(scope="module")
-def contexts(structures):
-    out = {}
-    for p in PARAM_MATRIX:
-        s = structures[p]
-        for n in range(0, 4):
-            out[p, n] = (s, BilinearForm(s, n), s.d)
-    return out
+def forms(structures):
+    return {
+        (p, n): BilinearForm(structures[p], n)
+        for p in PARAM_MATRIX
+        for n in range(0, 4)
+    }
 
 
 @pytest.mark.parametrize("n", [0, 2, 3])
 @pytest.mark.parametrize("p", PARAM_MATRIX, ids=str)
-def test_trans2(contexts, p, n):
-    s, f, d = contexts[p, n]
-    report = verify_trans2(s, f, d, n)
+def test_trans2(structures, p, n):
+    report = verify_trans2(structures[p], n)
     assert report.ok, report.first_failure
 
 
 @pytest.mark.parametrize("n", [0, 2, 3])
 @pytest.mark.parametrize("p", PARAM_MATRIX, ids=str)
-def test_trans1(contexts, p, n):
-    s, f, d = contexts[p, n]
-    report = verify_trans1(s, f, d, n)
+def test_trans1(structures, p, n):
+    report = verify_trans1(structures[p], n)
     assert report.ok, report.first_failure
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])
 @pytest.mark.parametrize("p", PARAM_MATRIX, ids=str)
-def test_pcosines(contexts, p, n):
-    s, f, d = contexts[p, n]
-    report = verify_pcosines(s, f, d, n)
+def test_pcosines(forms, p, n):
+    report = verify_pcosines(forms[p, n])
     assert report.ok, report.first_failure
 
 
-@pytest.mark.parametrize("verifier", [verify_trans1, verify_trans2, verify_pcosines],
-                         ids=lambda v: v.__name__)
-def test_transition_verifiers_read_eval_P(contexts, monkeypatch, verifier):
+@pytest.mark.parametrize(
+    "verifier",
+    [
+        lambda s, f: verify_trans1(s, 2),
+        lambda s, f: verify_trans2(s, 2),
+        lambda s, f: verify_pcosines(f),
+    ],
+    ids=["verify_trans1", "verify_trans2", "verify_pcosines"],
+)
+def test_transition_verifiers_read_eval_P(structures, forms, monkeypatch, verifier):
     """Each transition check compares against eval_P itself, not a table
     built by the code it checks: one wrong eval_P value must trip it."""
 
@@ -74,14 +92,14 @@ def test_transition_verifiers_read_eval_P(contexts, monkeypatch, verifier):
         return value + 1 if (a, b, c, dd) == (1, 0, 0, 1) else value
 
     monkeypatch.setattr("rahman.theorems.eval_P", perturbed)
-    s, f, d = contexts[PARAM_MATRIX[0], 2]
-    assert not verifier(s, f, d, 2).ok
+    p = PARAM_MATRIX[0]
+    assert not verifier(structures[p], forms[p, 2]).ok
 
 
 @pytest.mark.parametrize("n", [0, 2, 3])
 @pytest.mark.parametrize("p", PARAM_MATRIX, ids=str)
-def test_orthogonality(contexts, p, n):
-    report = verify_orthogonality(contexts[p, n][2], n)
+def test_orthogonality(structures, p, n):
+    report = verify_orthogonality(structures[p].d, n)
     assert report.ok, report.first_failure
 
 
@@ -110,16 +128,15 @@ def test_orthogonality_spot_values():
 
 @pytest.mark.parametrize("n", [0, 2, 3])
 @pytest.mark.parametrize("p", PARAM_MATRIX, ids=str)
-def test_recurrences(contexts, p, n):
-    report = verify_recurrences(p, contexts[p, n][2], n)
+def test_recurrences(structures, p, n):
+    report = verify_recurrences(structures[p], n)
     assert report.ok, report.first_failure
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])
 @pytest.mark.parametrize("p", PARAM_MATRIX, ids=str)
-def test_operator_identities(contexts, p, n):
-    s, f, d = contexts[p, n]
-    report = verify_operator_identities(s, f, d, n)
+def test_operator_identities(structures, p, n):
+    report = verify_operator_identities(structures[p], n)
     assert report.ok, report.first_failure
 
 
@@ -153,32 +170,102 @@ def test_corruption_sensitivity(structures):
     """Perturbing one derived constant must break at least one verifier."""
     p = ParameterSet.of(1, 2, 3, 5)
     corrupted = structures[p].with_corrupted_eta_t(1, 1)
-    from rahman.sl3 import verify_matrices
-
     assert not verify_matrices(corrupted).ok
 
 
+def _with_eta_t(index: int, zeroed: bool):
+    """The (1,2,3,5) structure with eta~_index shifted by 1, or set to 0."""
+    s = build(ParameterSet.of(1, 2, 3, 5))
+    return s.with_corrupted_eta_t(index, -s.d.eta_t[index] if zeroed else 1)
+
+
+# Every verifier that runs without a BilinearForm; the form cannot be
+# built once a Gram weight divides by zero.
+FORMLESS_VERIFIERS = {
+    "matrices": lambda s, n: verify_matrices(s),
+    "dagger": lambda s, n: verify_dagger(s),
+    "expansions": lambda s, n: verify_expansions(s),
+    "generation": lambda s, n: verify_generation(s),
+    "action_tables": verify_action_tables,
+    "representation": verify_representation_law,
+    "weights": verify_weight_diagonality,
+    "block_structure": verify_block_structure,
+    "irreducibility": irreducibility_probe,
+    "trans1": verify_trans1,
+    "trans2": verify_trans2,
+    "orthogonality": lambda s, n: verify_orthogonality(s.d, n),
+    "recurrences": verify_recurrences,
+    "operators": verify_operator_identities,
+}
+
+
 @pytest.mark.parametrize(
-    "verifier",
+    "name, zeroed, error",
     [
-        lambda s, n: verify_dagger(s),
-        verify_action_tables,
-        verify_block_structure,
-        verify_representation_law,
-        verify_weight_diagonality,
-        lambda s, n: verify_operator_identities(s, None, s.d, n),
+        ("dagger", False, "NotTraceless: trace is "),
+        ("action_tables", False, "NotTraceless: trace is "),
+        ("block_structure", False, "NotTraceless: trace is "),
+        ("representation", False, "NotTraceless: trace is "),
+        ("weights", False, "NotTraceless: trace is "),
+        ("operators", False, "NotTraceless: trace is "),
+        ("generation", True, "ZeroDivisionError: "),
+        ("trans2", True, "ZeroDivisionError: "),
     ],
     ids=["dagger", "action_tables", "block_structure", "representation",
-         "weights", "operators"],
+         "weights", "operators", "generation-zeroed", "trans2-zeroed"],
 )
-def test_verifier_reports_a_raised_error_as_a_failure(verifier):
-    """On a corrupted eta~_1 the tilde elements lose their zero trace; the
+def test_verifier_reports_a_raised_error_as_a_failure(name, zeroed, error):
+    """On eta~_1 shifted by 1 the tilde elements lose their zero trace; on
+    eta~_1 = 0 a Gram weight or 1/eta~_1 divides by zero.  Either way the
     verifier returns a failing Report naming the error instead of raising."""
-    s = build(ParameterSet.of(1, 2, 3, 5)).with_corrupted_eta_t(1, 1)
-    report = verifier(s, 2)
+    report = FORMLESS_VERIFIERS[name](_with_eta_t(1, zeroed), 2)
     assert report.status == "fail"
     assert report.checked >= 1
-    assert report.first_failure.startswith("raised NotTraceless: trace is ")
+    assert report.first_failure.startswith(f"raised {error}")
+
+
+@pytest.mark.parametrize("index", [1, 2])
+def test_formless_verifiers_survive_a_zeroed_eta_t(index):
+    """With eta~_1 or eta~_2 zero, every verifier that needs no form
+    returns a Report; none lets the ZeroDivisionError escape."""
+    s = _with_eta_t(index, zeroed=True)
+    for verifier in FORMLESS_VERIFIERS.values():
+        assert isinstance(verifier(s, 2), Report)
+
+
+# Each verifier and form helper takes one carrier and nothing that carrier
+# holds: a structure s carries p and d, a form f carries s and n.
+CARRIER_SIGNATURES = {
+    verify_matrices: ("s",),
+    verify_dagger: ("s",),
+    verify_expansions: ("s",),
+    verify_generation: ("s",),
+    verify_action_tables: ("s", "n"),
+    verify_representation_law: ("s", "n"),
+    verify_weight_diagonality: ("s", "n"),
+    verify_block_structure: ("s", "n"),
+    irreducibility_probe: ("s", "n"),
+    verify_trans1: ("s", "n"),
+    verify_trans2: ("s", "n"),
+    verify_recurrences: ("s", "n"),
+    verify_operator_identities: ("s", "n"),
+    verify_pcosines: ("f",),
+    verify_adjointness: ("f",),
+    verify_tilde_norms: ("f",),
+    verify_dual_sum_identities: ("f",),
+    verify_orthogonality: ("d", "n"),
+    inner: ("xi", "zeta", "f"),
+    dual_basis: ("f", "kind"),
+}
+
+
+@pytest.mark.parametrize(
+    "fn, params",
+    list(CARRIER_SIGNATURES.items()),
+    ids=[fn.__name__ for fn in CARRIER_SIGNATURES],
+)
+def test_each_verifier_takes_one_carrier(fn, params):
+    assert tuple(inspect.signature(fn).parameters) == params
 
 
 def test_recorder_lets_other_errors_through():
@@ -189,6 +276,6 @@ def test_recorder_lets_other_errors_through():
 
 @given(valid_parameter_sets(), st.integers(min_value=0, max_value=3))
 @settings(max_examples=15, deadline=None)
-def test_module_and_operator_suites_on_random_parameters(p, n):
-    reports = run_suites(p, n, ["module", "operators"])
+def test_every_suite_on_random_parameters(p, n):
+    reports = run_suites(p, n)
     assert [r.name for r in reports if not r.ok] == []
