@@ -18,7 +18,7 @@ from .params import DerivedParams
 from .polymodule import (
     DegreeMismatch,
     Poly3,
-    act,
+    action,
     expand_tilde_monomial_direct,
     lattice,
 )
@@ -138,13 +138,15 @@ def verify_adjointness(f: BilinearForm) -> Report:
     monomials = [Poly3.monomial(*point) for point in lattice(n)]
     with Recorder(f"form.adjointness.N{n}") as rec:
         for name, beta in s.cartan_basis().items():
-            beta_dag = dagger(beta, s)
+            on_beta = action(beta, s)
+            on_dagger = action(dagger(beta, s), s)
+            dagger_images = [on_dagger(zeta) for zeta in monomials]
             for xi in monomials:
-                images = act(beta, xi, s)
-                for zeta in monomials:
+                image = on_beta(xi)
+                for zeta, zeta_image in zip(monomials, dagger_images):
                     rec.equal(
-                        inner(images, zeta, f),
-                        inner(xi, act(beta_dag, zeta, s), f),
+                        inner(image, zeta, f),
+                        inner(xi, zeta_image, f),
                         f"beta={name}, xi={xi.coeffs}, zeta={zeta.coeffs}",
                     )
     return rec.report()

@@ -1,6 +1,6 @@
 """Small exact rational matrices: the 3x3 structural layer only.
 
-Operators on the degree-N module are applied by ``polymodule.act`` and
+Operators on the degree-N module are applied by ``polymodule.action`` and
 never stored as matrices.  Entries are Fractions; rows are tuples, so a
 matrix is immutable and can be shared freely.
 """
@@ -13,6 +13,8 @@ from .scalars import format_rational
 
 __all__ = ["Mat"]
 
+_ZERO = Fraction(0)
+
 
 class Mat:
     __slots__ = ("rows",)
@@ -22,6 +24,14 @@ class Mat:
         width = len(self.rows[0]) if self.rows else 0
         if any(len(row) != width for row in self.rows):
             raise ValueError("ragged rows")
+
+    @classmethod
+    def _of(cls, rows) -> "Mat":
+        """Trusted constructor for arithmetic results: ``rows`` is a tuple
+        of equal-length tuples of Fractions, stored as given."""
+        result = object.__new__(cls)
+        result.rows = rows
+        return result
 
     @property
     def nrows(self) -> int:
@@ -58,38 +68,44 @@ class Mat:
         return isinstance(other, Mat) and self.rows == other.rows
 
     def __add__(self, other: "Mat") -> "Mat":
-        return Mat(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
+        return Mat._of(tuple(
+            tuple(a + b for a, b in zip(ra, rb))
+            for ra, rb in zip(self.rows, other.rows)
+        ))
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return Mat(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
+        return Mat._of(tuple(
+            tuple(a - b for a, b in zip(ra, rb))
+            for ra, rb in zip(self.rows, other.rows)
+        ))
 
     def __neg__(self) -> "Mat":
-        return Mat([[-a for a in row] for row in self.rows])
+        return Mat._of(tuple(tuple(-a for a in row) for row in self.rows))
 
     def scale(self, c) -> "Mat":
         c = Fraction(c)
-        return Mat([[c * a for a in row] for row in self.rows])
+        return Mat._of(tuple(tuple(c * a for a in row) for row in self.rows))
 
     def __matmul__(self, other: "Mat") -> "Mat":
+        """Row-by-row product that skips every zero factor.
+
+        The structural matrices are mostly matrix units and diagonals,
+        so most of the n^3 products of the dense formula are by zero.
+        """
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
-        cols = list(zip(*other.rows))
-        return Mat(
-            [
-                [sum(a * b for a, b in zip(row, col)) for col in cols]
-                for row in self.rows
-            ]
-        )
+        width = other.ncols
+        rows = []
+        for row in self.rows:
+            out = [_ZERO] * width
+            for a, other_row in zip(row, other.rows):
+                if not a:
+                    continue
+                for j, b in enumerate(other_row):
+                    if b:
+                        out[j] += a * b
+            rows.append(tuple(out))
+        return Mat._of(tuple(rows))
 
     def apply(self, vector):
         """Multiply by a column vector (list of Fractions)."""
@@ -98,7 +114,7 @@ class Mat:
         return [sum(a * b for a, b in zip(row, vector)) for row in self.rows]
 
     def transpose(self) -> "Mat":
-        return Mat(list(zip(*self.rows)))
+        return Mat._of(tuple(zip(*self.rows)))
 
     def trace(self):
         return sum(self.rows[i][i] for i in range(min(self.nrows, self.ncols)))
@@ -125,7 +141,7 @@ class Mat:
                 if r != col and work[r][col] != 0:
                     factor = work[r][col]
                     work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-        return Mat([row[n:] for row in work])
+        return Mat._of(tuple(tuple(row[n:]) for row in work))
 
     def to_json(self):
         """Row-major nested list of rational strings."""

@@ -37,14 +37,25 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class ParameterSet:
+    """Four exact rationals.  Each field is stored as a Fraction; a float
+    or bool raises ValueError, since it would carry round-off (or a
+    truth value) into every derived constant."""
+
     p1: Rational
     p2: Rational
     p3: Rational
     p4: Rational
 
+    def __post_init__(self):
+        for name in ("p1", "p2", "p3", "p4"):
+            value = getattr(self, name)
+            if isinstance(value, (float, bool)):
+                raise ValueError(f"{name} must be an exact rational, got {value!r}")
+            object.__setattr__(self, name, Fraction(value))
+
     @classmethod
     def of(cls, p1, p2, p3, p4) -> "ParameterSet":
-        return cls(Fraction(p1), Fraction(p2), Fraction(p3), Fraction(p4))
+        return cls(p1, p2, p3, p4)
 
     def as_tuple(self):
         return (self.p1, self.p2, self.p3, self.p4)

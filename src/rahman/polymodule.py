@@ -4,9 +4,15 @@ A Poly3 is a sparse map from exponent triples to rational coefficients,
 tagged with the coordinate system it lives in ("plain" for x,y,z or
 "tilde" for the R-transformed variables).  A single action rule drives
 everything: a 3x3 matrix beta sends variable j to sum_i beta[i][j] *
-variable i, extended to monomials as a derivation.  ``act`` is the only
-way an operator reaches the module; no DxD matrix is built.  The
-per-generator action tables are test vectors, not code paths.
+variable i, extended to monomials as a derivation.  ``action`` is the
+only way an operator reaches the module, and ``act`` is its one-shot
+form; no DxD matrix is built.  The per-generator action tables are test
+vectors, not code paths.
+
+Arithmetic results (``+``, ``-``, ``scale``, products and action
+images) are built by the trusted ``Poly3._of``, which drops zeros but
+does not convert or re-validate entries; the public ``Poly3(...)``
+validates its input.
 
 Only the tilde-to-plain substitution is written out.  The tilde
 coordinates of a structure ``s`` are the plain coordinates of
@@ -30,6 +36,7 @@ __all__ = [
     "lattice",
     "lattice_dimension",
     "adjacent",
+    "action",
     "act",
     "tilde_variables",
     "expand_tilde_monomial_direct",
@@ -98,6 +105,19 @@ class Poly3:
         self.degree = degrees.pop() if degrees else None
 
     @classmethod
+    def _of(cls, coeffs: dict, kind: str, degree) -> "Poly3":
+        """Trusted constructor for arithmetic results.
+
+        ``coeffs`` maps exponent triples of total degree ``degree`` to
+        Fractions; zeros are dropped, and nothing else is checked.
+        """
+        result = object.__new__(cls)
+        result.kind = kind
+        result.coeffs = {key: value for key, value in coeffs.items() if value}
+        result.degree = degree if result.coeffs else None
+        return result
+
+    @classmethod
     def monomial(cls, r: int, s: int, t: int, coeff=1, kind: str = "plain") -> "Poly3":
         return cls({(r, s, t): coeff}, kind)
 
@@ -122,19 +142,28 @@ class Poly3:
         if self.kind != other.kind:
             raise ValueError(f"mixing {self.kind} and {other.kind} polynomials")
 
-    def __add__(self, other: "Poly3") -> "Poly3":
+    def _merge(self, other: "Poly3", sign: int) -> "Poly3":
+        """self + sign * other, for sign = 1 or -1."""
         self._require_same_kind(other)
+        if self.coeffs and other.coeffs and self.degree != other.degree:
+            raise NotHomogeneous(f"mixed degrees {sorted([self.degree, other.degree])}")
         merged = dict(self.coeffs)
         for key, value in other.coeffs.items():
-            merged[key] = merged.get(key, Fraction(0)) + value
-        return Poly3(merged, self.kind)
+            value = value if sign > 0 else -value
+            merged[key] = merged[key] + value if key in merged else value
+        return Poly3._of(merged, self.kind, self.degree if self.coeffs else other.degree)
+
+    def __add__(self, other: "Poly3") -> "Poly3":
+        return self._merge(other, 1)
 
     def __sub__(self, other: "Poly3") -> "Poly3":
-        return self + other.scale(-1)
+        return self._merge(other, -1)
 
     def scale(self, c) -> "Poly3":
         c = Fraction(c)
-        return Poly3({key: c * value for key, value in self.coeffs.items()}, self.kind)
+        return Poly3._of(
+            {key: c * value for key, value in self.coeffs.items()}, self.kind, self.degree
+        )
 
     def __mul__(self, other: "Poly3") -> "Poly3":
         self._require_same_kind(other)
@@ -143,7 +172,7 @@ class Poly3:
             for (x, y, z), v in other.coeffs.items():
                 key = (a + x, b + y, c + z)
                 product[key] = product.get(key, Fraction(0)) + u * v
-        return Poly3(product, self.kind)
+        return Poly3._of(product, self.kind, (self.degree or 0) + (other.degree or 0))
 
     def power(self, n: int) -> "Poly3":
         result = Poly3({(0, 0, 0): 1}, self.kind)
@@ -169,32 +198,62 @@ class Poly3:
         return f"Poly3({self.coeffs}, kind={self.kind!r})"
 
 
-def act(beta: Mat, xi: Poly3, s: StructureSet) -> Poly3:
-    """Derivation action of a traceless 3x3 matrix on a polynomial.
+def action(beta: Mat, s: StructureSet, kind: str = "plain"):
+    """The derivation by which a traceless 3x3 matrix acts on ``kind``
+    polynomials, as a function from Poly3 to Poly3.
 
-    In tilde coordinates beta acts with matrix R^-1 beta R, so the
-    conjugated units act on tilde monomials exactly like the plain
-    units act on plain monomials.
+    The matrix sends variable j to sum_i m[i][j] * variable i, extended
+    to monomials as a derivation, with m = beta on plain polynomials and
+    m = R^-1 beta R on tilde ones: the conjugated units act on tilde
+    monomials exactly like the plain units act on plain monomials.  The
+    trace is checked, the conjugation formed and the nonzero entries of
+    m listed once, when the action is built; the returned function
+    raises ValueError on a polynomial of the other kind.
     """
     if beta.trace() != 0:
         raise NotTraceless(f"trace is {beta.trace()}, expected 0")
-    action = beta if xi.kind == "plain" else s.Rinv @ beta @ s.R
-    out: dict = {}
-    for exps, coeff in xi.coeffs.items():
-        for j in range(3):
-            if exps[j] == 0:
-                continue
-            lowered = list(exps)
-            lowered[j] -= 1
-            for i in range(3):
-                entry = action[i, j]
-                if entry == 0:
+    if kind == "plain":
+        matrix = beta
+    elif kind == "tilde":
+        matrix = s.Rinv @ beta @ s.R
+    else:
+        raise ValueError(f"unknown basis kind {kind!r}")
+    # For each variable j: (shift of the exponent triple, m[i][j]) for the
+    # nonzero entries of column j, in row order.
+    columns = [
+        [
+            (tuple(int(k == i) - int(k == j) for k in range(3)), matrix[i, j])
+            for i in range(3)
+            if matrix[i, j] != 0
+        ]
+        for j in range(3)
+    ]
+
+    def apply(xi: Poly3) -> Poly3:
+        if xi.kind != kind:
+            raise ValueError(f"a {kind} action applied to a {xi.kind} polynomial")
+        out: dict = {}
+        for exps, coeff in xi.coeffs.items():
+            for j, entries in enumerate(columns):
+                if exps[j] == 0:
                     continue
-                raised = list(lowered)
-                raised[i] += 1
-                key = tuple(raised)
-                out[key] = out.get(key, Fraction(0)) + coeff * exps[j] * entry
-    return Poly3(out, xi.kind)
+                weight = coeff * exps[j]
+                for (da, db, dc), entry in entries:
+                    key = (exps[0] + da, exps[1] + db, exps[2] + dc)
+                    term = weight * entry
+                    out[key] = out[key] + term if key in out else term
+        return Poly3._of(out, kind, xi.degree)
+
+    return apply
+
+
+def act(beta: Mat, xi: Poly3, s: StructureSet) -> Poly3:
+    """The action of beta on one polynomial: ``action(beta, s, xi.kind)(xi)``.
+
+    A caller that applies the same beta to many polynomials builds the
+    action once instead.
+    """
+    return action(beta, s, xi.kind)(xi)
 
 
 def tilde_variables(s: StructureSet) -> tuple:
@@ -227,7 +286,8 @@ def verify_block_structure(s: StructureSet, n: int) -> Report:
     ]
     with Recorder(f"module.block_structure.N{n}") as rec:
         for label, beta, kind in cases:
-            images = [act(beta, Poly3.monomial(*lam, kind=kind), s) for lam in points]
+            apply = action(beta, s, kind)
+            images = [apply(Poly3.monomial(*lam, kind=kind)) for lam in points]
             for mu in points:
                 for lam, image in zip(points, images):
                     if mu == lam or adjacent(mu, lam):
@@ -268,10 +328,11 @@ def verify_action_tables(s: StructureSet, n: int) -> Report:
             else:
                 gens = {**{k: s.e_t[v] for k, v in labels.items()},
                         "varphi": s.varphi_t, "phi": s.phi_t}
+            actions = {label: action(beta, s, kind) for label, beta in gens.items()}
             for point in lattice(n):
                 for label, image in expected_rows(*point):
                     rec.equal(
-                        act(gens[label], Poly3.monomial(*point, kind=kind), s),
+                        actions[label](Poly3.monomial(*point, kind=kind)),
                         Poly3(image, kind),
                         f"{kind} table {label} at {point}",
                     )
@@ -279,7 +340,7 @@ def verify_action_tables(s: StructureSet, n: int) -> Report:
 
 
 def verify_representation_law(s: StructureSet, n: int) -> Report:
-    """act is a Lie algebra homomorphism on the 8-element basis.
+    """The action is a Lie algebra homomorphism on the 8-element basis.
 
     For each pair, the 3x3 bracket acting on every plain monomial is
     compared with the module bracket of the two actions.  Also checks
@@ -291,24 +352,22 @@ def verify_representation_law(s: StructureSet, n: int) -> Report:
     plain = [Poly3.monomial(*point) for point in lattice(n)]
     tilde = [Poly3.monomial(*point, kind="tilde") for point in lattice(n)]
     with Recorder(f"module.representation.N{n}") as rec:
+        actions = {name: action(beta, s) for name, beta in basis.items()}
         for a, name_b in enumerate(names):
-            beta = basis[name_b]
+            beta, on_beta = basis[name_b], actions[name_b]
             for name_g in names[a + 1:]:
-                gamma = basis[name_g]
-                bracket = beta.bracket(gamma)
+                gamma, on_gamma = basis[name_g], actions[name_g]
+                on_bracket = action(beta.bracket(gamma), s)
                 rec.equal(
-                    [act(bracket, m, s) for m in plain],
-                    [
-                        act(beta, act(gamma, m, s), s) - act(gamma, act(beta, m, s), s)
-                        for m in plain
-                    ],
+                    [on_bracket(m) for m in plain],
+                    [on_beta(on_gamma(m)) - on_gamma(on_beta(m)) for m in plain],
                     f"bracket pair ({name_b}, {name_g})",
                 )
         for name, beta in basis.items():
-            conjugated = s.R @ beta @ s.Rinv
+            on_conjugated = action(s.R @ beta @ s.Rinv, s, "tilde")
             rec.equal(
-                [act(conjugated, m, s).coeffs for m in tilde],
-                [act(beta, m, s).coeffs for m in plain],
+                [on_conjugated(m).coeffs for m in tilde],
+                [actions[name](m).coeffs for m in plain],
                 f"tilde compatibility for {name}",
             )
     return rec.report()
@@ -326,8 +385,9 @@ def verify_weight_diagonality(s: StructureSet, n: int) -> Report:
     with Recorder(f"module.weights.N{n}") as rec:
         for label, beta, kind, slot in cases:
             monomials = [Poly3.monomial(*point, kind=kind) for point in points]
+            apply = action(beta, s, kind)
             rec.equal(
-                [act(beta, m, s) for m in monomials],
+                [apply(m) for m in monomials],
                 [
                     m.scale(Fraction(point[slot]) - Fraction(n, 3))
                     for m, point in zip(monomials, points)
@@ -355,12 +415,13 @@ def irreducibility_probe(s: StructureSet, n: int) -> Report:
 
     start = Poly3.monomial(n, 0, 0)
     with Recorder(f"module.irreducibility.N{n}") as rec:
+        units = [action(beta, s) for beta in s.e.values()]
         insert(start.to_vector(n))
         frontier = [start]
         while frontier:
             xi = frontier.pop()
-            for beta in s.e.values():
-                image = act(beta, xi, s)
+            for apply in units:
+                image = apply(xi)
                 if insert(image.to_vector(n)):
                     frontier.append(image)
         rec.check(

@@ -32,6 +32,8 @@ __all__ = [
 
 OFF_DIAGONAL = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
 
+_ZERO = Fraction(0)
+
 
 class NotTraceless(ValueError):
     """Raised when an operation requires a trace-zero matrix."""
@@ -138,13 +140,21 @@ def build(p: ParameterSet, d: DerivedParams | None = None) -> StructureSet:
 def dagger(beta: Mat, s: StructureSet) -> Mat:
     """The antiautomorphism: beta -> W~ beta^t W~^-1.
 
-    W~ is diagonal, so entry (i, j) is eta~_i beta[j][i] / eta~_j.
+    W~ is diagonal, so entry (i, j) is eta~_i beta[j][i] / eta~_j, and
+    a zero entry of beta gives a zero entry without a division.
     Requires a traceless argument; fixes both Cartan subalgebras.
     """
     if beta.trace() != 0:
         raise NotTraceless(f"trace is {beta.trace()}, expected 0")
     eta_t = s.d.eta_t
-    return Mat([[eta_t[i] * beta[j, i] / eta_t[j] for j in range(3)] for i in range(3)])
+    rows = beta.rows
+    return Mat._of(tuple(
+        tuple(
+            eta_t[i] * rows[j][i] / eta_t[j] if rows[j][i] else _ZERO
+            for j in range(3)
+        )
+        for i in range(3)
+    ))
 
 
 def r_closed_form(p: ParameterSet) -> Mat:
@@ -248,30 +258,33 @@ def verify_dagger(s: StructureSet) -> Report:
     everything = {**plain, **tilde}
 
     with Recorder("structure.dagger") as rec:
+        # Each basis element's dagger, computed once and read by every check.
+        images = {}
         for name, beta in everything.items():
-            rec.equal(dagger(dagger(beta, s), s), beta, f"involution on {name}")
-            rec.check(dagger(beta, s).trace() == 0, f"trace preserved on {name}")
+            images[name] = dagger(beta, s)
+            rec.equal(dagger(images[name], s), beta, f"involution on {name}")
+            rec.check(images[name].trace() == 0, f"trace preserved on {name}")
 
         # Plain table: e_ij -> e_ji * eta~_j / eta~_i; fixes varphi, phi.
         for (i, j) in OFF_DIAGONAL:
             expected = s.e[j, i].scale(eta_t[j] / eta_t[i])
-            rec.equal(dagger(s.e[i, j], s), expected, f"table1 e{i}{j}")
-        rec.equal(dagger(s.varphi, s), s.varphi, "table1 varphi")
-        rec.equal(dagger(s.phi, s), s.phi, "table1 phi")
+            rec.equal(images[f"e{i}{j}"], expected, f"table1 e{i}{j}")
+        rec.equal(images["varphi"], s.varphi, "table1 varphi")
+        rec.equal(images["phi"], s.phi, "table1 phi")
 
         # Tilde table: e~_ij -> e~_ji * eta_j / eta_i; fixes varphi~, phi~.
         for (i, j) in OFF_DIAGONAL:
             expected = s.e_t[j, i].scale(eta[j] / eta[i])
-            rec.equal(dagger(s.e_t[i, j], s), expected, f"table2 e~{i}{j}")
-        rec.equal(dagger(s.varphi_t, s), s.varphi_t, "table2 varphi~")
-        rec.equal(dagger(s.phi_t, s), s.phi_t, "table2 phi~")
+            rec.equal(images[f"e~{i}{j}"], expected, f"table2 e~{i}{j}")
+        rec.equal(images["varphi~"], s.varphi_t, "table2 varphi~")
+        rec.equal(images["phi~"], s.phi_t, "table2 phi~")
 
         # Antiautomorphism law over all 64 ordered pairs of the plain basis.
         for name_b, beta in plain.items():
             for name_g, gamma in plain.items():
                 rec.equal(
                     dagger(beta.bracket(gamma), s),
-                    -(dagger(beta, s).bracket(dagger(gamma, s))),
+                    -(images[name_b].bracket(images[name_g])),
                     f"bracket law [{name_b},{name_g}]",
                 )
 

@@ -28,7 +28,7 @@ from .form import (
 from .params import DerivedParams, ParameterSet
 from .polymodule import (
     Poly3,
-    act,
+    action,
     expand_tilde_monomial_direct,
     irreducibility_probe,
     lattice,
@@ -265,7 +265,8 @@ def verify_operator_identities(s: StructureSet, n: int) -> Report:
     start = Poly3.monomial(n, 0, 0)
 
     def shifted(beta, side):
-        return lambda m: act(beta, m, side) + m.scale(third)
+        apply = action(beta, side)
+        return lambda m: apply(m) + m.scale(third)
 
     with Recorder(f"operators.N{n}") as rec:
         images = []

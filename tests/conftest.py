@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from rahman.params import ParameterSet, derive
@@ -24,3 +26,13 @@ def structures():
 @pytest.fixture(scope="session")
 def reference_structure(structures, reference_params):
     return structures[reference_params]
+
+
+def dense_product(a, b):
+    """Rows of the product a b by the dense triple loop over every entry:
+    the oracle for the zero-skipping ``Mat.__matmul__``."""
+    return [
+        [sum((a[i, k] * b[k, j] for k in range(a.ncols)), Fraction(0))
+         for j in range(b.ncols)]
+        for i in range(a.nrows)
+    ]

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from rahman import eval_P, run_suites
 from rahman.params import (
     ParameterSet,
     ValidationError,
@@ -59,6 +60,25 @@ def test_derive_reference_constants():
     assert d.theta_t == 24
     assert d.eta == (Fraction(1, 672), Fraction(11, 42), Fraction(165, 224))
     assert d.eta_t == (Fraction(1, 672), Fraction(11, 32), Fraction(55, 84))
+
+
+def test_plain_int_parameters_stay_exact():
+    p = ParameterSet(1, 2, 3, 5)
+    assert all(type(x) is Fraction for x in p.as_tuple())
+    assert p == ParameterSet.of(1, 2, 3, 5)
+    d = derive(p)
+    assert d == derive(ParameterSet.of(1, 2, 3, 5))
+    value = eval_P(1, 0, 0, 1, d, 2)
+    assert type(value) is Fraction and value == Fraction(17, 33)
+    assert all(report.ok for report in run_suites(p, 2))
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, True, False])
+def test_float_and_bool_parameters_are_refused(bad):
+    with pytest.raises(ValueError):
+        ParameterSet(bad, 2, 3, 5)
+    with pytest.raises(ValueError):
+        ParameterSet.of(1, 2, 3, bad)
 
 
 def test_derive_rejects_invalid():

@@ -9,6 +9,7 @@ from rahman.polymodule import (
     NotHomogeneous,
     Poly3,
     act,
+    action,
     adjacent,
     expand_tilde_monomial_direct,
     irreducibility_probe,
@@ -20,8 +21,9 @@ from rahman.polymodule import (
     verify_representation_law,
     verify_weight_diagonality,
 )
+from rahman.sl3 import NotTraceless
 
-from conftest import PARAM_MATRIX
+from conftest import PARAM_MATRIX, dense_product
 
 
 def test_lattice_small_cases():
@@ -47,6 +49,84 @@ def test_adjacent():
 def test_poly3_rejects_mixed_degrees():
     with pytest.raises(NotHomogeneous):
         Poly3({(1, 0, 0): 1, (2, 0, 0): 1})
+
+
+def _act_per_call(beta, xi, s):
+    """The action rule evaluated per call, a test-local oracle: the trace
+    check and the conjugation R^-1 beta R (dense products) on every call,
+    and a result built by the validating Poly3 constructor."""
+    if beta.trace() != 0:
+        raise NotTraceless(f"trace is {beta.trace()}, expected 0")
+    if xi.kind == "plain":
+        matrix = beta
+    else:
+        matrix = Mat(dense_product(Mat(dense_product(s.Rinv, beta)), s.R))
+    out: dict = {}
+    for exps, coeff in xi.coeffs.items():
+        for j in range(3):
+            if exps[j] == 0:
+                continue
+            for i in range(3):
+                raised = list(exps)
+                raised[j] -= 1
+                raised[i] += 1
+                key = tuple(raised)
+                out[key] = out.get(key, Fraction(0)) + coeff * exps[j] * matrix[i, j]
+    return Poly3(out, xi.kind)
+
+
+@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("p", PARAM_MATRIX, ids=str)
+def test_action_matches_the_per_call_action(structures, p, n):
+    """One action per (beta, kind) gives the images that the per-call rule
+    gives, for all 16 plain and tilde basis elements on every monomial of
+    both kinds (so varphi and phi on tilde monomials too)."""
+    s = structures[p]
+    for beta in {**s.cartan_basis(), **s.tilde_basis()}.values():
+        for kind in ("plain", "tilde"):
+            apply = action(beta, s, kind)
+            for point in lattice(n):
+                xi = Poly3.monomial(*point, Fraction(-3, 7), kind=kind)
+                expected = _act_per_call(beta, xi, s)
+                image = apply(xi)
+                assert image == expected == act(beta, xi, s)
+                assert image.degree == expected.degree
+                assert all(image.coeffs.values())
+
+
+def test_action_checks_trace_and_kind(reference_structure):
+    s = reference_structure
+    with pytest.raises(NotTraceless):
+        action(Mat.diag([1, 0, 0]), s)
+    with pytest.raises(NotTraceless):
+        action(Mat.identity(3), s, "tilde")
+    with pytest.raises(ValueError):
+        action(s.e[0, 1], s, "mixed")
+    on_plain = action(s.e[0, 1], s)
+    with pytest.raises(ValueError):
+        on_plain(Poly3.monomial(1, 1, 0, kind="tilde"))
+    with pytest.raises(ValueError):
+        action(s.e[0, 1], s, "tilde")(Poly3.monomial(1, 1, 0))
+
+
+def test_poly3_arithmetic_keeps_the_invariants():
+    p = Poly3({(2, 0, 0): Fraction(1, 3), (1, 1, 0): -2})
+    q = Poly3({(1, 1, 0): 2, (0, 0, 2): 5})
+    difference = p - p
+    assert difference.is_zero() and difference.degree is None
+    assert difference == Poly3.zero()
+    assert (p + q) == Poly3({(2, 0, 0): Fraction(1, 3), (0, 0, 2): 5})
+    assert (p + q).degree == 2 and (1, 1, 0) not in (p + q).coeffs
+    assert (p - q) == Poly3({(2, 0, 0): Fraction(1, 3), (1, 1, 0): -4, (0, 0, 2): -5})
+    assert p.scale(0).is_zero() and p.scale(0).degree is None
+    assert p.scale(3) == Poly3({(2, 0, 0): 1, (1, 1, 0): -6})
+    assert (Poly3.zero() + p).degree == 2 and (p + Poly3.zero()).degree == 2
+    cubic = Poly3.monomial(3, 0, 0)
+    for combine in (Poly3.__add__, Poly3.__sub__):
+        with pytest.raises(NotHomogeneous):
+            combine(p, cubic)
+        with pytest.raises(ValueError):
+            combine(p, Poly3.monomial(2, 0, 0, kind="tilde"))
 
 
 def test_action_examples(reference_structure):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rahman.matrices import Mat
 from rahman.params import ParameterSet
@@ -15,7 +16,7 @@ from rahman.sl3 import (
     verify_matrices,
 )
 
-from conftest import PARAM_MATRIX
+from conftest import PARAM_MATRIX, dense_product
 
 
 def test_r_corner_entry(reference_structure):
@@ -115,3 +116,33 @@ def test_corrupted_r_entry_is_caught(reference_params):
 def test_closed_form_matches_factored_form():
     p = ParameterSet.of(3, 4, 1, 9)
     assert build(p).R == r_closed_form(p)
+
+
+# Rational entries, about half of them zero, as in the matrix units and
+# diagonals of the structure.
+half_zero_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-20, max_value=20, max_denominator=9),
+)
+matrices_3x3 = st.lists(
+    st.lists(half_zero_entries, min_size=3, max_size=3), min_size=3, max_size=3
+).map(Mat)
+
+
+@given(matrices_3x3, matrices_3x3)
+@settings(max_examples=200, deadline=None)
+def test_matmul_matches_the_dense_triple_loop(a, b):
+    product = a @ b
+    assert product == Mat(dense_product(a, b))
+    assert all(type(x) is Fraction for row in product.rows for x in row)
+    assert a.bracket(b) == Mat(dense_product(a, b)) - Mat(dense_product(b, a))
+
+
+def test_matmul_of_units_and_zero():
+    e01, e10 = Mat.unit(3, 0, 1), Mat.unit(3, 1, 0)
+    assert e01 @ e10 == Mat.unit(3, 0, 0)
+    assert e01 @ e01 == Mat.zero(3)
+    assert Mat.zero(3) @ e01 == Mat.zero(3)
+    with pytest.raises(ValueError):
+        Mat([[1, 2]]) @ Mat([[1, 2]])
+
