@@ -1,15 +1,16 @@
 """Small exact rational matrices: the 3x3 structural layer only.
 
 Operators on the degree-N module are applied by ``polymodule.action`` and
-never stored as matrices.  Entries are Fractions; rows are tuples, so a
-matrix is immutable and can be shared freely.
+never stored as matrices.  Entries are Fractions (the public ``Mat(...)``
+refuses a float or bool entry); rows are tuples, so a matrix is
+immutable and can be shared freely.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import format_rational
+from .scalars import exact_rational, format_rational
 
 __all__ = ["Mat"]
 
@@ -20,7 +21,9 @@ class Mat:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        self.rows = tuple(
+            tuple(exact_rational(x, "matrix entry") for x in row) for row in rows
+        )
         width = len(self.rows[0]) if self.rows else 0
         if any(len(row) != width for row in self.rows):
             raise ValueError("ragged rows")

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
-from .scalars import Rational, parse_rational
+from .scalars import Rational, exact_rational, parse_rational
 
 __all__ = [
     "ParameterSet",
@@ -48,10 +47,7 @@ class ParameterSet:
 
     def __post_init__(self):
         for name in ("p1", "p2", "p3", "p4"):
-            value = getattr(self, name)
-            if isinstance(value, (float, bool)):
-                raise ValueError(f"{name} must be an exact rational, got {value!r}")
-            object.__setattr__(self, name, Fraction(value))
+            object.__setattr__(self, name, exact_rational(getattr(self, name), name))
 
     @classmethod
     def of(cls, p1, p2, p3, p4) -> "ParameterSet":

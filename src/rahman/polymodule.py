@@ -5,14 +5,13 @@ tagged with the coordinate system it lives in ("plain" for x,y,z or
 "tilde" for the R-transformed variables).  A single action rule drives
 everything: a 3x3 matrix beta sends variable j to sum_i beta[i][j] *
 variable i, extended to monomials as a derivation.  ``action`` is the
-only way an operator reaches the module, and ``act`` is its one-shot
-form; no DxD matrix is built.  The per-generator action tables are test
-vectors, not code paths.
+only way an operator reaches the module; no DxD matrix is built.  The
+per-generator action tables are test vectors, not code paths.
 
 Arithmetic results (``+``, ``-``, ``scale``, products and action
 images) are built by the trusted ``Poly3._of``, which drops zeros but
 does not convert or re-validate entries; the public ``Poly3(...)``
-validates its input.
+validates its input and refuses a float or bool coefficient.
 
 Only the tilde-to-plain substitution is written out.  The tilde
 coordinates of a structure ``s`` are the plain coordinates of
@@ -26,7 +25,7 @@ from fractions import Fraction
 
 from .matrices import Mat
 from .report import Recorder, Report
-from .scalars import format_rational
+from .scalars import exact_rational, format_rational
 from .sl3 import OFF_DIAGONAL, NotTraceless, StructureSet
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "lattice_dimension",
     "adjacent",
     "action",
-    "act",
     "tilde_variables",
     "expand_tilde_monomial_direct",
     "verify_block_structure",
@@ -90,7 +88,7 @@ class Poly3:
         clean = {}
         degrees = set()
         for key, value in coeffs.items():
-            value = Fraction(value)
+            value = exact_rational(value, "coefficient")
             if value == 0:
                 continue
             key = tuple(int(x) for x in key)
@@ -245,15 +243,6 @@ def action(beta: Mat, s: StructureSet, kind: str = "plain"):
         return Poly3._of(out, kind, xi.degree)
 
     return apply
-
-
-def act(beta: Mat, xi: Poly3, s: StructureSet) -> Poly3:
-    """The action of beta on one polynomial: ``action(beta, s, xi.kind)(xi)``.
-
-    A caller that applies the same beta to many polynomials builds the
-    action once instead.
-    """
-    return action(beta, s, xi.kind)(xi)
 
 
 def tilde_variables(s: StructureSet) -> tuple:

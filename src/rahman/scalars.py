@@ -16,6 +16,7 @@ Rational = Fraction
 __all__ = [
     "Rational",
     "PartsMismatch",
+    "exact_rational",
     "parse_rational",
     "format_rational",
     "pochhammer",
@@ -26,6 +27,17 @@ __all__ = [
 
 class PartsMismatch(ValueError):
     """Raised when multinomial parts do not sum to the declared total."""
+
+
+def exact_rational(value, name: str) -> Rational:
+    """``value`` as a Fraction; a Fraction is returned as it is.  A float or
+    bool raises ValueError, since it would carry round-off (or a truth
+    value) into exact results."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (float, bool)):
+        raise ValueError(f"{name} must be an exact rational, got {value!r}")
+    return Fraction(value)
 
 
 def parse_rational(text: str) -> Rational:

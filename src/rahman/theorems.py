@@ -5,11 +5,12 @@ Every verifier pairs an independent computation path (symbolic
 expansion, the bilinear form, or operator action on the module) against
 the theorem's closed form; none compares a formula against itself.
 
-Each theorem about the tilde side is its plain-side twin for the dual
-parameters (p2 and p3 swapped), whose P is P(c, d, a, b): trans1,
-orthogonality relation 2, recurrence parts (iii) and (iv) and the front
-operator identity run the plain-side check on ``s.dual()`` or
-``d.dual()``.
+P is read as one D x D matrix of ``eval_P`` values per verifier: rows
+(s, t), columns (sigma, tau), in lattice order.  Each theorem about the
+tilde side is its plain-side twin for the dual parameters (p2 and p3
+swapped), whose P is the transpose: orthogonality relation 2 and
+recurrence parts (iii) and (iv) read the transpose, and trans1 and the
+front operator identity run the plain-side check on ``s.dual()``.
 """
 
 from __future__ import annotations
@@ -67,23 +68,13 @@ def _pairs(n: int) -> list:
     return [(s, t) for (_, s, t) in lattice(n)]
 
 
-class _PCache:
-    """Memoized integer evaluations of P for one (params, N)."""
+def _p_matrix(d: DerivedParams, n: int) -> list:
+    """P(s, t | sigma, tau) by ``eval_P``: rows (s, t), columns (sigma, tau).
 
-    def __init__(self, d: DerivedParams, n: int):
-        self.d = d
-        self.n = n
-        self.values: dict = {}
-
-    def __call__(self, a: int, b: int, c: int, dd: int) -> Fraction:
-        key = (a, b, c, dd)
-        if key not in self.values:
-            self.values[key] = eval_P(a, b, c, dd, self.d, self.n)
-        return self.values[key]
-
-    def dual(self):
-        """P of the dual parameters, P(c, d, a, b), read from this cache."""
-        return lambda a, b, c, dd: self(c, dd, a, b)
+    The dual parameters' P is the transpose.
+    """
+    pairs = _pairs(n)
+    return [[eval_P(a, b, c, dd, d, n) for (c, dd) in pairs] for (a, b) in pairs]
 
 
 def _tilde_monomials_in_plain_basis(name: str, s: StructureSet, n: int) -> Report:
@@ -94,17 +85,16 @@ def _tilde_monomials_in_plain_basis(name: str, s: StructureSet, n: int) -> Repor
     symbolic substitution of the tilde variables.
     """
     d = s.d
-    p_val = _PCache(d, n)
     with Recorder(name) as rec:
+        p = _p_matrix(d, n)
         gram = gram_diagonal(d, n)
         scale = Fraction(factorial(n)) * d.nu**n
-        for (rho, sigma, tau) in lattice(n):
+        for column, (rho, sigma, tau) in enumerate(lattice(n)):
             expanded = expand_tilde_monomial_direct(rho, sigma, tau, s)
-            for key in lattice(n):
-                _, st, t = key
+            for row, key in enumerate(lattice(n)):
                 rec.equal(
                     expanded[key],
-                    scale * p_val(st, t, sigma, tau) / gram[key],
+                    scale * p[row][column] / gram[key],
                     f"monomial {(rho, sigma, tau)}, coefficient of {key}",
                 )
     return rec.report()
@@ -126,15 +116,15 @@ def verify_pcosines(f: BilinearForm) -> Report:
     Left side through the form module, right side through eval_P.
     """
     d, n = f.s.d, f.n
-    p_val = _PCache(d, n)
     scale = Fraction(factorial(n)) * d.nu**n
     with Recorder(f"transitions.pcosines.N{n}") as rec:
-        for (r, st, t) in lattice(n):
+        p = _p_matrix(d, n)
+        for row, (r, st, t) in enumerate(lattice(n)):
             plain = Poly3.monomial(r, st, t)
-            for (rho, sigma, tau) in lattice(n):
+            for column, (rho, sigma, tau) in enumerate(lattice(n)):
                 rec.equal(
                     inner(plain, Poly3.monomial(rho, sigma, tau, kind="tilde"), f),
-                    scale * p_val(st, t, sigma, tau),
+                    scale * p[row][column],
                     f"pair ({(r, st, t)}, {(rho, sigma, tau)})",
                 )
     return rec.report()
@@ -143,35 +133,37 @@ def verify_pcosines(f: BilinearForm) -> Report:
 def verify_orthogonality(d: DerivedParams, n: int) -> Report:
     """Both weighted orthogonality relations over all index pairs.
 
-    Relation 2 is relation 1 of the dual parameters.  The weight
-    eta~_0^i eta~_1^j eta~_2^k multinomial(N; i, j, k) of each lattice
-    point is computed once per relation.
+    Relation 1 sums products of two columns of P; relation 2 is relation
+    1 of the dual parameters, whose P is the transpose, so it sums
+    products of two rows.  The weight eta~_0^i eta~_1^j eta~_2^k
+    multinomial(N; i, j, k) of each lattice point is computed once per
+    relation.
     """
-    p_val = _PCache(d, n)
     points = lattice(n)
     pairs = _pairs(n)
     with Recorder(f"orthogonality.N{n}") as rec:
+        p = _p_matrix(d, n)
         relations = []
-        for label, side, p_side in (
-            ("relation 1", d, p_val),
-            ("relation 2", d.dual(), p_val.dual()),
+        for label, side, columns in (
+            ("relation 1", d, list(zip(*p))),
+            ("relation 2", d.dual(), p),
         ):
             weights = [
                 side.eta_t[0] ** i * side.eta_t[1] ** j * side.eta_t[2] ** k
                 * multinomial(n, [i, j, k])
                 for (i, j, k) in points
             ]
-            relations.append((label, side, p_side, weights))
-        for (s_idx, t_idx) in pairs:
+            relations.append((label, side, columns, weights))
+        for a, (s_idx, t_idx) in enumerate(pairs):
             r_idx = n - s_idx - t_idx
             rhs_base = 1 / multinomial(n, [r_idx, s_idx, t_idx])
-            for (sigma, tau) in pairs:
-                delta = Fraction(int((s_idx, t_idx) == (sigma, tau)))
-                for label, side, p_side, weights in relations:
+            for b, (sigma, tau) in enumerate(pairs):
+                delta = Fraction(int(a == b))
+                for label, side, columns, weights in relations:
                     lhs = sum(
                         (
-                            p_side(j, k, s_idx, t_idx) * p_side(j, k, sigma, tau) * weight
-                            for (_, j, k), weight in zip(points, weights)
+                            u * v * weight
+                            for u, v, weight in zip(columns[a], columns[b], weights)
                         ),
                         Fraction(0),
                     )
@@ -199,40 +191,41 @@ def verify_recurrences(s: StructureSet, n: int) -> Report:
     Parts (i) and (ii) shift the back pair (sigma, tau) of P(s, t, sigma,
     tau).  Parts (iii) and (iv) are parts (i) and (ii) of the dual
     parameters, so their failures name the dual's indices (sigma, tau,
-    s, t).  Whenever a shifted index leaves the lattice its coefficient
-    carries a counter that must vanish; that vanishing is asserted, not
+    s, t).  A shifted (sigma, tau) with no column is off the lattice; its
+    coefficient carries a counter whose vanishing is asserted, not
     assumed.
     """
-    p_val = _PCache(s.d, n)
     third = Fraction(n, 3)
     pairs = _pairs(n)
+    index = {pair: position for position, pair in enumerate(pairs)}
 
     with Recorder(f"recurrences.N{n}") as rec:
+        p = _p_matrix(s.d, n)
         # (part, coefficient table, index of the eigenvalue in (s, t), P)
         parts = []
         for (first, second), q, p_side in (
-            (("i", "ii"), s.p, p_val),
-            (("iii", "iv"), s.p.dual(), p_val.dual()),
+            (("i", "ii"), s.p, p),
+            (("iii", "iv"), s.p.dual(), list(zip(*p))),
         ):
             tables = expansion_coefficients(q)
             parts.append((first, tables["varphi"], 0, p_side))
             parts.append((second, tables["phi"], 1, p_side))
 
-        for (s_idx, t_idx) in pairs:
-            for (sigma, tau) in pairs:
+        for row, (s_idx, t_idx) in enumerate(pairs):
+            for column, (sigma, tau) in enumerate(pairs):
                 c_idx = n - sigma - tau
                 counters = {"A": sigma, "B": tau, "C": c_idx}
                 for name, coeffs, eig, p_side in parts:
-                    base = p_side(s_idx, t_idx, sigma, tau)
+                    p_row = p_side[row]
+                    base = p_row[column]
                     total = (
                         (Fraction(sigma) - third) * coeffs["h1"]
                         + (Fraction(tau) - third) * coeffs["h2"]
                     ) * base
                     for (da, db), counter, key in _SHIFT_PATTERN:
                         factor = counters[counter]
-                        new_a, new_b = sigma + da, tau + db
-                        in_range = new_a >= 0 and new_b >= 0 and new_a + new_b <= n
-                        if not in_range:
+                        shifted = index.get((sigma + da, tau + db))
+                        if shifted is None:
                             rec.check(
                                 factor == 0,
                                 f"part ({name}) at {(s_idx, t_idx, sigma, tau)}: "
@@ -241,7 +234,7 @@ def verify_recurrences(s: StructureSet, n: int) -> Report:
                             continue
                         if factor == 0:
                             continue
-                        total += factor * coeffs[key] * p_side(s_idx, t_idx, new_a, new_b)
+                        total += factor * coeffs[key] * p_row[shifted]
 
                     rec.equal(
                         (Fraction((s_idx, t_idx)[eig]) - third) * base,

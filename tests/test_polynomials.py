@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from rahman.matrices import Mat
 from rahman.params import ParameterSet, derive
-from rahman.polymodule import Poly3, act, lattice
+from rahman.polymodule import Poly3, action, lattice
 from rahman.polynomials import (
     NonCommutingOperators,
     eval_P,
@@ -178,8 +178,9 @@ def _diagonal(weight):
 
 
 def _shifted_action(beta, side, n):
-    """The module operator beta + N/3 of a structure."""
-    return lambda v: act(beta, v, side) + v.scale(Fraction(n, 3))
+    """The module operator beta + N/3 of a structure, on plain polynomials."""
+    apply = action(beta, side)
+    return lambda v: apply(v) + v.scale(Fraction(n, 3))
 
 
 def _operator_columns(int_pair, op_pair, derived, n):
@@ -200,8 +201,8 @@ def test_operator_identity_at_zero(derived_matrix):
 def test_operator_noncommuting_rejected(reference_structure, derived_matrix):
     s = reference_structure
     d = derived_matrix[ParameterSet.of(1, 2, 3, 5)]
-    c_op = lambda v: act(s.e[0, 1], v, s)
-    d_op = lambda v: act(s.e[1, 0], v, s)
+    c_op = action(s.e[0, 1], s)
+    d_op = action(s.e[1, 0], s)
     with pytest.raises(NonCommutingOperators):
         eval_P_operator([(0, 0)], (c_op, d_op), Poly3.monomial(2, 0, 0), d, 2)
 
@@ -213,8 +214,8 @@ def test_operator_commutation_is_checked_on_the_whole_module(
     the module: [e12, e21] = e11 - e22 does not vanish on y^N."""
     s = reference_structure
     d = derived_matrix[ParameterSet.of(1, 2, 3, 5)]
-    c_op = lambda v: act(s.e[1, 2], v, s)
-    d_op = lambda v: act(s.e[2, 1], v, s)
+    c_op = action(s.e[1, 2], s)
+    d_op = action(s.e[2, 1], s)
     start = Poly3.monomial(2, 0, 0)
     assert c_op(d_op(start)) == d_op(c_op(start))
     with pytest.raises(NonCommutingOperators):

@@ -138,6 +138,13 @@ def test_matmul_matches_the_dense_triple_loop(a, b):
     assert a.bracket(b) == Mat(dense_product(a, b)) - Mat(dense_product(b, a))
 
 
+@pytest.mark.parametrize("bad", [0.1, 2.0, True, False])
+def test_mat_refuses_float_and_bool_entries(bad):
+    with pytest.raises(ValueError):
+        Mat([[1, bad], [0, 1]])
+    assert Mat([[Fraction(1, 10)]])[0, 0] == Fraction(1, 10)
+
+
 def test_matmul_of_units_and_zero():
     e01, e10 = Mat.unit(3, 0, 1), Mat.unit(3, 1, 0)
     assert e01 @ e10 == Mat.unit(3, 0, 0)

@@ -74,17 +74,20 @@ def test_pcosines(forms, p, n):
     assert report.ok, report.first_failure
 
 
-@pytest.mark.parametrize(
-    "verifier",
-    [
-        lambda s, f: verify_trans1(s, 2),
-        lambda s, f: verify_trans2(s, 2),
-        lambda s, f: verify_pcosines(f),
-    ],
-    ids=["verify_trans1", "verify_trans2", "verify_pcosines"],
-)
+# The verifiers that read P through eval_P, on a structure s and its form
+# f of degree n.
+P_VERIFIERS = {
+    "verify_trans1": lambda s, f, n: verify_trans1(s, n),
+    "verify_trans2": lambda s, f, n: verify_trans2(s, n),
+    "verify_pcosines": lambda s, f, n: verify_pcosines(f),
+    "verify_orthogonality": lambda s, f, n: verify_orthogonality(s.d, n),
+    "verify_recurrences": lambda s, f, n: verify_recurrences(s, n),
+}
+
+
+@pytest.mark.parametrize("verifier", P_VERIFIERS.values(), ids=P_VERIFIERS)
 def test_transition_verifiers_read_eval_P(structures, forms, monkeypatch, verifier):
-    """Each transition check compares against eval_P itself, not a table
+    """Each P-based check compares against eval_P itself, not a table
     built by the code it checks: one wrong eval_P value must trip it."""
 
     def perturbed(a, b, c, dd, derived, n):
@@ -93,7 +96,23 @@ def test_transition_verifiers_read_eval_P(structures, forms, monkeypatch, verifi
 
     monkeypatch.setattr("rahman.theorems.eval_P", perturbed)
     p = PARAM_MATRIX[0]
-    assert not verifier(structures[p], forms[p, 2]).ok
+    assert not verifier(structures[p], forms[p, 2], 2).ok
+
+
+@pytest.mark.parametrize("verifier", P_VERIFIERS.values(), ids=P_VERIFIERS)
+def test_P_verifiers_evaluate_each_entry_once(structures, forms, monkeypatch, verifier):
+    """Each P-based verifier evaluates the D x D matrix of P once: D^2
+    eval_P calls at N=3 (D = 10), no two with the same arguments."""
+    calls = []
+
+    def counting(a, b, c, dd, derived, n):
+        calls.append((a, b, c, dd))
+        return eval_P(a, b, c, dd, derived, n)
+
+    monkeypatch.setattr("rahman.theorems.eval_P", counting)
+    p = PARAM_MATRIX[0]
+    assert verifier(structures[p], forms[p, 3], 3).ok
+    assert len(calls) == len(set(calls)) == 100
 
 
 @pytest.mark.parametrize("n", [0, 2, 3])
