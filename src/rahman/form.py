@@ -1,17 +1,18 @@
 """The symmetric bilinear form on the degree-N module.
 
 The form is defined once, by its diagonal Gram values on the plain
-monomial basis (``gram_diagonal``).  The tilde monomials of ``d`` are
-the plain monomials of ``d.dual()``, so their claimed norms and their
-dual basis come from the same formula on ``d.dual()``; the verifiers
-check those claims through explicit expansion into the plain basis.
-Norms may be negative for some parameter regimes: the form is
-bilinear, not an inner product.
+monomial basis (``gram_diagonal``), built on first use.  The tilde
+monomials of ``d`` are the plain monomials of ``d.dual()``, so their
+claimed norms and their dual basis come from the same formula on
+``d.dual()``; the verifiers check those claims through explicit
+expansion into the plain basis.  Norms may be negative for some
+parameter regimes: the form is bilinear, not an inner product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 from .params import DerivedParams
@@ -55,17 +56,21 @@ def gram_diagonal(d: DerivedParams, n: int) -> dict:
 
 
 class BilinearForm:
-    """Diagonal Gram data for degree n: ||x^r y^s z^t||^2 in lattice order."""
+    """Diagonal Gram data for degree n: ||x^r y^s z^t||^2 by lattice point."""
 
     def __init__(self, s: StructureSet, n: int):
         if n < 0:
             raise ValueError("degree must be nonnegative")
         self.n = n
         self.s = s
-        self.gram = gram_diagonal(s.d, n)
         # Cache for tilde-monomial expansions; they are dense and reused
         # heavily by the theorem verifiers.
         self._tilde_cache: dict = {}
+
+    @cached_property
+    def gram(self) -> dict:
+        """Built on first use: a zero eta~ weight fails the verifier reading it."""
+        return gram_diagonal(self.s.d, self.n)
 
     def expand(self, xi: Poly3) -> Poly3:
         """Plain-basis coordinates of a polynomial in either basis."""
@@ -120,7 +125,7 @@ def p_table(f: BilinearForm) -> list:
     N! nu^N P(s, t, sigma, tau), so column (sigma, tau) is the plain
     expansion of x~^rho y~^sigma z~^tau weighted by the Gram diagonal:
     the N-th symmetric power of R, one expansion per column instead of
-    one defining sum per entry.  ``eval_P`` is its oracle.
+    one defining sum per entry.  trans1 and trans2 check it by ``eval_P``.
     """
     points = lattice(f.n)
     scale = Fraction(factorial(f.n)) * f.s.d.nu**f.n

@@ -2,8 +2,8 @@
 
 Operators on the degree-N module are applied by ``polymodule.action`` and
 never stored as matrices.  Entries are Fractions (the public ``Mat(...)``
-refuses a float or bool entry); rows are tuples, so a matrix is
-immutable and can be shared freely.
+refuses a float or bool entry, and ``scale`` a float or bool factor);
+rows are tuples, so a matrix is immutable and can be shared freely.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class Mat:
         return Mat._of(tuple(tuple(-a for a in row) for row in self.rows))
 
     def scale(self, c) -> "Mat":
-        c = Fraction(c)
+        c = exact_rational(c, "factor")
         return Mat._of(tuple(tuple(c * a for a in row) for row in self.rows))
 
     def __matmul__(self, other: "Mat") -> "Mat":

@@ -11,7 +11,9 @@ per-generator action tables are test vectors, not code paths.
 Arithmetic results (``+``, ``-``, ``scale``, products and action
 images) are built by the trusted ``Poly3._of``, which drops zeros but
 does not convert or re-validate entries; the public ``Poly3(...)``
-validates its input and refuses a float or bool coefficient.
+validates its input and refuses a float or bool coefficient, and any
+exponent that is not a nonnegative int.  ``scale`` refuses a float or
+bool factor.
 
 Only the tilde-to-plain substitution is written out.  The tilde
 coordinates of a structure ``s`` are the plain coordinates of
@@ -91,9 +93,9 @@ class Poly3:
             value = exact_rational(value, "coefficient")
             if value == 0:
                 continue
-            key = tuple(int(x) for x in key)
-            if len(key) != 3 or any(x < 0 for x in key):
-                raise ValueError(f"bad exponent triple {key}")
+            key = tuple(key)
+            if len(key) != 3 or any(type(x) is not int or x < 0 for x in key):
+                raise ValueError(f"bad exponent triple {key!r}")
             degrees.add(sum(key))
             clean[key] = value
         if len(degrees) > 1:
@@ -158,7 +160,7 @@ class Poly3:
         return self._merge(other, -1)
 
     def scale(self, c) -> "Poly3":
-        c = Fraction(c)
+        c = exact_rational(c, "factor")
         return Poly3._of(
             {key: c * value for key, value in self.coeffs.items()}, self.kind, self.degree
         )

@@ -4,6 +4,7 @@ recurrences, and the operator identities.
 Every verifier pairs an independent computation path (symbolic
 expansion, the bilinear form, or operator action on the module) against
 the theorem's closed form; none compares a formula against itself.
+trans1 and trans2 check ``p_table``, the table ``rahman table`` prints.
 
 P is read as one D x D matrix of ``eval_P`` values per verifier: rows
 (s, t), columns (sigma, tau), in lattice order.  Each theorem about the
@@ -20,8 +21,8 @@ from math import factorial
 
 from .form import (
     BilinearForm,
-    gram_diagonal,
     inner,
+    p_table,
     verify_adjointness,
     verify_dual_sum_identities,
     verify_tilde_norms,
@@ -30,7 +31,6 @@ from .params import DerivedParams, ParameterSet
 from .polymodule import (
     Poly3,
     action,
-    expand_tilde_monomial_direct,
     irreducibility_probe,
     lattice,
     verify_action_tables,
@@ -77,37 +77,35 @@ def _p_matrix(d: DerivedParams, n: int) -> list:
     return [[eval_P(a, b, c, dd, d, n) for (c, dd) in pairs] for (a, b) in pairs]
 
 
-def _tilde_monomials_in_plain_basis(name: str, s: StructureSet, n: int) -> Report:
-    """Tilde monomials expanded in the plain basis, coefficient by coefficient.
-
-    The coefficient of x^r y^s z^t in x~^rho y~^sigma z~^tau is
-    N! nu^N P(s, t, sigma, tau) / ||x^r y^s z^t||^2.  Oracle: direct
-    symbolic substitution of the tilde variables.
-    """
-    d = s.d
+def _p_table_against_eval_P(name: str, f: BilinearForm) -> Report:
+    """``p_table(f)`` against ``eval_P``, tilde monomial by tilde monomial."""
+    points = lattice(f.n)
     with Recorder(name) as rec:
-        p = _p_matrix(d, n)
-        gram = gram_diagonal(d, n)
-        scale = Fraction(factorial(n)) * d.nu**n
-        for column, (rho, sigma, tau) in enumerate(lattice(n)):
-            expanded = expand_tilde_monomial_direct(rho, sigma, tau, s)
-            for row, key in enumerate(lattice(n)):
+        p = _p_matrix(f.s.d, f.n)
+        table = p_table(f)
+        for column, point in enumerate(points):
+            for row, key in enumerate(points):
                 rec.equal(
-                    expanded[key],
-                    scale * p[row][column] / gram[key],
-                    f"monomial {(rho, sigma, tau)}, coefficient of {key}",
+                    table[row][column],
+                    p[row][column],
+                    f"monomial {point}, coefficient of {key}",
                 )
     return rec.report()
 
 
-def verify_trans2(s: StructureSet, n: int) -> Report:
-    """Tilde monomials expanded in the plain basis (the trans2 formula)."""
-    return _tilde_monomials_in_plain_basis(f"transitions.trans2.N{n}", s, n)
+def verify_trans2(f: BilinearForm) -> Report:
+    """Tilde monomials expanded in the plain basis (the trans2 formula).
+
+    The coefficient of x^r y^s z^t in x~^rho y~^sigma z~^tau is
+    N! nu^N P(s, t, sigma, tau) / ||x^r y^s z^t||^2: ``p_table``.
+    """
+    return _p_table_against_eval_P(f"transitions.trans2.N{f.n}", f)
 
 
-def verify_trans1(s: StructureSet, n: int) -> Report:
+def verify_trans1(f: BilinearForm) -> Report:
     """Plain monomials expanded in the tilde basis: trans2 on the dual."""
-    return _tilde_monomials_in_plain_basis(f"transitions.trans1.N{n}", s.dual(), n)
+    dual = BilinearForm(f.s.dual(), f.n)
+    return _p_table_against_eval_P(f"transitions.trans1.N{f.n}", dual)
 
 
 def verify_pcosines(f: BilinearForm) -> Report:
@@ -297,18 +295,14 @@ SUITES = {
         verify_dual_sum_identities(f),
     ],
     "transitions": lambda s, f, n: [
-        verify_trans1(s, n),
-        verify_trans2(s, n),
+        verify_trans1(f),
+        verify_trans2(f),
         verify_pcosines(f),
     ],
     "orthogonality": lambda s, f, n: [verify_orthogonality(s.d, n)],
     "recurrence": lambda s, f, n: [verify_recurrences(s, n)],
     "operators": lambda s, f, n: [verify_operator_identities(s, n)],
 }
-
-# The suites that read the BilinearForm; the others get None for it.
-_FORM_SUITES = {"form", "transitions"}
-
 
 def run_suites(p: ParameterSet, n: int, names=("all",)) -> list:
     """Run the named verification suites and return their Reports."""
@@ -322,9 +316,7 @@ def run_suites(p: ParameterSet, n: int, names=("all",)) -> list:
         selected.append(name)
 
     s = build(p)
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    f = BilinearForm(s, n) if _FORM_SUITES.intersection(selected) else None
+    f = BilinearForm(s, n)
     reports = []
     for name in selected:
         reports.extend(SUITES[name](s, f, n))

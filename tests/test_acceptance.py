@@ -147,8 +147,8 @@ def test_criterion_5_theorem_suite(ctx):
         s, d, forms = ctx[p]
         for n in range(5):
             f = forms[n]
-            _collect(failures, verify_trans1(s, n))
-            _collect(failures, verify_trans2(s, n))
+            _collect(failures, verify_trans1(f))
+            _collect(failures, verify_trans2(f))
             _collect(failures, verify_pcosines(f))
             _collect(failures, verify_recurrences(s, n))
             _collect(failures, verify_operator_identities(s, n))
@@ -171,7 +171,7 @@ def test_criterion_6_corruption_sensitivity(ctx):
         lambda: verify_adjointness(f),
         lambda: verify_tilde_norms(f),
         lambda: verify_dual_sum_identities(f),
-        lambda: verify_trans2(s, 2),
+        lambda: verify_trans2(f),
         lambda: verify_pcosines(f),
         lambda: verify_orthogonality(d, 2),
     ]

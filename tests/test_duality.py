@@ -112,8 +112,8 @@ def test_corruption_trips_the_same_verifiers():
         "adjointness": lambda: verify_adjointness(f),
         "tilde_norms": lambda: verify_tilde_norms(f),
         "dual_sums": lambda: verify_dual_sum_identities(f),
-        "trans1": lambda: verify_trans1(s, n),
-        "trans2": lambda: verify_trans2(s, n),
+        "trans1": lambda: verify_trans1(f),
+        "trans2": lambda: verify_trans2(f),
         "pcosines": lambda: verify_pcosines(f),
         "orthogonality": lambda: verify_orthogonality(s.d, n),
         "recurrences": lambda: verify_recurrences(s, n),

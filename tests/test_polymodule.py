@@ -137,6 +137,27 @@ def test_poly3_refuses_float_and_bool_coefficients(bad):
     assert Poly3.monomial(1, 0, 0, Fraction(1, 10))[1, 0, 0] == Fraction(1, 10)
 
 
+@pytest.mark.parametrize(
+    "key", [(1.5, 0.7, 0), (1.0, 0, 0), (True, 0, 0), (Fraction(3, 2), 0, 0), (1, 0)]
+)
+def test_poly3_refuses_non_integral_exponents(key):
+    """A float, bool or Fraction exponent is refused, not truncated to an int."""
+    with pytest.raises(ValueError, match="bad exponent triple"):
+        Poly3({key: 1})
+    with pytest.raises(ValueError, match="bad exponent triple"):
+        Poly3({(0, 1, 0): 1, key: 1}, "tilde")
+
+
+@pytest.mark.parametrize("bad", [0.1, 2.0, True, False])
+def test_poly3_scale_refuses_float_and_bool_factors(bad):
+    p = Poly3({(2, 0, 0): Fraction(1, 3), (1, 1, 0): -2})
+    with pytest.raises(ValueError):
+        p.scale(bad)
+    assert p.scale(Fraction(1, 10)) == Poly3(
+        {(2, 0, 0): Fraction(1, 30), (1, 1, 0): Fraction(-1, 5)}
+    )
+
+
 def test_action_examples(reference_structure):
     s = reference_structure
     xi = Poly3.monomial(2, 1, 1)

@@ -145,6 +145,17 @@ def test_mat_refuses_float_and_bool_entries(bad):
     assert Mat([[Fraction(1, 10)]])[0, 0] == Fraction(1, 10)
 
 
+@pytest.mark.parametrize("bad", [0.1, 2.0, True, False])
+def test_mat_scale_refuses_float_and_bool_factors(bad):
+    m = Mat([[1, Fraction(1, 3)], [0, -2]])
+    with pytest.raises(ValueError):
+        m.scale(bad)
+    assert m.scale(Fraction(1, 10)) == Mat(
+        [[Fraction(1, 10), Fraction(1, 30)], [0, Fraction(-1, 5)]]
+    )
+    assert m.scale(3) == Mat([[3, 1], [0, -6]])
+
+
 def test_matmul_of_units_and_zero():
     e01, e10 = Mat.unit(3, 0, 1), Mat.unit(3, 1, 0)
     assert e01 @ e10 == Mat.unit(3, 0, 0)

@@ -8,6 +8,7 @@ from rahman.form import (
     BilinearForm,
     dual_basis,
     inner,
+    p_table,
     verify_adjointness,
     verify_dual_sum_identities,
     verify_tilde_norms,
@@ -55,15 +56,15 @@ def forms(structures):
 
 @pytest.mark.parametrize("n", [0, 2, 3])
 @pytest.mark.parametrize("p", PARAM_MATRIX, ids=str)
-def test_trans2(structures, p, n):
-    report = verify_trans2(structures[p], n)
+def test_trans2(forms, p, n):
+    report = verify_trans2(forms[p, n])
     assert report.ok, report.first_failure
 
 
 @pytest.mark.parametrize("n", [0, 2, 3])
 @pytest.mark.parametrize("p", PARAM_MATRIX, ids=str)
-def test_trans1(structures, p, n):
-    report = verify_trans1(structures[p], n)
+def test_trans1(forms, p, n):
+    report = verify_trans1(forms[p, n])
     assert report.ok, report.first_failure
 
 
@@ -77,8 +78,8 @@ def test_pcosines(forms, p, n):
 # The verifiers that read P through eval_P, on a structure s and its form
 # f of degree n.
 P_VERIFIERS = {
-    "verify_trans1": lambda s, f, n: verify_trans1(s, n),
-    "verify_trans2": lambda s, f, n: verify_trans2(s, n),
+    "verify_trans1": lambda s, f, n: verify_trans1(f),
+    "verify_trans2": lambda s, f, n: verify_trans2(f),
     "verify_pcosines": lambda s, f, n: verify_pcosines(f),
     "verify_orthogonality": lambda s, f, n: verify_orthogonality(s.d, n),
     "verify_recurrences": lambda s, f, n: verify_recurrences(s, n),
@@ -113,6 +114,25 @@ def test_P_verifiers_evaluate_each_entry_once(structures, forms, monkeypatch, ve
     p = PARAM_MATRIX[0]
     assert verifier(structures[p], forms[p, 3], 3).ok
     assert len(calls) == len(set(calls)) == 100
+
+
+def test_transition_verifiers_check_the_printed_table(forms, monkeypatch):
+    """trans1 and trans2 check p_table, the table ``rahman table`` prints:
+    one wrong entry in it must trip both, at that entry."""
+
+    def perturbed(f):
+        table = p_table(f)
+        table[1][2] += 1
+        return table
+
+    monkeypatch.setattr("rahman.theorems.p_table", perturbed)
+    f = forms[PARAM_MATRIX[0], 2]
+    for verifier in (verify_trans1, verify_trans2):
+        report = verifier(f)
+        assert not report.ok
+        assert report.first_failure.startswith(
+            "monomial (1, 0, 1), coefficient of (1, 1, 0): "
+        )
 
 
 @pytest.mark.parametrize("n", [0, 2, 3])
@@ -198,9 +218,9 @@ def _with_eta_t(index: int, zeroed: bool):
     return s.with_corrupted_eta_t(index, -s.d.eta_t[index] if zeroed else 1)
 
 
-# Every verifier that runs without a BilinearForm; the form cannot be
-# built once a Gram weight divides by zero.
-FORMLESS_VERIFIERS = {
+# Every verifier, on a structure s and degree n; the form verifiers get
+# BilinearForm(s, n), which builds its Gram diagonal on first use.
+VERIFIERS = {
     "matrices": lambda s, n: verify_matrices(s),
     "dagger": lambda s, n: verify_dagger(s),
     "expansions": lambda s, n: verify_expansions(s),
@@ -210,8 +230,12 @@ FORMLESS_VERIFIERS = {
     "weights": verify_weight_diagonality,
     "block_structure": verify_block_structure,
     "irreducibility": irreducibility_probe,
-    "trans1": verify_trans1,
-    "trans2": verify_trans2,
+    "adjointness": lambda s, n: verify_adjointness(BilinearForm(s, n)),
+    "tilde_norms": lambda s, n: verify_tilde_norms(BilinearForm(s, n)),
+    "dual_sums": lambda s, n: verify_dual_sum_identities(BilinearForm(s, n)),
+    "trans1": lambda s, n: verify_trans1(BilinearForm(s, n)),
+    "trans2": lambda s, n: verify_trans2(BilinearForm(s, n)),
+    "pcosines": lambda s, n: verify_pcosines(BilinearForm(s, n)),
     "orthogonality": lambda s, n: verify_orthogonality(s.d, n),
     "recurrences": verify_recurrences,
     "operators": verify_operator_identities,
@@ -229,26 +253,28 @@ FORMLESS_VERIFIERS = {
         ("operators", False, "NotTraceless: trace is "),
         ("generation", True, "ZeroDivisionError: "),
         ("trans2", True, "ZeroDivisionError: "),
+        ("pcosines", True, "ZeroDivisionError: "),
     ],
     ids=["dagger", "action_tables", "block_structure", "representation",
-         "weights", "operators", "generation-zeroed", "trans2-zeroed"],
+         "weights", "operators", "generation-zeroed", "trans2-zeroed",
+         "pcosines-zeroed"],
 )
 def test_verifier_reports_a_raised_error_as_a_failure(name, zeroed, error):
     """On eta~_1 shifted by 1 the tilde elements lose their zero trace; on
     eta~_1 = 0 a Gram weight or 1/eta~_1 divides by zero.  Either way the
     verifier returns a failing Report naming the error instead of raising."""
-    report = FORMLESS_VERIFIERS[name](_with_eta_t(1, zeroed), 2)
+    report = VERIFIERS[name](_with_eta_t(1, zeroed), 2)
     assert report.status == "fail"
     assert report.checked >= 1
     assert report.first_failure.startswith(f"raised {error}")
 
 
 @pytest.mark.parametrize("index", [1, 2])
-def test_formless_verifiers_survive_a_zeroed_eta_t(index):
-    """With eta~_1 or eta~_2 zero, every verifier that needs no form
-    returns a Report; none lets the ZeroDivisionError escape."""
+def test_every_verifier_survives_a_zeroed_eta_t(index):
+    """With eta~_1 or eta~_2 zero, every verifier returns a Report; none
+    lets the ZeroDivisionError escape, and a form verifier's form builds."""
     s = _with_eta_t(index, zeroed=True)
-    for verifier in FORMLESS_VERIFIERS.values():
+    for verifier in VERIFIERS.values():
         assert isinstance(verifier(s, 2), Report)
 
 
@@ -264,8 +290,8 @@ CARRIER_SIGNATURES = {
     verify_weight_diagonality: ("s", "n"),
     verify_block_structure: ("s", "n"),
     irreducibility_probe: ("s", "n"),
-    verify_trans1: ("s", "n"),
-    verify_trans2: ("s", "n"),
+    verify_trans1: ("f",),
+    verify_trans2: ("f",),
     verify_recurrences: ("s", "n"),
     verify_operator_identities: ("s", "n"),
     verify_pcosines: ("f",),
