@@ -216,7 +216,12 @@ EXPORT_KINDS = ["structure", "gram", "dual-bases", "lattice"]
 @click.argument("what", type=click.Choice(EXPORT_KINDS))
 @shared_options
 def export(what, p, params_file, n, fmt, out):
-    """Export structural matrices, the Gram diagonal, or the dual bases."""
+    """Export structural matrices, the Gram diagonal, or the dual bases.
+
+    Only ``gram`` has a CSV form; the other kinds are JSON only.
+    """
+    if fmt == "csv" and what != "gram":
+        raise click.UsageError(f"export {what} has no CSV form; only export gram does")
     params, n = _resolve_params(p, params_file, n)
     try:
         derived = derive(params)

@@ -7,22 +7,26 @@ claimed norms and their dual basis come from the same formula on
 ``d.dual()``; the verifiers check those claims through explicit
 expansion into the plain basis.  Norms may be negative for some
 parameter regimes: the form is bilinear, not an inner product.
+
+That expansion is ``BilinearForm.tilde_columns``: the N-th symmetric
+power of R, built once per form over the integers, degree by degree.
+Column j of R, scaled by the lcm g_j of its denominators, is an integer
+linear form, so x~^rho y~^sigma z~^tau is an integer polynomial over
+the one denominator g_0^rho g_1^sigma g_2^tau.  ``p_table`` (what
+``rahman table`` prints) weights those integer columns by the Gram
+diagonal, and ``expand`` (through it ``inner``) reads them as
+Fractions.  ``polymodule.expand_tilde_monomial_direct`` stays the
+independent oracle for the columns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, lcm
 
 from .params import DerivedParams
-from .polymodule import (
-    DegreeMismatch,
-    Poly3,
-    action,
-    expand_tilde_monomial_direct,
-    lattice,
-)
+from .polymodule import DegreeMismatch, Poly3, action, lattice, lattice_dimension
 from .report import Recorder, Report
 from .scalars import format_rational
 from .sl3 import StructureSet, dagger
@@ -30,6 +34,7 @@ from .sl3 import StructureSet, dagger
 __all__ = [
     "BilinearForm",
     "gram_diagonal",
+    "pairing_scale",
     "inner",
     "dual_basis",
     "p_table",
@@ -55,6 +60,11 @@ def gram_diagonal(d: DerivedParams, n: int) -> dict:
     }
 
 
+def pairing_scale(d: DerivedParams, n: int) -> Fraction:
+    """N! nu^N: <x^r y^s z^t, x~^rho y~^sigma z~^tau> = N! nu^N P(s, t, sigma, tau)."""
+    return Fraction(factorial(n)) * d.nu**n
+
+
 class BilinearForm:
     """Diagonal Gram data for degree n: ||x^r y^s z^t||^2 by lattice point."""
 
@@ -63,25 +73,66 @@ class BilinearForm:
             raise ValueError("degree must be nonnegative")
         self.n = n
         self.s = s
-        # Cache for tilde-monomial expansions; they are dense and reused
-        # heavily by the theorem verifiers.
-        self._tilde_cache: dict = {}
 
     @cached_property
     def gram(self) -> dict:
         """Built on first use: a zero eta~ weight fails the verifier reading it."""
         return gram_diagonal(self.s.d, self.n)
 
+    @cached_property
+    def tilde_columns(self) -> dict:
+        """Sym^N(R) over the integers: every degree-N tilde monomial in the
+        plain basis, as (numerators in lattice order, denominator).
+
+        Each degree-k tilde monomial is a degree-(k-1) one times one tilde
+        variable.  The lattice index of (r, s, t) is a(a+1)/2 + t with
+        a = s + t, whatever the degree, so multiplying by x, y or z moves
+        index i to i, i + a + 1 or i + a + 2.
+        """
+        R = self.s.R
+        scales = [lcm(*(R[i, j].denominator for i in range(3))) for j in range(3)]
+        linear = [
+            [R[i, j].numerator * (g // R[i, j].denominator) for i in range(3)]
+            for j, g in enumerate(scales)
+        ]
+        level = {(0, 0, 0): ([1], 1)}
+        for k in range(1, self.n + 1):
+            shifts = [st + t + 1 for (_, st, t) in lattice(k - 1)]
+            previous, level = level, {}
+            for rho, sigma, tau in lattice(k):
+                if rho:
+                    j, source = 0, (rho - 1, sigma, tau)
+                elif sigma:
+                    j, source = 1, (0, sigma - 1, tau)
+                else:
+                    j, source = 2, (0, 0, tau - 1)
+                numerators, denominator = previous[source]
+                cx, cy, cz = linear[j]
+                out = [0] * lattice_dimension(k)
+                for i, (value, shift) in enumerate(zip(numerators, shifts)):
+                    if value:
+                        out[i] += cx * value
+                        out[i + shift] += cy * value
+                        out[i + shift + 1] += cz * value
+                level[rho, sigma, tau] = (out, denominator * scales[j])
+        return level
+
     def expand(self, xi: Poly3) -> Poly3:
         """Plain-basis coordinates of a polynomial in either basis."""
         if xi.kind == "plain":
             return xi
-        result = Poly3.zero()
+        if xi.coeffs and xi.degree != self.n:
+            raise DegreeMismatch(f"degree {xi.degree}, form has degree {self.n}")
+        points = lattice(self.n)
+        out: dict = {}
         for key, coeff in xi.coeffs.items():
-            if key not in self._tilde_cache:
-                self._tilde_cache[key] = expand_tilde_monomial_direct(*key, self.s)
-            result = result + self._tilde_cache[key].scale(coeff)
-        return result
+            numerators, denominator = self.tilde_columns[key]
+            top, bottom = coeff.numerator, coeff.denominator * denominator
+            for point, value in zip(points, numerators):
+                if value:
+                    term = Fraction(top * value, bottom)
+                    out[point] = out[point] + term if point in out else term
+        return Poly3._of(out, "plain", self.n)
 
     def gram_json(self) -> list:
         return [format_rational(self.gram[key]) for key in lattice(self.n)]
@@ -124,16 +175,18 @@ def p_table(f: BilinearForm) -> list:
     By the pairing theorem <x^r y^s z^t, x~^rho y~^sigma z~^tau> =
     N! nu^N P(s, t, sigma, tau), so column (sigma, tau) is the plain
     expansion of x~^rho y~^sigma z~^tau weighted by the Gram diagonal:
-    the N-th symmetric power of R, one expansion per column instead of
-    one defining sum per entry.  trans1 and trans2 check it by ``eval_P``.
+    one integer column of ``f.tilde_columns`` and one division per entry.
+    trans1 and trans2 check it by ``eval_P``.
     """
-    points = lattice(f.n)
-    scale = Fraction(factorial(f.n)) * f.s.d.nu**f.n
-    weights = [f.gram[key] / scale for key in points]
-    columns = [f.expand(Poly3.monomial(*point, kind="tilde")) for point in points]
+    scale = pairing_scale(f.s.d, f.n)
+    weights = [f.gram[key] / scale for key in lattice(f.n)]
+    columns = list(f.tilde_columns.values())
     return [
-        [weight * column[key] for column in columns]
-        for key, weight in zip(points, weights)
+        [
+            Fraction(weight.numerator * numerators[row], weight.denominator * denominator)
+            for numerators, denominator in columns
+        ]
+        for row, weight in enumerate(weights)
     ]
 
 
@@ -189,10 +242,11 @@ def verify_dual_sum_identities(f: BilinearForm) -> Report:
     coordinates are constant (and the mirror argument on the plain side).
     """
     n = f.n
-    scale = Fraction(factorial(n)) * f.s.d.nu**n
+    scale = pairing_scale(f.s.d, n)
     with Recorder(f"form.dual_sums.N{n}") as rec:
+        plain_duals = dual_basis(f, "plain")
         plain_sum = Poly3.zero()
-        for vector in dual_basis(f, "plain"):
+        for vector in plain_duals:
             plain_sum = plain_sum + vector
         rec.equal(
             f.expand(Poly3.monomial(n, 0, 0, kind="tilde")),
@@ -200,8 +254,9 @@ def verify_dual_sum_identities(f: BilinearForm) -> Report:
             "plain dual sum vs x~^N",
         )
 
+        tilde_duals = dual_basis(f, "tilde")
         tilde_sum = Poly3.zero(kind="tilde")
-        for vector in dual_basis(f, "tilde"):
+        for vector in tilde_duals:
             tilde_sum = tilde_sum + vector
         rec.equal(
             Poly3.monomial(n, 0, 0),
@@ -211,8 +266,7 @@ def verify_dual_sum_identities(f: BilinearForm) -> Report:
 
         # Duality itself: pairing each basis with its claimed dual is the
         # identity matrix.
-        for kind in ("plain", "tilde"):
-            duals = dual_basis(f, kind)
+        for kind, duals in (("plain", plain_duals), ("tilde", tilde_duals)):
             monomials = [Poly3.monomial(*pt, kind=kind) for pt in lattice(n)]
             for i, xi in enumerate(monomials):
                 for j, eta_vec in enumerate(duals):

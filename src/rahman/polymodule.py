@@ -258,9 +258,10 @@ def tilde_variables(s: StructureSet) -> tuple:
 def expand_tilde_monomial_direct(rho: int, sigma: int, tau: int, s: StructureSet) -> Poly3:
     """Plain-basis expansion of a tilde monomial by symbolic substitution.
 
-    Independent oracle: substitute the degree-1 expressions for the
-    tilde variables and multiply out.  On ``s.dual()`` this is the
-    tilde-basis expansion of the plain monomial x^rho y^sigma z^tau.
+    Independent oracle for ``form.BilinearForm.tilde_columns``: substitute
+    the degree-1 expressions for the tilde variables and multiply out
+    over Fractions.  On ``s.dual()`` this is the tilde-basis expansion of
+    the plain monomial x^rho y^sigma z^tau.
     """
     xt, yt, zt = tilde_variables(s)
     return xt.power(rho) * yt.power(sigma) * zt.power(tau)

@@ -1,9 +1,12 @@
 """The 3x3 structural layer: both Cartan subalgebras and the dagger map.
 
-``build`` assembles every structural matrix from a parameter set: the
-two weight matrices W, W~, the transition matrix R between the plain
-and tilde coordinates, the Cartan basis elements and their tilde
-conjugates, and all matrix units.  The verifiers in this module check
+``build`` forms the matrices that depend on the parameters: U, the two
+weight matrices W, W~, the transition matrix R between the plain and
+tilde coordinates, and R^-1.  The plain Cartan basis elements and the
+matrix units are module constants (``VARPHI``, ``PHI``, ``PSI``,
+``UNITS``).  Their tilde conjugates R m R^-1 are built on first read
+from the structure's own R and R^-1, so a structure that only feeds
+``rahman table`` never forms them.  The verifiers in this module check
 the identities that tie these objects together, always comparing an
 independently computed left side against a closed form.
 """
@@ -12,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 
 from .matrices import Mat
 from .params import DerivedParams, ParameterSet, derive, validate
@@ -33,6 +38,12 @@ __all__ = [
 OFF_DIAGONAL = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
 
 _ZERO = Fraction(0)
+_THIRD = Fraction(1, 3)
+
+VARPHI = Mat.diag([-_THIRD, 2 * _THIRD, -_THIRD])
+PHI = Mat.diag([-_THIRD, -_THIRD, 2 * _THIRD])
+PSI = -VARPHI - PHI
+UNITS = MappingProxyType({(i, j): Mat.unit(3, i, j) for i, j in OFF_DIAGONAL})
 
 
 class NotTraceless(ValueError):
@@ -48,14 +59,32 @@ class StructureSet:
     Wt: Mat
     R: Mat
     Rinv: Mat
-    varphi: Mat       # diag(-1/3, 2/3, -1/3)
-    phi: Mat          # diag(-1/3, -1/3, 2/3)
-    psi: Mat          # -varphi - phi
-    varphi_t: Mat     # R varphi R^-1
-    phi_t: Mat        # R phi R^-1
-    psi_t: Mat        # -varphi_t - phi_t
-    e: dict           # (i, j) -> matrix unit e_ij, i != j
-    e_t: dict         # (i, j) -> R e_ij R^-1
+
+    # Parameter-free, and shared: a Mat is immutable.
+    varphi = VARPHI   # diag(-1/3, 2/3, -1/3)
+    phi = PHI         # diag(-1/3, -1/3, 2/3)
+    psi = PSI         # -varphi - phi
+    e = UNITS         # (i, j) -> matrix unit e_ij, i != j
+
+    @cached_property
+    def e_t(self) -> dict:
+        """(i, j) -> R e_ij R^-1."""
+        return {key: self.R @ unit @ self.Rinv for key, unit in self.e.items()}
+
+    @cached_property
+    def varphi_t(self) -> Mat:
+        """R varphi R^-1."""
+        return self.R @ self.varphi @ self.Rinv
+
+    @cached_property
+    def phi_t(self) -> Mat:
+        """R phi R^-1."""
+        return self.R @ self.phi @ self.Rinv
+
+    @cached_property
+    def psi_t(self) -> Mat:
+        """-varphi_t - phi_t."""
+        return -self.varphi_t - self.phi_t
 
     def cartan_basis(self) -> dict:
         """The 8-element spanning set used by the dagger and bracket checks."""
@@ -89,7 +118,7 @@ class StructureSet:
 
 
 def build(p: ParameterSet, d: DerivedParams | None = None) -> StructureSet:
-    """Assemble the full structure from p (optionally with preset constants).
+    """The structure of p: U, W, W~, R and R^-1 (optionally with preset constants).
 
     Passing an inconsistent ``d`` is allowed on purpose: the verifiers
     must be able to catch a corrupted constant.
@@ -109,32 +138,7 @@ def build(p: ParameterSet, d: DerivedParams | None = None) -> StructureSet:
     R = (Wt @ U.transpose()).scale(d.theta_t)
     Rinv = (W @ U).scale(d.theta)
 
-    third = Fraction(1, 3)
-    varphi = Mat.diag([-third, 2 * third, -third])
-    phi = Mat.diag([-third, -third, 2 * third])
-
-    e = {(i, j): Mat.unit(3, i, j) for i, j in OFF_DIAGONAL}
-    e_t = {key: R @ mat @ Rinv for key, mat in e.items()}
-    varphi_t = R @ varphi @ Rinv
-    phi_t = R @ phi @ Rinv
-
-    return StructureSet(
-        p=p,
-        d=d,
-        U=U,
-        W=W,
-        Wt=Wt,
-        R=R,
-        Rinv=Rinv,
-        varphi=varphi,
-        phi=phi,
-        psi=-varphi - phi,
-        varphi_t=varphi_t,
-        phi_t=phi_t,
-        psi_t=-varphi_t - phi_t,
-        e=e,
-        e_t=e_t,
-    )
+    return StructureSet(p=p, d=d, U=U, W=W, Wt=Wt, R=R, Rinv=Rinv)
 
 
 def dagger(beta: Mat, s: StructureSet) -> Mat:

@@ -17,12 +17,12 @@ front operator identity run the plain-side check on ``s.dual()``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 from .form import (
     BilinearForm,
     inner,
     p_table,
+    pairing_scale,
     verify_adjointness,
     verify_dual_sum_identities,
     verify_tilde_norms,
@@ -114,7 +114,7 @@ def verify_pcosines(f: BilinearForm) -> Report:
     Left side through the form module, right side through eval_P.
     """
     d, n = f.s.d, f.n
-    scale = Fraction(factorial(n)) * d.nu**n
+    scale = pairing_scale(d, n)
     with Recorder(f"transitions.pcosines.N{n}") as rec:
         p = _p_matrix(d, n)
         for row, (r, st, t) in enumerate(lattice(n)):

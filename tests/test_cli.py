@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import weakref
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -116,6 +117,28 @@ def test_export_gram_csv(runner):
     assert len(lines) == 4
 
 
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("p, tag", [("1,2,3,5", "1_2_3_5"), ("-3/2,5,1/2,-3", "m3d2_5_1d2_m3")])
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["table", "--N", "4"], "table_N4_{tag}.json"),
+        (["table", "--N", "4", "--format", "csv"], "table_N4_{tag}.csv"),
+        (["export", "structure"], "structure_{tag}.json"),
+    ],
+    ids=["table-json", "table-csv", "export-structure"],
+)
+def test_output_matches_golden_bytes(runner, argv, name, p, tag):
+    """stdout equals the files under tests/data, which were written by the
+    CLI before ``p_table`` read integer columns and before ``build`` left
+    the conjugated generators to first use."""
+    result = runner.invoke(main, argv + [f"--p={p}"])
+    assert result.exit_code == 0
+    assert result.stdout == (GOLDEN / name.format(tag=tag)).read_text()
+
+
 def test_out_file(runner, tmp_path):
     target = tmp_path / "out.txt"
     result = runner.invoke(
@@ -155,6 +178,9 @@ def defect_files(tmp_path):
         ["export", "lattice", "--p", "1,2,3,5", "--N", "2", "--out", "{dir}/missing/out.json"],
         ["eval", "5", "0", "0", "0", "--p", "1,2,3,5", "--N", "2"],
         ["check", "--p", "1e3000000,2,3,5"],
+        ["export", "structure", "--p", "1,2,3,5", "--format", "csv"],
+        ["export", "lattice", "--p", "1,2,3,5", "--N", "2", "--format", "csv"],
+        ["export", "dual-bases", "--p", "1,2,3,5", "--N", "2", "--format", "csv"],
     ],
     ids=[
         "zero-denominator-param",
@@ -164,6 +190,9 @@ def defect_files(tmp_path):
         "out-missing-dir",
         "eval-off-lattice",
         "exponent-notation-param",
+        "export-structure-csv",
+        "export-lattice-csv",
+        "export-dual-bases-csv",
     ],
 )
 def test_malformed_input_exits_2(runner, defect_files, argv):

@@ -13,8 +13,8 @@ from rahman.form import (
     verify_dual_sum_identities,
     verify_tilde_norms,
 )
-from rahman.params import derive
-from rahman.polymodule import DegreeMismatch, Poly3, lattice
+from rahman.params import ParameterSet, derive
+from rahman.polymodule import DegreeMismatch, Poly3, expand_tilde_monomial_direct, lattice
 from rahman.polynomials import eval_P
 from rahman.sl3 import build
 
@@ -66,6 +66,8 @@ def test_degree_mismatch(reference_structure):
     f = BilinearForm(reference_structure, 2)
     with pytest.raises(DegreeMismatch):
         inner(Poly3.monomial(1, 0, 0), Poly3.monomial(1, 1, 0), f)
+    with pytest.raises(DegreeMismatch):
+        f.expand(Poly3.monomial(1, 0, 0, kind="tilde"))
 
 
 @given(
@@ -134,6 +136,49 @@ def test_p_table_matches_eval_P_at_the_ceiling(reference_structure):
         sample.update((row, col) for col in range(len(pairs)))
     for row, col in sorted(sample):
         assert table[row][col] == eval_P(*pairs[row], *pairs[col], s.d, n)
+
+
+def _columns_as_polys(f):
+    """``f.tilde_columns`` as plain Poly3s, keyed by tilde monomial."""
+    points = lattice(f.n)
+    return {
+        key: Poly3({point: Fraction(num, den) for point, num in zip(points, nums)})
+        for key, (nums, den) in f.tilde_columns.items()
+    }
+
+
+def _assert_columns_match_direct_expansion(s, n, keys=None):
+    columns = _columns_as_polys(BilinearForm(s, n))
+    assert list(columns) == lattice(n)
+    for key in lattice(n) if keys is None else keys:
+        assert columns[key] == expand_tilde_monomial_direct(*key, s), key
+
+
+@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("p", PARAM_MATRIX, ids=str)
+def test_tilde_columns_match_direct_expansion(structures, p, n):
+    _assert_columns_match_direct_expansion(structures[p], n)
+
+
+@pytest.mark.parametrize("index", range(3))
+@pytest.mark.parametrize("shift", ["one", "half", "zero"])
+def test_tilde_columns_match_direct_expansion_on_corrupted_eta_t(
+    reference_structure, index, shift
+):
+    """A shifted eta~ changes R row by row; a zeroed one empties a row."""
+    s = reference_structure
+    delta = {"one": 1, "half": -s.d.eta_t[index] / 2, "zero": -s.d.eta_t[index]}[shift]
+    corrupted = s.with_corrupted_eta_t(index, delta)
+    for n in range(4):
+        _assert_columns_match_direct_expansion(corrupted, n)
+
+
+def test_tilde_columns_match_direct_expansion_at_the_ceiling():
+    """N=12 on negative, non-integer parameters: the corners, both axes
+    and a few interior tilde monomials."""
+    p = ParameterSet.of(Fraction(-3, 2), 5, Fraction(1, 2), -3)
+    keys = [(12, 0, 0), (0, 12, 0), (0, 0, 12), (4, 4, 4), (7, 1, 4), (0, 5, 7), (11, 0, 1)]
+    _assert_columns_match_direct_expansion(build(p), 12, keys)
 
 
 def test_gram_values_off_the_axis(reference_structure):

@@ -104,13 +104,26 @@ def test_corrupted_r_entry_is_caught(reference_params):
     rows = [list(row) for row in s.R.rows]
     rows[1][1] += 1
     bad_r = Mat(rows)
-    corrupted = dataclasses.replace(
-        s,
-        R=bad_r,
-        varphi_t=bad_r @ s.varphi @ s.Rinv,
-        phi_t=bad_r @ s.phi @ s.Rinv,
-    )
+    corrupted = dataclasses.replace(s, R=bad_r)
     assert not verify_expansions(corrupted).ok
+
+
+def test_conjugates_are_built_from_the_structures_own_r(reference_params):
+    """The tilde generators are read off R and R^-1 of the structure they
+    belong to, so a replaced R carries into every one of them."""
+    import dataclasses
+
+    s = build(reference_params)
+    rows = [list(row) for row in s.R.rows]
+    rows[0][2] -= 3
+    bad_r = Mat(rows)
+    corrupted = dataclasses.replace(s, R=bad_r)
+    assert corrupted.varphi_t == bad_r @ s.varphi @ s.Rinv
+    assert corrupted.phi_t == bad_r @ s.phi @ s.Rinv
+    assert corrupted.psi_t == -(bad_r @ s.varphi @ s.Rinv) - bad_r @ s.phi @ s.Rinv
+    for key, unit in s.e.items():
+        assert corrupted.e_t[key] == bad_r @ unit @ s.Rinv
+    assert s.varphi_t == s.R @ s.varphi @ s.Rinv
 
 
 def test_closed_form_matches_factored_form():
