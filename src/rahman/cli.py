@@ -190,8 +190,11 @@ def verify(suites, suite_flags, p, params_file, n, fmt, out):
     """Run verification suites; exits 1 if any identity fails.
 
     SUITES may be "all" (default) or any of: structure, module, form,
-    transitions, orthogonality, recurrence, operators.
+    transitions, orthogonality, recurrence, operators.  The reports are
+    JSON only.
     """
+    if fmt == "csv":
+        raise click.UsageError("verify has no CSV form; its reports are JSON only")
     params, n = _resolve_params(p, params_file, n)
     n = _require_n(n)
     names = list(suites) + list(suite_flags) or ["all"]

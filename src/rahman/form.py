@@ -1,10 +1,11 @@
 """The symmetric bilinear form on the degree-N module.
 
 The form is defined once, by its diagonal Gram values on the plain
-monomial basis (``gram_diagonal``), built on first use.  The tilde
-monomials of ``d`` are the plain monomials of ``d.dual()``, so their
-claimed norms and their dual basis come from the same formula on
-``d.dual()``; the verifiers check those claims through explicit
+monomial basis (``BilinearForm.gram``), built on first use.  The tilde
+monomials of ``d`` are the plain monomials of ``d.dual()``, so the one
+source of every tilde quantity is ``BilinearForm.dual``, the form of
+``s.dual()``: its ``gram`` holds the claimed tilde norms and the tilde
+dual basis.  The verifiers check those claims through explicit
 expansion into the plain basis.  Norms may be negative for some
 parameter regimes: the form is bilinear, not an inner product.
 
@@ -33,7 +34,6 @@ from .sl3 import StructureSet, dagger
 
 __all__ = [
     "BilinearForm",
-    "gram_diagonal",
     "pairing_scale",
     "inner",
     "dual_basis",
@@ -42,22 +42,6 @@ __all__ = [
     "verify_tilde_norms",
     "verify_dual_sum_identities",
 ]
-
-
-def gram_diagonal(d: DerivedParams, n: int) -> dict:
-    """||x^r y^s z^t||^2 = r! s! t! theta^N / (eta~_0^r eta~_1^s eta~_2^t).
-
-    Keyed by lattice point.  On ``d.dual()`` these are the norms of the
-    tilde monomials of ``d``.
-    """
-    eta_t = d.eta_t
-    theta_n = d.theta**n
-    return {
-        (r, st, t): Fraction(factorial(r) * factorial(st) * factorial(t))
-        * theta_n
-        / (eta_t[0] ** r * eta_t[1] ** st * eta_t[2] ** t)
-        for (r, st, t) in lattice(n)
-    }
 
 
 def pairing_scale(d: DerivedParams, n: int) -> Fraction:
@@ -76,8 +60,24 @@ class BilinearForm:
 
     @cached_property
     def gram(self) -> dict:
-        """Built on first use: a zero eta~ weight fails the verifier reading it."""
-        return gram_diagonal(self.s.d, self.n)
+        """||x^r y^s z^t||^2 = r! s! t! theta^N / (eta~_0^r eta~_1^s eta~_2^t).
+
+        Keyed by lattice point, and built on first use: a zero eta~
+        weight fails the verifier reading it.
+        """
+        eta_t = self.s.d.eta_t
+        theta_n = self.s.d.theta**self.n
+        return {
+            (r, st, t): Fraction(factorial(r) * factorial(st) * factorial(t))
+            * theta_n
+            / (eta_t[0] ** r * eta_t[1] ** st * eta_t[2] ** t)
+            for (r, st, t) in lattice(self.n)
+        }
+
+    @cached_property
+    def dual(self) -> "BilinearForm":
+        """The form of ``s.dual()``: its ``gram`` holds the tilde norms."""
+        return BilinearForm(self.s.dual(), self.n)
 
     @cached_property
     def tilde_columns(self) -> dict:
@@ -118,11 +118,11 @@ class BilinearForm:
         return level
 
     def expand(self, xi: Poly3) -> Poly3:
-        """Plain-basis coordinates of a polynomial in either basis."""
-        if xi.kind == "plain":
-            return xi
+        """Plain-basis coordinates of a polynomial of degree n in either basis."""
         if xi.coeffs and xi.degree != self.n:
             raise DegreeMismatch(f"degree {xi.degree}, form has degree {self.n}")
+        if xi.kind == "plain":
+            return xi
         points = lattice(self.n)
         out: dict = {}
         for key, coeff in xi.coeffs.items():
@@ -140,9 +140,6 @@ class BilinearForm:
 
 def inner(xi: Poly3, zeta: Poly3, f: BilinearForm) -> Fraction:
     """Evaluate the form; tilde inputs are expanded to plain coordinates."""
-    for arg in (xi, zeta):
-        if not arg.is_zero() and arg.degree != f.n:
-            raise DegreeMismatch(f"degree {arg.degree}, form has degree {f.n}")
     left = f.expand(xi)
     right = f.expand(zeta)
     keys = left.coeffs.keys() & right.coeffs.keys()
@@ -155,13 +152,13 @@ def inner(xi: Poly3, zeta: Poly3, f: BilinearForm) -> Fraction:
 def dual_basis(f: BilinearForm, kind: str = "plain") -> list:
     """The basis dual to the monomial basis of the chosen kind.
 
-    Each dual vector is a monomial over its norm: the Gram value of
-    ``d`` for the plain kind, and of ``d.dual()`` for the tilde kind.
+    Each dual vector is a monomial over its norm: ``f.gram`` for the
+    plain kind, and ``f.dual.gram`` for the tilde kind.
     """
     if kind == "plain":
         norms = f.gram
     elif kind == "tilde":
-        norms = gram_diagonal(f.s.d.dual(), f.n)
+        norms = f.dual.gram
     else:
         raise ValueError(f"unknown basis kind {kind!r}")
     return [
@@ -211,14 +208,14 @@ def verify_adjointness(f: BilinearForm) -> Report:
 
 
 def verify_tilde_norms(f: BilinearForm) -> Report:
-    """Tilde monomials are orthogonal, with the Gram values of ``d.dual()``.
+    """Tilde monomials are orthogonal, with the norms ``f.dual.gram``.
 
     Oracle: plain-basis expansion plus the defining Gram data.
     """
     n = f.n
     points = lattice(n)
     with Recorder(f"form.tilde_norms.N{n}") as rec:
-        norms = gram_diagonal(f.s.d.dual(), n)
+        norms = f.dual.gram
         for i, lam in enumerate(points):
             for mu in points[i:]:
                 value = inner(

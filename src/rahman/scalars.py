@@ -59,8 +59,12 @@ def parse_rational(text: str) -> Rational:
 
 
 def format_rational(value: Rational) -> str:
-    """Serialize a rational as "num/den", omitting "/1" denominators."""
-    value = Fraction(value)
+    """Serialize a rational as "num/den", omitting "/1" denominators.
+
+    An int is accepted; a float or bool raises ValueError, as at every
+    other entry point.
+    """
+    value = exact_rational(value, "value")
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

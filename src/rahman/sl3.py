@@ -177,26 +177,17 @@ def r_closed_form(p: ParameterSet) -> Mat:
     ])
 
 
-def expansion_coefficients(p: ParameterSet) -> dict:
-    """Coefficient tables for the four cross-basis expansions.
+def expansion_coefficients(p: ParameterSet) -> tuple:
+    """The tables of varphi~ and phi~ in the plain basis {e_ij, varphi, phi}.
 
-    Keys "varphi_t" and "phi_t" expand the tilde Cartan generators in
-    the plain basis {e_ij, varphi, phi}; keys "varphi" and "phi" expand
-    the plain generators in the tilde basis.  Each value maps the six
-    off-diagonal labels "eIJ" plus "h1", "h2" (the two diagonal basis
-    elements of the target side) to its coefficient.  The plain
-    generators' tables are the tilde tables of ``p.dual()``.
+    Each table maps the six off-diagonal labels "eIJ" plus "h1", "h2"
+    (varphi and phi) to its coefficient.  The plain and tilde sides
+    exchange under the dual, so the tables of varphi and phi in the
+    tilde basis are ``expansion_coefficients(p.dual())``.
 
     The same coefficients reappear, with shift prefactors, in the four
     seven-term recurrences, so this is their single source.
     """
-    varphi, phi = _tilde_cartan_expansions(p.dual())
-    varphi_t, phi_t = _tilde_cartan_expansions(p)
-    return {"varphi_t": varphi_t, "phi_t": phi_t, "varphi": varphi, "phi": phi}
-
-
-def _tilde_cartan_expansions(p: ParameterSet) -> tuple:
-    """The tables of varphi~ and phi~ in the plain basis."""
     p1, p2, p3, p4 = p.as_tuple()
     total = p1 + p2 + p3 + p4
     a, b, c, dd = p1 + p2, p1 + p3, p2 + p4, p3 + p4
@@ -303,15 +294,15 @@ def verify_expansions(s: StructureSet) -> Report:
     the inverse conjugation for the reverse direction).
     """
     cases = [
-        ("varphi~", s.varphi_t, "varphi_t", s.e, s.varphi, s.phi),
-        ("phi~", s.phi_t, "phi_t", s.e, s.varphi, s.phi),
-        ("varphi", s.varphi, "varphi", s.e_t, s.varphi_t, s.phi_t),
-        ("phi", s.phi, "phi", s.e_t, s.varphi_t, s.phi_t),
+        ("varphi~", s.varphi_t, s.e, s.varphi, s.phi),
+        ("phi~", s.phi_t, s.e, s.varphi, s.phi),
+        ("varphi", s.varphi, s.e_t, s.varphi_t, s.phi_t),
+        ("phi", s.phi, s.e_t, s.varphi_t, s.phi_t),
     ]
     with Recorder("structure.expansions") as rec:
-        coeffs = expansion_coefficients(s.p)
-        for label, target, key, units, h1, h2 in cases:
-            rec.equal(target, _combine(coeffs[key], units, h1, h2), f"{label} expansion")
+        tables = expansion_coefficients(s.p) + expansion_coefficients(s.p.dual())
+        for (label, target, units, h1, h2), coeffs in zip(cases, tables):
+            rec.equal(target, _combine(coeffs, units, h1, h2), f"{label} expansion")
     return rec.report()
 
 

@@ -104,8 +104,7 @@ def verify_trans2(f: BilinearForm) -> Report:
 
 def verify_trans1(f: BilinearForm) -> Report:
     """Plain monomials expanded in the tilde basis: trans2 on the dual."""
-    dual = BilinearForm(f.s.dual(), f.n)
-    return _p_table_against_eval_P(f"transitions.trans1.N{f.n}", dual)
+    return _p_table_against_eval_P(f"transitions.trans1.N{f.n}", f.dual)
 
 
 def verify_pcosines(f: BilinearForm) -> Report:
@@ -199,15 +198,17 @@ def verify_recurrences(s: StructureSet, n: int) -> Report:
 
     with Recorder(f"recurrences.N{n}") as rec:
         p = _p_matrix(s.d, n)
-        # (part, coefficient table, index of the eigenvalue in (s, t), P)
+        # (part, coefficient table, index of the eigenvalue in (s, t), P).
+        # Parts (i) and (ii) expand varphi and phi in the tilde basis:
+        # the varphi~ and phi~ tables of the dual parameters.
         parts = []
         for (first, second), q, p_side in (
-            (("i", "ii"), s.p, p),
-            (("iii", "iv"), s.p.dual(), list(zip(*p))),
+            (("i", "ii"), s.p.dual(), p),
+            (("iii", "iv"), s.p, list(zip(*p))),
         ):
-            tables = expansion_coefficients(q)
-            parts.append((first, tables["varphi"], 0, p_side))
-            parts.append((second, tables["phi"], 1, p_side))
+            varphi, phi = expansion_coefficients(q)
+            parts.append((first, varphi, 0, p_side))
+            parts.append((second, phi, 1, p_side))
 
         for row, (s_idx, t_idx) in enumerate(pairs):
             for column, (sigma, tau) in enumerate(pairs):

@@ -127,13 +127,16 @@ GOLDEN = Path(__file__).parent / "data"
         (["table", "--N", "4"], "table_N4_{tag}.json"),
         (["table", "--N", "4", "--format", "csv"], "table_N4_{tag}.csv"),
         (["export", "structure"], "structure_{tag}.json"),
+        (["export", "dual-bases", "--N", "3"], "dual_bases_N3_{tag}.json"),
+        (["verify", "all", "--N", "2"], "verify_all_N2_{tag}.json"),
     ],
-    ids=["table-json", "table-csv", "export-structure"],
+    ids=["table-json", "table-csv", "export-structure", "export-dual-bases", "verify-all"],
 )
 def test_output_matches_golden_bytes(runner, argv, name, p, tag):
     """stdout equals the files under tests/data, which were written by the
-    CLI before ``p_table`` read integer columns and before ``build`` left
-    the conjugated generators to first use."""
+    CLI before ``p_table`` read integer columns, before ``build`` left the
+    conjugated generators to first use, and before the tilde norms were
+    read off the dual form."""
     result = runner.invoke(main, argv + [f"--p={p}"])
     assert result.exit_code == 0
     assert result.stdout == (GOLDEN / name.format(tag=tag)).read_text()
@@ -181,6 +184,7 @@ def defect_files(tmp_path):
         ["export", "structure", "--p", "1,2,3,5", "--format", "csv"],
         ["export", "lattice", "--p", "1,2,3,5", "--N", "2", "--format", "csv"],
         ["export", "dual-bases", "--p", "1,2,3,5", "--N", "2", "--format", "csv"],
+        ["verify", "all", "--p", "1,2,3,5", "--N", "2", "--format", "csv"],
     ],
     ids=[
         "zero-denominator-param",
@@ -193,6 +197,7 @@ def defect_files(tmp_path):
         "export-structure-csv",
         "export-lattice-csv",
         "export-dual-bases-csv",
+        "verify-csv",
     ],
 )
 def test_malformed_input_exits_2(runner, defect_files, argv):

@@ -68,6 +68,8 @@ def test_degree_mismatch(reference_structure):
         inner(Poly3.monomial(1, 0, 0), Poly3.monomial(1, 1, 0), f)
     with pytest.raises(DegreeMismatch):
         f.expand(Poly3.monomial(1, 0, 0, kind="tilde"))
+    with pytest.raises(DegreeMismatch):
+        f.expand(Poly3.monomial(1, 0, 0))
 
 
 @given(

@@ -77,9 +77,17 @@ def test_rational_string_round_trip(q):
 def test_rational_string_forms():
     assert format_rational(Fraction(-1, 11)) == "-1/11"
     assert format_rational(Fraction(672)) == "672"
+    assert format_rational(672) == "672"
+    assert format_rational(-3) == "-3"
     assert parse_rational(" 672 ") == 672
     with pytest.raises(ValueError):
         parse_rational("1/0")
+
+
+def test_format_rational_refuses_a_float_or_bool():
+    for value in (0.5, 2.0, True):
+        with pytest.raises(ValueError, match="exact rational"):
+            format_rational(value)
 
 
 def test_rational_refuses_exponent_notation():
