@@ -11,7 +11,7 @@ recurrences.
 from .params import DerivedParams, ParameterSet, ValidationError, derive, validate
 from .polynomials import eval_P
 from .report import Report
-from .scalars import Rational, multinomial, pochhammer
+from .scalars import Rational, multinomial
 from .sl3 import StructureSet, build
 from .theorems import run_suites
 
@@ -26,7 +26,6 @@ __all__ = [
     "derive",
     "eval_P",
     "multinomial",
-    "pochhammer",
     "run_suites",
     "validate",
 ]

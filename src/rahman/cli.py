@@ -26,7 +26,7 @@ from .polymodule import lattice
 from .polynomials import eval_P
 from .scalars import format_rational, parse_rational
 from .sl3 import build
-from .theorems import SUITES, run_suites
+from .theorems import run_suites
 
 DEFAULT_MAX_N = 12
 
@@ -141,24 +141,10 @@ def eval_command(a, b, c, d, p, params_file, n, fmt, out):
     params, n = _resolve_params(p, params_file, n)
     n = _require_n(n)
     try:
-        derived = derive(params)
-    except ValidationError as exc:
+        value = eval_P(a, b, c, d, derive(params), n)
+    except ValueError as exc:
         raise click.UsageError(str(exc))
-    if min(a, b, c, d) < 0:
-        raise click.UsageError("arguments must be nonnegative integers")
-    if a + b > n or c + d > n:
-        raise click.UsageError(
-            f"arguments off the lattice: need A+B <= N and C+D <= N (N={n})"
-        )
-    _emit(format_rational(eval_P(a, b, c, d, derived, n)), out)
-
-
-def _value_table(params: ParameterSet, n: int) -> tuple:
-    """Header pairs and the full P(s,t,sigma,tau) matrix in lattice order."""
-    f = BilinearForm(build(params), n)
-    pairs = [(s, t) for (_, s, t) in lattice(n)]
-    rows = [[format_rational(value) for value in row] for row in p_table(f)]
-    return pairs, rows
+    _emit(format_rational(value), out)
 
 
 @main.command()
@@ -168,9 +154,11 @@ def table(p, params_file, n, fmt, out):
     params, n = _resolve_params(p, params_file, n)
     n = _require_n(n)
     try:
-        pairs, rows = _value_table(params, n)
+        f = BilinearForm(build(params), n)
     except ValidationError as exc:
         raise click.UsageError(str(exc))
+    pairs = [(s, t) for (_, s, t) in lattice(n)]
+    rows = [[format_rational(value) for value in row] for row in p_table(f)]
     if fmt == "json":
         _emit(_dump_json({"pairs": [list(x) for x in pairs], "values": rows}), out)
     else:
@@ -198,14 +186,9 @@ def verify(suites, suite_flags, p, params_file, n, fmt, out):
     params, n = _resolve_params(p, params_file, n)
     n = _require_n(n)
     names = list(suites) + list(suite_flags) or ["all"]
-    for name in names:
-        if name != "all" and name not in SUITES:
-            raise click.UsageError(
-                f"unknown suite {name!r}; choose from all, {', '.join(SUITES)}"
-            )
     try:
         reports = run_suites(params, n, names)
-    except ValidationError as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc))
     _emit(_dump_json([r.to_json() for r in reports]), out)
     if any(not r.ok for r in reports):
@@ -227,8 +210,7 @@ def export(what, p, params_file, n, fmt, out):
         raise click.UsageError(f"export {what} has no CSV form; only export gram does")
     params, n = _resolve_params(p, params_file, n)
     try:
-        derived = derive(params)
-        s = build(params, derived)
+        s = build(params)
     except ValidationError as exc:
         raise click.UsageError(str(exc))
 
@@ -242,17 +224,17 @@ def export(what, p, params_file, n, fmt, out):
             "varphi~": s.varphi_t.to_json(),
             "phi~": s.phi_t.to_json(),
             "constants": {
-                "t": format_rational(derived.t),
-                "u": format_rational(derived.u),
-                "v": format_rational(derived.v),
-                "w": format_rational(derived.w),
-                "nu": format_rational(derived.nu),
-                "theta": format_rational(derived.theta),
-                "theta~": format_rational(derived.theta_t),
-                "eta": [format_rational(x) for x in derived.eta],
-                "eta~": [format_rational(x) for x in derived.eta_t],
-                "k": [format_rational(x) for x in derived.k],
-                "k~": [format_rational(x) for x in derived.k_t],
+                "t": format_rational(s.d.t),
+                "u": format_rational(s.d.u),
+                "v": format_rational(s.d.v),
+                "w": format_rational(s.d.w),
+                "nu": format_rational(s.d.nu),
+                "theta": format_rational(s.d.theta),
+                "theta~": format_rational(s.d.theta_t),
+                "eta": [format_rational(x) for x in s.d.eta],
+                "eta~": [format_rational(x) for x in s.d.eta_t],
+                "k": [format_rational(x) for x in s.d.k],
+                "k~": [format_rational(x) for x in s.d.k_t],
             },
         }
         _emit(_dump_json(data), out)

@@ -177,7 +177,10 @@ def load_params_file(path) -> tuple:
     ValueError.
     """
     with open(path) as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
     if not isinstance(data, dict) or "p" not in data:
         raise ValueError('expected a JSON object with a "p" list')
     if not isinstance(data["p"], list):

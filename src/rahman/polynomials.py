@@ -61,14 +61,13 @@ def _scaled_powers(x: Fraction, n: int) -> list:
 def _check_lattice(n: int, *args: int) -> None:
     """Raise ValueError unless N >= 0 and the arguments, read as the pairs
     (a, b) and (c, d), are nonnegative with each pair summing to at most N."""
-    for name, value in zip("abcd", args):
-        if value < 0:
-            raise ValueError(f"argument {name} must be a nonnegative integer")
+    if min(args) < 0:
+        raise ValueError("arguments must be nonnegative integers")
     if n < 0:
         raise ValueError("degree must be nonnegative")
     if any(first + second > n for first, second in zip(args[::2], args[1::2])):
         raise ValueError(
-            f"arguments off the lattice: need a+b <= N and c+d <= N (N={n})"
+            f"arguments off the lattice: need A+B <= N and C+D <= N (N={n})"
         )
 
 

@@ -8,6 +8,7 @@ every operation.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial
 
@@ -19,7 +20,6 @@ __all__ = [
     "exact_rational",
     "parse_rational",
     "format_rational",
-    "pochhammer",
     "factorial",
     "multinomial",
 ]
@@ -62,28 +62,17 @@ def format_rational(value: Rational) -> str:
     """Serialize a rational as "num/den", omitting "/1" denominators.
 
     An int is accepted; a float or bool raises ValueError, as at every
-    other entry point.
+    other entry point.  Every value is printed exactly, also one with more
+    digits than ``sys.get_int_max_str_digits()`` lets ``str`` print.
     """
     value = exact_rational(value, "value")
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
-def pochhammer(alpha, n: int) -> Rational:
-    """Shifted factorial alpha*(alpha+1)*...*(alpha+n-1), with empty product 1.
-
-    For a nonpositive integer alpha = -m the result is 0 exactly when n > m.
-    """
-    if n < 0:
-        raise ValueError(f"pochhammer order must be nonnegative, got {n}")
-    result = Fraction(1)
-    alpha = Fraction(alpha)
-    for q in range(n):
-        result *= alpha + q
-        if result == 0:
-            break
-    return result
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # past that limit; Decimal(k) prints the same digits
+        num, den = (str(Decimal(k)) for k in (value.numerator, value.denominator))
+        return num if den == "1" else f"{num}/{den}"
 
 
 def multinomial(total: int, parts) -> Rational:

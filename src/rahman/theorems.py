@@ -306,15 +306,18 @@ SUITES = {
 }
 
 def run_suites(p: ParameterSet, n: int, names=("all",)) -> list:
-    """Run the named verification suites and return their Reports."""
-    selected = []
+    """Run the named verification suites and return their Reports.
+
+    "all" anywhere in ``names`` runs every suite.  An unknown name raises
+    ValueError before anything is built.
+    """
+    names = list(names)
     for name in names:
-        if name == "all":
-            selected = list(SUITES)
-            break
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}")
-        selected.append(name)
+        if name != "all" and name not in SUITES:
+            raise ValueError(
+                f"unknown suite {name!r}; choose from all, {', '.join(SUITES)}"
+            )
+    selected = list(SUITES) if "all" in names else names
 
     s = build(p)
     f = BilinearForm(s, n)

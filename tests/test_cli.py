@@ -3,12 +3,18 @@ import gc
 import io
 import json
 import weakref
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from rahman.cli import main
+from rahman.params import ParameterSet, derive
+from rahman.polynomials import eval_P
+from rahman.theorems import run_suites
 
 
 @pytest.fixture
@@ -168,6 +174,7 @@ def defect_files(tmp_path):
     }
     for name, data in contents.items():
         (tmp_path / name).write_text(json.dumps(data))
+    (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
     return tmp_path
 
 
@@ -185,6 +192,7 @@ def defect_files(tmp_path):
         ["export", "lattice", "--p", "1,2,3,5", "--N", "2", "--format", "csv"],
         ["export", "dual-bases", "--p", "1,2,3,5", "--N", "2", "--format", "csv"],
         ["verify", "all", "--p", "1,2,3,5", "--N", "2", "--format", "csv"],
+        ["table", "--params-file", "{dir}/deep.json", "--N", "1"],
     ],
     ids=[
         "zero-denominator-param",
@@ -198,6 +206,7 @@ def defect_files(tmp_path):
         "export-lattice-csv",
         "export-dual-bases-csv",
         "verify-csv",
+        "params-file-too-deep",
     ],
 )
 def test_malformed_input_exits_2(runner, defect_files, argv):
@@ -216,6 +225,137 @@ def test_eval_off_the_lattice_message(runner, args):
     assert result.stderr.splitlines()[-1] == (
         "Error: arguments off the lattice: need A+B <= N and C+D <= N (N=2)"
     )
+
+
+REFERENCE = ParameterSet.of(1, 2, 3, 5)
+
+
+@pytest.mark.parametrize(
+    "argv, call",
+    [
+        (["eval", "3", "0", "0", "0", "--p", "1,2,3,5", "--N", "2"],
+         lambda: eval_P(3, 0, 0, 0, derive(REFERENCE), 2)),
+        (["eval", "--p", "1,2,3,5", "--N", "2", "--", "-1", "0", "0", "0"],
+         lambda: eval_P(-1, 0, 0, 0, derive(REFERENCE), 2)),
+        (["verify", "nope", "--p", "1,2,3,5", "--N", "2"],
+         lambda: run_suites(REFERENCE, 2, ["nope"])),
+    ],
+    ids=["eval-off-lattice", "eval-negative-argument", "verify-unknown-suite"],
+)
+def test_cli_prints_the_library_refusal(runner, argv, call):
+    """The CLI states no input rule of its own: its Error: line is the
+    message of the ValueError that the library entry point raises."""
+    with pytest.raises(ValueError) as refusal:
+        call()
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert result.stderr.splitlines()[-1] == f"Error: {refusal.value}"
+
+
+def _exact(text: str) -> Fraction:
+    """Parse "num/den" through Decimal, which has no digit limit."""
+    num, _, den = text.partition("/")
+    return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+
+
+def test_export_prints_values_past_the_str_digit_limit(runner):
+    """At p1 = 7**1800, nu has over 6000 digits, more than str(int) prints
+    by default; it is printed exactly."""
+    p1 = 7**1800
+    result = runner.invoke(main, ["export", "structure", f"--p={p1},2,3,5"])
+    assert result.exit_code == 0
+    constants = json.loads(result.stdout)["constants"]
+    assert len(constants["nu"]) > 4300
+    assert _exact(constants["nu"]) == derive(ParameterSet.of(p1, 2, 3, 5)).nu
+
+
+VALID_TEXTS = st.one_of(
+    st.integers(1, 40).map(str),
+    st.integers(-40, -1).map(str),
+    st.builds("{}/{}".format, st.integers(-40, 40), st.integers(1, 9)),
+    st.builds("{}.{}".format, st.integers(-9, 9), st.integers(0, 99)),
+)
+RATIONAL_TEXTS = st.one_of(
+    VALID_TEXTS,
+    st.builds("{}/{}".format, st.integers(-40, 40), st.integers(-3, 0)),
+    st.sampled_from([
+        "", " ", "0", "1/0", "0/0", "+5", "1e3", "2E-1", "1e3000000", ".5",
+        "nan", "inf", "1//2", "x", " 7 ", "9" * 5000,
+    ]),
+)
+FOUR_VALID = st.lists(VALID_TEXTS, min_size=4, max_size=4)
+P_LISTS = st.one_of(FOUR_VALID, FOUR_VALID, st.lists(RATIONAL_TEXTS, max_size=6))
+P_TEXTS = P_LISTS.map(",".join)
+# N <= 3 wherever it does work; 13..15 is past the default ceiling of 12.
+WORK_N = st.sampled_from([None, -3, -1, 0, 1, 1, 2, 2, 3, 3, 13, 15])
+FILE_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
+              RATIONAL_TEXTS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.dictionaries(st.sampled_from(["p", "N", "x"]), inner, max_size=3),
+    ),
+    max_leaves=12,
+)
+FILE_OBJECTS = st.fixed_dictionaries(
+    {"p": P_LISTS},
+    optional={"N": st.one_of(WORK_N, st.floats(), st.booleans(), st.text(max_size=3))},
+)
+FILE_TEXTS = st.one_of(
+    FILE_VALUES.map(json.dumps),
+    FILE_OBJECTS.map(json.dumps),
+    FILE_OBJECTS.map(json.dumps),
+    st.sampled_from([10, 1000, 100000]).map(lambda depth: "[" * depth + "]" * depth),
+    st.text(max_size=20),
+)
+
+
+def _invoke_cleanly(argv):
+    """Run argv; it must end in exit 0 or 2 and never in a traceback, and
+    exit 2 prints exactly one Error: line.  The one exit 2 without one is
+    the verdict of check on a forbidden set, printed on stdout."""
+    result = CliRunner().invoke(main, argv, env={"RAHMAN_MAX_N": None})
+    assert result.exit_code in (0, 2), (argv, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    if result.exit_code == 2:
+        verdict = argv[0] == "check" and result.stdout.startswith("invalid: zero denominator ")
+        errors = sum(line.startswith("Error:") for line in result.stderr.splitlines())
+        assert errors == (0 if verdict else 1), (argv, result.output)
+
+
+def _with_n(argv, n):
+    return argv + ([] if n is None else ["--N", str(n)])
+
+
+FORMATS = st.sampled_from(["json", "json", "csv"])
+EVAL_ARGS = st.lists(st.sampled_from([0, 1, -1]), min_size=4, max_size=4)
+# (argv before the parameters, argv after them); only check takes any N.
+COMMAND_LINES = st.one_of(
+    st.builds(lambda n: (_with_n(["check"], n), []), st.none() | st.integers(-3, 15)),
+    st.builds(lambda n, args: (_with_n(["eval"], n), ["--", *map(str, args)]),
+              WORK_N, EVAL_ARGS),
+    st.builds(lambda n, fmt: (_with_n(["table", "--format", fmt], n), []), WORK_N, FORMATS),
+    st.builds(lambda kind, n, fmt: (_with_n(["export", kind, "--format", fmt], n), []),
+              st.sampled_from(["structure", "gram", "dual-bases", "lattice"]), WORK_N, FORMATS),
+)
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@FUZZ
+@given(COMMAND_LINES, P_TEXTS)
+def test_fuzzed_argv_exits_0_or_2(line, p_text):
+    head, tail = line
+    _invoke_cleanly(head + [f"--p={p_text}"] + tail)
+
+
+@FUZZ
+@given(COMMAND_LINES, FILE_TEXTS)
+def test_fuzzed_params_file_exits_0_or_2(tmp_path_factory, line, text):
+    path = tmp_path_factory.mktemp("params") / "p.json"
+    path.write_text(text)
+    head, tail = line
+    _invoke_cleanly(head + ["--params-file", str(path)] + tail)
 
 
 def test_stdout_is_not_retained():

@@ -12,10 +12,61 @@ from rahman.polynomials import (
     eval_P,
     eval_P_operator,
 )
-from rahman.scalars import pochhammer
 
 from conftest import PARAM_MATRIX
 from test_params import valid_parameter_sets
+
+
+def pochhammer(alpha, n: int) -> Fraction:
+    """Shifted factorial alpha*(alpha+1)*...*(alpha+n-1), with empty product 1:
+    the oracle of the defining sums below.
+
+    For a nonpositive integer alpha = -m the result is 0 exactly when n > m.
+    """
+    if n < 0:
+        raise ValueError(f"pochhammer order must be nonnegative, got {n}")
+    result = Fraction(1)
+    alpha = Fraction(alpha)
+    for q in range(n):
+        result *= alpha + q
+        if result == 0:
+            break
+    return result
+
+
+def test_pochhammer_negative_integer_truncates():
+    assert pochhammer(-2, 3) == 0
+
+
+def test_pochhammer_empty_product():
+    assert pochhammer(Fraction(5, 2), 0) == 1
+
+
+def test_pochhammer_direct_product():
+    assert pochhammer(3, 2) == 12
+
+
+def test_pochhammer_rejects_negative_order():
+    with pytest.raises(ValueError):
+        pochhammer(1, -1)
+
+
+@given(
+    st.fractions(min_value=-50, max_value=50, max_denominator=20),
+    st.integers(0, 20),
+    st.integers(0, 20),
+)
+def test_pochhammer_addition_law(alpha, m, n):
+    assert pochhammer(alpha, m + n) == pochhammer(alpha, m) * pochhammer(alpha + m, n)
+
+
+@given(st.integers(0, 20), st.integers(0, 20))
+def test_pochhammer_zero_law(m, n):
+    value = pochhammer(-m, n)
+    if n > m:
+        assert value == 0
+    else:
+        assert value != 0
 
 
 @pytest.fixture(scope="module")
@@ -121,8 +172,6 @@ def test_eval_P_is_the_defining_sum_random(p, n):
 def test_extended_sum_range_changes_nothing(derived_matrix):
     """Terms beyond total order N vanish via the truncation law, so the
     bounded sum is exhaustive for arguments <= N."""
-    from rahman.scalars import pochhammer
-
     d = derived_matrix[ParameterSet.of(1, 2, 3, 5)]
     n = 3
     import math

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial
 
@@ -9,43 +10,11 @@ from rahman.scalars import (
     format_rational,
     multinomial,
     parse_rational,
-    pochhammer,
 )
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=20
 )
-
-
-def test_pochhammer_negative_integer_truncates():
-    assert pochhammer(-2, 3) == 0
-
-
-def test_pochhammer_empty_product():
-    assert pochhammer(Fraction(5, 2), 0) == 1
-
-
-def test_pochhammer_direct_product():
-    assert pochhammer(3, 2) == 12
-
-
-def test_pochhammer_rejects_negative_order():
-    with pytest.raises(ValueError):
-        pochhammer(1, -1)
-
-
-@given(rationals, st.integers(0, 20), st.integers(0, 20))
-def test_pochhammer_addition_law(alpha, m, n):
-    assert pochhammer(alpha, m + n) == pochhammer(alpha, m) * pochhammer(alpha + m, n)
-
-
-@given(st.integers(0, 20), st.integers(0, 20))
-def test_pochhammer_zero_law(m, n):
-    value = pochhammer(-m, n)
-    if n > m:
-        assert value == 0
-    else:
-        assert value != 0
 
 
 def test_multinomial_examples():
@@ -97,3 +66,13 @@ def test_rational_refuses_exponent_notation():
     assert parse_rational("1.25") == Fraction(5, 4)
     assert parse_rational("-3/4") == Fraction(-3, 4)
     assert parse_rational("-0.5") == Fraction(-1, 2)
+
+
+def test_format_rational_prints_past_the_str_digit_limit():
+    """Numerator and denominator each have more than the 4300 digits
+    str(int) prints by default; both are printed exactly."""
+    num, den = -(7**6000), 11**4500
+    head, _, tail = format_rational(Fraction(num, den)).partition("/")
+    assert (int(Decimal(head)), int(Decimal(tail))) == (num, den)
+    assert int(Decimal(format_rational(num))) == num
+
