@@ -120,7 +120,14 @@ def main():
 @main.command()
 @shared_options
 def check(p, params_file, n, fmt, out):
-    """Validate the parameter set against the forbidden combinations."""
+    """Validate the parameter set against the forbidden combinations.
+
+    The verdict is one line of text; check reads no degree.
+    """
+    if fmt == "csv":
+        raise click.UsageError("check has no CSV form; it prints one verdict")
+    if n is not None:
+        raise click.UsageError("check takes no --N; it reads only the parameters")
     params, _ = _resolve_params(p, params_file, n)
     try:
         validate(params)
@@ -137,7 +144,9 @@ def check(p, params_file, n, fmt, out):
 @click.argument("d", type=int)
 @shared_options
 def eval_command(a, b, c, d, p, params_file, n, fmt, out):
-    """Evaluate P(A, B, C, D) at integer arguments."""
+    """Evaluate P(A, B, C, D) at integer arguments; prints one value."""
+    if fmt == "csv":
+        raise click.UsageError("eval has no CSV form; it prints one value")
     params, n = _resolve_params(p, params_file, n)
     n = _require_n(n)
     try:

@@ -15,21 +15,27 @@ Column j of R, scaled by the lcm g_j of its denominators, is an integer
 linear form, so x~^rho y~^sigma z~^tau is an integer polynomial over
 the one denominator g_0^rho g_1^sigma g_2^tau.  ``p_table`` (what
 ``rahman table`` prints) weights those integer columns by the Gram
-diagonal, and ``expand`` (through it ``inner``) reads them as
-Fractions.  ``polymodule.expand_tilde_monomial_direct`` stays the
-independent oracle for the columns.
+diagonal.  ``BilinearForm.tilde_gram`` pairs every two of them through
+the Gram diagonal, scaled to integers over one denominator, so each of
+its entries is one integer dot product: tilde_norms and the tilde
+duality entries of dual_sums read it instead of calling ``inner``.
+``expand`` turns the columns of a tilde polynomial into Fractions, and
+``inner`` sums Fraction products; the remaining checks go through them.
+``polymodule.expand_tilde_monomial_direct`` stays the independent
+oracle for the columns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, lcm
+from math import factorial
+from operator import mul
 
 from .params import DerivedParams
 from .polymodule import DegreeMismatch, Poly3, action, lattice, lattice_dimension
 from .report import Recorder, Report
-from .scalars import format_rational
+from .scalars import format_rational, over_common_denominator
 from .sl3 import StructureSet, dagger
 
 __all__ = [
@@ -90,11 +96,9 @@ class BilinearForm:
         index i to i, i + a + 1 or i + a + 2.
         """
         R = self.s.R
-        scales = [lcm(*(R[i, j].denominator for i in range(3))) for j in range(3)]
-        linear = [
-            [R[i, j].numerator * (g // R[i, j].denominator) for i in range(3)]
-            for j, g in enumerate(scales)
-        ]
+        linear, scales = zip(
+            *(over_common_denominator(R[i, j] for i in range(3)) for j in range(3))
+        )
         level = {(0, 0, 0): ([1], 1)}
         for k in range(1, self.n + 1):
             shifts = [st + t + 1 for (_, st, t) in lattice(k - 1)]
@@ -116,6 +120,29 @@ class BilinearForm:
                         out[i + shift + 1] += cz * value
                 level[rho, sigma, tau] = (out, denominator * scales[j])
         return level
+
+    @cached_property
+    def tilde_gram(self) -> list:
+        """<x~^lambda, x~^mu> for every two tilde monomials, rows and columns
+        in lattice order: the tilde Gram matrix E^T G E.
+
+        E is ``tilde_columns`` and G the Gram diagonal over one common
+        denominator, so each entry is one integer dot product over one
+        denominator; the matrix is symmetric, and each pair is summed once.
+        Reading it reads ``gram``, so a zero eta~ weight fails the first
+        check that reads it.
+        """
+        columns = list(self.tilde_columns.values())
+        weights, den = over_common_denominator(self.gram[key] for key in lattice(self.n))
+        table = [[None] * len(columns) for _ in columns]
+        for i, (left, left_den) in enumerate(columns):
+            weighted = list(map(mul, weights, left))
+            for j in range(i, len(columns)):
+                right, right_den = columns[j]
+                table[i][j] = table[j][i] = Fraction(
+                    sum(map(mul, weighted, right)), den * left_den * right_den
+                )
+        return table
 
     def expand(self, xi: Poly3) -> Poly3:
         """Plain-basis coordinates of a polynomial of degree n in either basis."""
@@ -210,19 +237,16 @@ def verify_adjointness(f: BilinearForm) -> Report:
 def verify_tilde_norms(f: BilinearForm) -> Report:
     """Tilde monomials are orthogonal, with the norms ``f.dual.gram``.
 
-    Oracle: plain-basis expansion plus the defining Gram data.
+    Oracle: plain-basis expansion plus the defining Gram data, read off
+    ``f.tilde_gram``.
     """
     n = f.n
     points = lattice(n)
     with Recorder(f"form.tilde_norms.N{n}") as rec:
         norms = f.dual.gram
+        table = f.tilde_gram
         for i, lam in enumerate(points):
-            for mu in points[i:]:
-                value = inner(
-                    Poly3.monomial(*lam, kind="tilde"),
-                    Poly3.monomial(*mu, kind="tilde"),
-                    f,
-                )
+            for mu, value in zip(points[i:], table[i][i:]):
                 if lam == mu:
                     rec.equal(value, norms[lam], f"norm at {lam}")
                 else:
@@ -262,14 +286,22 @@ def verify_dual_sum_identities(f: BilinearForm) -> Report:
         )
 
         # Duality itself: pairing each basis with its claimed dual is the
-        # identity matrix.
-        for kind, duals in (("plain", plain_duals), ("tilde", tilde_duals)):
-            monomials = [Poly3.monomial(*pt, kind=kind) for pt in lattice(n)]
-            for i, xi in enumerate(monomials):
-                for j, eta_vec in enumerate(duals):
-                    rec.equal(
-                        inner(xi, eta_vec, f),
-                        Fraction(int(i == j)),
-                        f"{kind} duality entry ({i},{j})",
-                    )
+        # identity matrix.  A tilde pairing is linear in the dual vector's
+        # coefficient, so it reads the tilde Gram matrix.
+        for i, point in enumerate(lattice(n)):
+            xi = Poly3.monomial(*point)
+            for j, eta_vec in enumerate(plain_duals):
+                rec.equal(
+                    inner(xi, eta_vec, f),
+                    Fraction(int(i == j)),
+                    f"plain duality entry ({i},{j})",
+                )
+        for i, row in enumerate(f.tilde_gram):
+            for j, (value, eta_vec) in enumerate(zip(row, tilde_duals)):
+                (coefficient,) = eta_vec.coeffs.values()
+                rec.equal(
+                    value * coefficient,
+                    Fraction(int(i == j)),
+                    f"tilde duality entry ({i},{j})",
+                )
     return rec.report()

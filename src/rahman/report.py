@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+
+from .scalars import format_rational
 
 __all__ = ["Report", "Recorder"]
 
@@ -54,11 +57,32 @@ class Recorder:
             self.first_failure = describe() if callable(describe) else describe
 
     def equal(self, left, right, context: str) -> None:
+        self.check(left == right, lambda: _mismatch(context, left, right))
+
+    def equal_over(self, left: int, right: int, den: int, context: str) -> None:
+        """``equal`` on left/den and right/den, compared as integers; the
+        Fractions are built only to describe a failure."""
         self.check(
             left == right,
-            lambda: f"{context}: {left!r} != {right!r}",
+            lambda: _mismatch(context, Fraction(left, den), Fraction(right, den)),
         )
 
     def report(self) -> Report:
         status = "pass" if self.first_failure is None else "fail"
         return Report(self.name, status, self.checked, self.first_failure)
+
+
+def _mismatch(context: str, left, right) -> str:
+    return f"{context}: {_text(left)} != {_text(right)}"
+
+
+def _text(value) -> str:
+    """``repr(value)``; a value whose repr exceeds Python's int-to-str digit
+    limit is printed exactly as "num/den" if it is rational, and named by
+    its type otherwise."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, (int, Fraction)):
+            return format_rational(value)
+        return f"<{type(value).__name__} past the digit limit>"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 Rational = Fraction
 
@@ -20,6 +20,7 @@ __all__ = [
     "exact_rational",
     "parse_rational",
     "format_rational",
+    "over_common_denominator",
     "factorial",
     "multinomial",
 ]
@@ -73,6 +74,17 @@ def format_rational(value: Rational) -> str:
     except ValueError:  # past that limit; Decimal(k) prints the same digits
         num, den = (str(Decimal(k)) for k in (value.numerator, value.denominator))
         return num if den == "1" else f"{num}/{den}"
+
+
+def over_common_denominator(values) -> tuple:
+    """(numerators, den) with value i equal to numerators[i] / den.
+
+    ``den`` is the lcm of the denominators (1 for no values), so a sum of
+    products of such values is one integer sum over one denominator.
+    """
+    values = list(values)
+    den = lcm(*(value.denominator for value in values))
+    return [value.numerator * (den // value.denominator) for value in values], den
 
 
 def multinomial(total: int, parts) -> Rational:

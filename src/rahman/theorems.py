@@ -12,15 +12,21 @@ tilde side is its plain-side twin for the dual parameters (p2 and p3
 swapped), whose P is the transpose: orthogonality relation 2 and
 recurrence parts (iii) and (iv) read the transpose, and trans1 and the
 front operator identity run the plain-side check on ``s.dual()``.
+
+The orthogonality and recurrence sums run over the integers: each P
+column or row, weight vector and coefficient table is scaled once to
+integers over one common denominator (``over_common_denominator``), so
+each checked value is one integer sum, compared exactly.  A failed check
+still names the two Fractions it compared.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .form import (
     BilinearForm,
-    inner,
     p_table,
     pairing_scale,
     verify_adjointness,
@@ -49,7 +55,7 @@ from .sl3 import (
     verify_generation,
     verify_matrices,
 )
-from .scalars import multinomial
+from .scalars import multinomial, over_common_denominator
 
 __all__ = [
     "verify_trans2",
@@ -110,20 +116,27 @@ def verify_trans1(f: BilinearForm) -> Report:
 def verify_pcosines(f: BilinearForm) -> Report:
     """<x^r y^s z^t, x~^rho y~^sigma z~^tau> = N! nu^N P(s, t, sigma, tau).
 
-    Left side through the form module, right side through eval_P.
+    Left side through the form: the Gram weight of x^r y^s z^t times its
+    coefficient in the integer column of x~^rho y~^sigma z~^tau, the
+    Gram data read only where that coefficient is nonzero, as ``inner``
+    reads it.  Right side through eval_P.
     """
     d, n = f.s.d, f.n
     scale = pairing_scale(d, n)
+    points = lattice(n)
     with Recorder(f"transitions.pcosines.N{n}") as rec:
         p = _p_matrix(d, n)
-        for row, (r, st, t) in enumerate(lattice(n)):
-            plain = Poly3.monomial(r, st, t)
-            for column, (rho, sigma, tau) in enumerate(lattice(n)):
-                rec.equal(
-                    inner(plain, Poly3.monomial(rho, sigma, tau, kind="tilde"), f),
-                    scale * p[row][column],
-                    f"pair ({(r, st, t)}, {(rho, sigma, tau)})",
-                )
+        columns = list(f.tilde_columns.items())
+        for row, point in enumerate(points):
+            for column, (key, (numerators, denominator)) in enumerate(columns):
+                lhs = Fraction(0)
+                if numerators[row]:
+                    weight = f.gram[point]
+                    lhs = Fraction(
+                        weight.numerator * numerators[row],
+                        weight.denominator * denominator,
+                    )
+                rec.equal(lhs, scale * p[row][column], f"pair ({point}, {key})")
     return rec.report()
 
 
@@ -134,7 +147,8 @@ def verify_orthogonality(d: DerivedParams, n: int) -> Report:
     1 of the dual parameters, whose P is the transpose, so it sums
     products of two rows.  The weight eta~_0^i eta~_1^j eta~_2^k
     multinomial(N; i, j, k) of each lattice point is computed once per
-    relation.
+    relation.  Each column and the weights are scaled to integers over
+    one denominator once, so each sum is one integer dot product.
     """
     points = lattice(n)
     pairs = _pairs(n)
@@ -145,25 +159,26 @@ def verify_orthogonality(d: DerivedParams, n: int) -> Report:
             ("relation 1", d, list(zip(*p))),
             ("relation 2", d.dual(), p),
         ):
-            weights = [
+            weights, weight_den = over_common_denominator(
                 side.eta_t[0] ** i * side.eta_t[1] ** j * side.eta_t[2] ** k
                 * multinomial(n, [i, j, k])
                 for (i, j, k) in points
+            )
+            scaled = [over_common_denominator(column) for column in columns]
+            weighted = [
+                (list(map(mul, weights, numerators)), weight_den * den)
+                for numerators, den in scaled
             ]
-            relations.append((label, side, columns, weights))
+            relations.append((label, side, scaled, weighted))
         for a, (s_idx, t_idx) in enumerate(pairs):
             r_idx = n - s_idx - t_idx
             rhs_base = 1 / multinomial(n, [r_idx, s_idx, t_idx])
             for b, (sigma, tau) in enumerate(pairs):
                 delta = Fraction(int(a == b))
-                for label, side, columns, weights in relations:
-                    lhs = sum(
-                        (
-                            u * v * weight
-                            for u, v, weight in zip(columns[a], columns[b], weights)
-                        ),
-                        Fraction(0),
-                    )
+                for label, side, scaled, weighted in relations:
+                    left, left_den = weighted[a]
+                    right, right_den = scaled[b]
+                    lhs = Fraction(sum(map(mul, left, right)), left_den * right_den)
                     rhs = delta / (side.k_t[1] ** s_idx * side.k_t[2] ** t_idx) * rhs_base
                     rec.equal(lhs, rhs, f"{label} at {(s_idx, t_idx, sigma, tau)}")
     return rec.report()
@@ -191,35 +206,40 @@ def verify_recurrences(s: StructureSet, n: int) -> Report:
     s, t).  A shifted (sigma, tau) with no column is off the lattice; its
     coefficient carries a counter whose vanishing is asserted, not
     assumed.
+
+    Each P row and each coefficient table is scaled to integers over one
+    denominator once, and both sides are multiplied by 3 (clearing the
+    N/3 shifts) and by those denominators, so each check compares two
+    integers.
     """
-    third = Fraction(n, 3)
     pairs = _pairs(n)
     index = {pair: position for position, pair in enumerate(pairs)}
 
     with Recorder(f"recurrences.N{n}") as rec:
         p = _p_matrix(s.d, n)
-        # (part, coefficient table, index of the eigenvalue in (s, t), P).
-        # Parts (i) and (ii) expand varphi and phi in the tilde basis:
-        # the varphi~ and phi~ tables of the dual parameters.
+        # (part, scaled coefficient table and its denominator, index of
+        # the eigenvalue in (s, t), scaled P rows).  Parts (i) and (ii)
+        # expand varphi and phi in the tilde basis: the varphi~ and phi~
+        # tables of the dual parameters.
         parts = []
         for (first, second), q, p_side in (
             (("i", "ii"), s.p.dual(), p),
             (("iii", "iv"), s.p, list(zip(*p))),
         ):
-            varphi, phi = expansion_coefficients(q)
-            parts.append((first, varphi, 0, p_side))
-            parts.append((second, phi, 1, p_side))
+            rows = [over_common_denominator(p_row) for p_row in p_side]
+            for name, coeffs, eig in zip((first, second), expansion_coefficients(q), (0, 1)):
+                numerators, den = over_common_denominator(coeffs.values())
+                parts.append((name, dict(zip(coeffs, numerators)), den, eig, rows))
 
         for row, (s_idx, t_idx) in enumerate(pairs):
             for column, (sigma, tau) in enumerate(pairs):
                 c_idx = n - sigma - tau
                 counters = {"A": sigma, "B": tau, "C": c_idx}
-                for name, coeffs, eig, p_side in parts:
-                    p_row = p_side[row]
+                for name, coeffs, coeff_den, eig, rows in parts:
+                    p_row, p_den = rows[row]
                     base = p_row[column]
                     total = (
-                        (Fraction(sigma) - third) * coeffs["h1"]
-                        + (Fraction(tau) - third) * coeffs["h2"]
+                        (3 * sigma - n) * coeffs["h1"] + (3 * tau - n) * coeffs["h2"]
                     ) * base
                     for (da, db), counter, key in _SHIFT_PATTERN:
                         factor = counters[counter]
@@ -233,11 +253,12 @@ def verify_recurrences(s: StructureSet, n: int) -> Report:
                             continue
                         if factor == 0:
                             continue
-                        total += factor * coeffs[key] * p_row[shifted]
+                        total += 3 * factor * coeffs[key] * p_row[shifted]
 
-                    rec.equal(
-                        (Fraction((s_idx, t_idx)[eig]) - third) * base,
+                    rec.equal_over(
+                        (3 * (s_idx, t_idx)[eig] - n) * coeff_den * base,
                         total,
+                        3 * coeff_den * p_den,
                         f"part ({name}) at {(s_idx, t_idx, sigma, tau)}",
                     )
     return rec.report()

@@ -34,6 +34,14 @@ def test_check_names_offending_expression(runner):
     assert "p1p4-p2p3" in result.output
 
 
+def test_check_ignores_the_degree_of_a_parameter_file(runner, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"p": ["1", "2", "3", "5"], "N": 3}))
+    result = runner.invoke(main, ["check", "--params-file", str(path)])
+    assert result.exit_code == 0
+    assert result.stdout == "ok\n"
+
+
 def test_check_requires_parameters(runner):
     result = runner.invoke(main, ["check"])
     assert result.exit_code == 2
@@ -193,6 +201,9 @@ def defect_files(tmp_path):
         ["export", "dual-bases", "--p", "1,2,3,5", "--N", "2", "--format", "csv"],
         ["verify", "all", "--p", "1,2,3,5", "--N", "2", "--format", "csv"],
         ["table", "--params-file", "{dir}/deep.json", "--N", "1"],
+        ["eval", "1", "0", "1", "0", "--p", "1,2,3,5", "--N", "1", "--format", "csv"],
+        ["check", "--p", "1,2,3,5", "--format", "csv"],
+        ["check", "--p", "1,2,3,5", "--N", "2"],
     ],
     ids=[
         "zero-denominator-param",
@@ -207,6 +218,9 @@ def defect_files(tmp_path):
         "export-dual-bases-csv",
         "verify-csv",
         "params-file-too-deep",
+        "eval-csv",
+        "check-csv",
+        "check-degree",
     ],
 )
 def test_malformed_input_exits_2(runner, defect_files, argv):
@@ -330,7 +344,7 @@ def _with_n(argv, n):
 
 FORMATS = st.sampled_from(["json", "json", "csv"])
 EVAL_ARGS = st.lists(st.sampled_from([0, 1, -1]), min_size=4, max_size=4)
-# (argv before the parameters, argv after them); only check takes any N.
+# (argv before the parameters, argv after them); check refuses every N.
 COMMAND_LINES = st.one_of(
     st.builds(lambda n: (_with_n(["check"], n), []), st.none() | st.integers(-3, 15)),
     st.builds(lambda n, args: (_with_n(["eval"], n), ["--", *map(str, args)]),

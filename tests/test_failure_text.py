@@ -1,0 +1,178 @@
+"""Each P and form verifier's Report on one targeted corruption, pinned
+verbatim: name, status, checked count and first-failure text.
+
+The expected tuples were taken from the Fraction-by-Fraction verifiers
+(every product its own Fraction); the integer sums over common
+denominators must fail at the same check with the same text.
+"""
+
+from fractions import Fraction
+from math import lcm
+
+import pytest
+
+from rahman import theorems
+from rahman.form import BilinearForm, verify_dual_sum_identities, verify_tilde_norms
+from rahman.params import ParameterSet
+from rahman.sl3 import build
+
+REFERENCE = ParameterSet.of(1, 2, 3, 5)
+NEGATIVE = ParameterSet.of(Fraction(-3, 2), 5, Fraction(1, 2), -3)
+
+
+def _wrong_p_entry(patch):
+    """P(1, 0 | 0, 1) off by one wherever the theorems read eval_P."""
+    eval_P = theorems.eval_P
+
+    def wrong(a, b, c, d, derived, n):
+        return eval_P(a, b, c, d, derived, n) + ((a, b, c, d) == (1, 0, 0, 1))
+
+    patch(theorems, "eval_P", wrong)
+
+
+def _wrong_expansion_coefficient(patch):
+    """The varphi~ table's e01 entry off by one, for p and for p.dual()."""
+    expansion_coefficients = theorems.expansion_coefficients
+
+    def wrong(p):
+        varphi, phi = expansion_coefficients(p)
+        return {**varphi, "e01": varphi["e01"] + 1}, phi
+
+    patch(theorems, "expansion_coefficients", wrong)
+
+
+def _doubled_tilde_norm(f):
+    f.dual.gram[(0, 1, 1)] *= 2
+
+
+def _balanced_tilde_columns(f):
+    """Add ||x~^mu||^2 x^N to the column of x~^mu for mu = (0,2,0), and
+    subtract it for mu = (0,1,1): the sum of the tilde dual basis and the
+    column of x~^N stay as they are, so only the tilde pairings change."""
+    for mu, sign in (((0, 2, 0), 1), ((0, 1, 1), -1)):
+        numerators, den = f.tilde_columns[mu]
+        values = [Fraction(value, den) for value in numerators]
+        values[0] += sign * f.dual.gram[mu]
+        scale = lcm(*(value.denominator for value in values))
+        f.tilde_columns[mu] = ([int(value * scale) for value in values], scale)
+
+
+def _zeroed_eta_t_0(p, n):
+    s = build(p)
+    return BilinearForm(s.with_corrupted_eta_t(0, -s.d.eta_t[0]), n)
+
+
+# id: (parameters, patch of the theorems module, corruption of the form,
+# verifier); every case runs at N=2 unless its form says otherwise.
+CASES = {
+    "orthogonality-wrong-P": (
+        _wrong_p_entry, None, lambda f: theorems.verify_orthogonality(f.s.d, f.n)),
+    "recurrences-wrong-e01": (
+        _wrong_expansion_coefficient, None, lambda f: theorems.verify_recurrences(f.s, f.n)),
+    "pcosines-wrong-P": (_wrong_p_entry, None, theorems.verify_pcosines),
+    "tilde_norms-doubled-norm": (None, _doubled_tilde_norm, verify_tilde_norms),
+    "dual_sums-doubled-norm": (None, _doubled_tilde_norm, verify_dual_sum_identities),
+    "dual_sums-balanced-columns": (
+        None, _balanced_tilde_columns, verify_dual_sum_identities),
+}
+
+
+def run_case(case: str, p: ParameterSet, patch) -> tuple:
+    patch_theorems, corrupt, verifier = CASES[case]
+    if patch_theorems is not None:
+        patch_theorems(patch)
+    f = BilinearForm(build(p), 2)
+    if corrupt is not None:
+        corrupt(f)
+    report = verifier(f)
+    return report.name, report.status, report.checked, report.first_failure
+
+
+EXPECTED = {
+    ("orthogonality-wrong-P", "1,2,3,5"): (
+        "orthogonality.N2", "fail", 72,
+        "relation 2 at (0, 0, 1, 0): Fraction(55, 25088) != Fraction(0, 1)",
+    ),
+    ("orthogonality-wrong-P", "-3/2,5,1/2,-3"): (
+        "orthogonality.N2", "fail", 72,
+        "relation 2 at (0, 0, 1, 0): Fraction(-24, 175) != Fraction(0, 1)",
+    ),
+    ("recurrences-wrong-e01", "1,2,3,5"): (
+        "recurrences.N2", "fail", 576,
+        "part (i) at (0, 0, 1, 0): Fraction(-2, 3) != Fraction(1, 3)",
+    ),
+    ("recurrences-wrong-e01", "-3/2,5,1/2,-3"): (
+        "recurrences.N2", "fail", 576,
+        "part (i) at (0, 0, 1, 0): Fraction(-2, 3) != Fraction(1, 3)",
+    ),
+    ("pcosines-wrong-P", "1,2,3,5"): (
+        "transitions.pcosines.N2", "fail", 36,
+        "pair ((1, 1, 0), (1, 0, 1)): Fraction(5117952, 11) != Fraction(15052800, 11)",
+    ),
+    ("pcosines-wrong-P", "-3/2,5,1/2,-3"): (
+        "transitions.pcosines.N2", "fail", 36,
+        "pair ((1, 1, 0), (1, 0, 1)): Fraction(-3675, 64) != Fraction(-1225, 64)",
+    ),
+    ("tilde_norms-doubled-norm", "1,2,3,5"): (
+        "form.tilde_norms.N2", "fail", 21,
+        "norm at (0, 1, 1): Fraction(1806336, 605) != Fraction(3612672, 605)",
+    ),
+    ("tilde_norms-doubled-norm", "-3/2,5,1/2,-3"): (
+        "form.tilde_norms.N2", "fail", 21,
+        "norm at (0, 1, 1): Fraction(-8575, 144) != Fraction(-8575, 72)",
+    ),
+    ("dual_sums-doubled-norm", "1,2,3,5"): (
+        "form.dual_sums.N2", "fail", 74,
+        "tilde dual sum vs x^N: Poly3({(2, 0, 0): Fraction(1, 1)}, kind='plain') != "
+        "Poly3({(2, 0, 0): Fraction(2531, 3136), (1, 1, 0): Fraction(605, 224), "
+        "(1, 0, 1): Fraction(-1815, 784), (0, 2, 0): Fraction(1815, 64), "
+        "(0, 1, 1): Fraction(-6655, 112), (0, 0, 2): Fraction(3025, 98)}, kind='plain')",
+    ),
+    ("dual_sums-doubled-norm", "-3/2,5,1/2,-3"): (
+        "form.dual_sums.N2", "fail", 74,
+        "tilde dual sum vs x^N: Poly3({(2, 0, 0): Fraction(1, 1)}, kind='plain') != "
+        "Poly3({(2, 0, 0): Fraction(37, 28), (1, 1, 0): Fraction(9, 14), "
+        "(1, 0, 1): Fraction(-9, 7), (0, 2, 0): Fraction(27, 112), "
+        "(0, 1, 1): Fraction(-9, 8), (0, 0, 2): Fraction(135, 112)}, kind='plain')",
+    ),
+    ("dual_sums-balanced-columns", "1,2,3,5"): (
+        "form.dual_sums.N2", "fail", 74,
+        "tilde duality entry (0,3): Fraction(903168, 1) != Fraction(0, 1)",
+    ),
+    ("dual_sums-balanced-columns", "-3/2,5,1/2,-3"): (
+        "form.dual_sums.N2", "fail", 74,
+        "tilde duality entry (0,3): Fraction(1225, 32) != Fraction(0, 1)",
+    ),
+}
+
+
+PARAMETERS = {"1,2,3,5": REFERENCE, "-3/2,5,1/2,-3": NEGATIVE}
+
+
+@pytest.mark.parametrize("label", list(PARAMETERS))
+@pytest.mark.parametrize("case", list(CASES))
+def test_failure_text_is_pinned(monkeypatch, case, label):
+    assert run_case(case, PARAMETERS[label], monkeypatch.setattr) == EXPECTED[case, label]
+
+
+ZEROED_EXPECTED = {
+    1: (
+        "transitions.pcosines.N1", "fail", 4,
+        "pair ((1, 0, 0), (1, 0, 0)): Fraction(0, 1) != Fraction(672, 1)",
+    ),
+    2: (
+        "transitions.pcosines.N2", "fail", 19,
+        "pair ((2, 0, 0), (2, 0, 0)): Fraction(0, 1) != Fraction(903168, 1)",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_pcosines_on_a_zeroed_eta_t_0(n):
+    """eta~_0 = 0 empties row 0 of R: every plain monomial with r > 0
+    pairs to 0 without a Gram weight, and the first Gram weight read
+    divides by zero."""
+    report = theorems.verify_pcosines(_zeroed_eta_t_0(REFERENCE, n))
+    assert (report.name, report.status, report.checked, report.first_failure) == (
+        ZEROED_EXPECTED[n]
+    )

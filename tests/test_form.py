@@ -183,6 +183,27 @@ def test_tilde_columns_match_direct_expansion_at_the_ceiling():
     _assert_columns_match_direct_expansion(build(p), 12, keys)
 
 
+def _assert_tilde_gram_matches_inner(f):
+    points = lattice(f.n)
+    monomials = [Poly3.monomial(*point, kind="tilde") for point in points]
+    assert f.tilde_gram == [[inner(a, b, f) for b in monomials] for a in monomials]
+
+
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("p", PARAM_MATRIX, ids=str)
+def test_tilde_gram_matches_inner(forms, p, n):
+    """The integer tilde Gram matrix against ``inner``, which expands both
+    tilde monomials and sums Fraction products over the Gram diagonal."""
+    _assert_tilde_gram_matches_inner(forms[p, n])
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_tilde_gram_matches_inner_on_a_shifted_eta_t(reference_structure, index):
+    corrupted = reference_structure.with_corrupted_eta_t(index, 1)
+    for n in range(4):
+        _assert_tilde_gram_matches_inner(BilinearForm(corrupted, n))
+
+
 def test_gram_values_off_the_axis(reference_structure):
     """Mixed-exponent norms at (1,2,3,5), N=3, worked by hand from eta,
     eta~, theta = 28 and theta~ = 24: both sides of the one Gram formula."""

@@ -9,6 +9,7 @@ from rahman.scalars import (
     PartsMismatch,
     format_rational,
     multinomial,
+    over_common_denominator,
     parse_rational,
 )
 
@@ -76,3 +77,16 @@ def test_format_rational_prints_past_the_str_digit_limit():
     assert (int(Decimal(head)), int(Decimal(tail))) == (num, den)
     assert int(Decimal(format_rational(num))) == num
 
+
+
+@given(st.lists(rationals | st.integers(-50, 50), max_size=8))
+def test_over_common_denominator(values):
+    numerators, den = over_common_denominator(values)
+    assert [Fraction(k, den) for k in numerators] == values
+    assert all(type(k) is int for k in numerators)
+    assert all(den % Fraction(v).denominator == 0 for v in values)
+
+
+def test_over_common_denominator_uses_the_lcm():
+    assert over_common_denominator([Fraction(1, 4), Fraction(-5, 6), 2]) == ([3, -10, 24], 12)
+    assert over_common_denominator([]) == ([], 1)

@@ -23,7 +23,7 @@ from rahman.polymodule import (
 )
 from rahman.polynomials import eval_P
 from rahman.report import Recorder, Report
-from rahman.scalars import multinomial
+from rahman.scalars import format_rational, multinomial
 from rahman.sl3 import (
     build,
     verify_dagger,
@@ -324,3 +324,35 @@ def test_recorder_lets_other_errors_through():
 def test_every_suite_on_random_parameters(p, n):
     reports = run_suites(p, n)
     assert [r.name for r in reports if not r.ok] == []
+
+
+@given(valid_parameter_sets())
+@settings(max_examples=15, deadline=None)
+def test_integer_sum_suites_on_random_parameters_at_degree_5(p):
+    """The suites whose sums run over common denominators, on random
+    rationals (negative and non-integer ones included) at N=5."""
+    reports = run_suites(p, 5, ["form", "orthogonality", "recurrence"])
+    assert len(reports) == 5
+    assert [r.name for r in reports if not r.ok] == []
+
+
+def test_recorder_describes_values_past_the_str_digit_limit():
+    """A failed check on an int too long for repr counts once and keeps
+    its context; the value is printed exactly."""
+    with Recorder("probe") as rec:
+        rec.equal(Fraction(7**6000), 0, "ctx")
+    report = rec.report()
+    assert report.checked == 1
+    assert report.first_failure.startswith("ctx: ")
+    assert report.first_failure.endswith(" != 0")
+    assert format_rational(7**6000) in report.first_failure
+
+
+def test_recorder_keeps_repr_text():
+    with Recorder("probe") as rec:
+        rec.equal(Fraction(1, 2), 0, "ctx")
+        rec.equal_over(3, 4, 6, "later")
+    assert rec.report() == Report("probe", "fail", 2, "ctx: Fraction(1, 2) != 0")
+    with Recorder("probe") as rec:
+        rec.equal_over(3, 4, 6, "over")
+    assert rec.report().first_failure == "over: Fraction(1, 2) != Fraction(2, 3)"
