@@ -41,8 +41,13 @@ def _max_n() -> int:
         raise click.UsageError(f"RAHMAN_MAX_N must be an integer, got {raw!r}")
 
 
-def _resolve_params(p: str | None, params_file: str | None, n: int | None):
-    """Combine --p / --params-file / --N into (ParameterSet, N or None)."""
+def _resolve_params(
+    p: str | None, params_file: str | None, n: int | None, reads_degree: bool = True
+):
+    """Combine --p / --params-file / --N into (ParameterSet, N or None).
+
+    N is held to the ceiling only for a command that ``reads_degree``.
+    """
     if p is not None and params_file is not None:
         raise click.UsageError("--p and --params-file are mutually exclusive")
     if params_file is not None:
@@ -62,7 +67,7 @@ def _resolve_params(p: str | None, params_file: str | None, n: int | None):
         params = ParameterSet(*values)
     else:
         raise click.UsageError("provide parameters via --p or --params-file")
-    if n is not None:
+    if n is not None and reads_degree:
         if n < 0:
             raise click.UsageError("N must be nonnegative")
         if n > _max_n():
@@ -128,7 +133,7 @@ def check(p, params_file, n, fmt, out):
         raise click.UsageError("check has no CSV form; it prints one verdict")
     if n is not None:
         raise click.UsageError("check takes no --N; it reads only the parameters")
-    params, _ = _resolve_params(p, params_file, n)
+    params, _ = _resolve_params(p, params_file, n, reads_degree=False)
     try:
         validate(params)
     except ValidationError as exc:

@@ -19,17 +19,25 @@ At integer arguments on the lattice (a+b <= N, c+d <= N) a term is
 nonzero only inside the box i+j <= a, k+l <= b, i+k <= c, j+l <= d,
 since (-m)_q = 0 for q > m; the box already implies i+j+k+l <= N.
 ``_falling_coefficients`` sums that box only, reading its factors from
-O(N) prefix tables built once per call: the shifted factorials (-a)_q
-and (-b)_q, the scaled powers t^i/i!, u^j/j!, v^k/k!, w^l/l!, and
-1/(-N)_m.
+O(N) prefix tables built once per call.  Every table holds Python ints
+over one denominator: the shifted factorials (-a)_q and (-b)_q (whole
+numbers), the scaled powers x^q/q! for x = t, u, v, w as
+x_n^q x_d^(top-q) top!/q! over x_d^top top!, and 1/(-N)_m as
+(-N)_M/(-N)_m over (-N)_M.  So each term is an integer product, the
+table A_pq is integers over the product of those denominators, and each
+evaluation divides by it once: ``eval_P`` builds one Fraction per value,
+and ``eval_P_operator`` one per coefficient of each image.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
+from operator import mul
 
 from .params import DerivedParams
 from .polymodule import Poly3, lattice
+from .scalars import over_common_denominator
 
 __all__ = [
     "NonCommutingOperators",
@@ -50,12 +58,19 @@ def _falling(m: int) -> list:
     return table
 
 
-def _scaled_powers(x: Fraction, n: int) -> list:
-    """[x^0/0!, x^1/1!, ..., x^n/n!]."""
-    table = [Fraction(1)]
-    for q in range(1, n + 1):
-        table.append(table[-1] * x / q)
-    return table
+def _scaled_powers(x: Fraction, top: int) -> tuple:
+    """(table, den) with x^q/q! = table[q] / den for q = 0, ..., top.
+
+    For x = x_n/x_d, table[q] = x_n^q x_d^(top-q) top!/q! and
+    den = x_d^top top!.
+    """
+    num, den = x.numerator, x.denominator
+    top_factorial = factorial(top)
+    table = [
+        num**q * den ** (top - q) * (top_factorial // factorial(q))
+        for q in range(top + 1)
+    ]
+    return table, den**top * top_factorial
 
 
 def _check_lattice(n: int, *args: int) -> None:
@@ -73,47 +88,66 @@ def _check_lattice(n: int, *args: int) -> None:
 
 def _falling_coefficients(
     a: int, b: int, derived: DerivedParams, n: int, top_c: int, top_d: int
-) -> dict:
-    """{(p, q): A_pq} with P(a, b | c, d) = sum A_pq (-c)_p (-d)_q.
+) -> tuple:
+    """(table, den) with P(a, b | c, d) = sum table[p][q] (-c)_p (-d)_q / den.
 
-    Sums the box i+j <= a, k+l <= b, i+k <= top_c, j+l <= top_d once;
-    the term (i, j, k, l) adds to A_{i+k, j+l}.  Coefficients with
-    p > top_c or q > top_d are left out, so top = (c, d) suffices for
-    integer c, d and top = (N, N) keeps every coefficient.
+    table[p][q] is the integer numerator of A_pq.  Sums the box i+j <= a,
+    k+l <= b, i+k <= top_c, j+l <= top_d once; the term (i, j, k, l) adds
+    to A_{i+k, j+l}.  Coefficients with p > top_c or q > top_d are left
+    out, so top = (c, d) suffices for integer c, d and top = (N, N) keeps
+    every coefficient.
+
+    Each factor is read from an integer prefix table over its own
+    denominator: t^i/i!, u^j/j!, v^k/k!, w^l/l! from ``_scaled_powers``,
+    and 1/(-N)_m as (-N)_M/(-N)_m over (-N)_M, with M the largest p+q.
+    A term is (-a)_{i+j} t^i u^j, built once per (i, j), times
+    (-b)_{k+l} v^k w^l, built once per (k, l); den is the product of the
+    five denominators.
     """
-    ts = _scaled_powers(derived.t, min(a, top_c))
-    us = _scaled_powers(derived.u, min(a, top_d))
-    vs = _scaled_powers(derived.v, min(b, top_c))
-    ws = _scaled_powers(derived.w, min(b, top_d))
+    top_i, top_k = min(a, top_c), min(b, top_c)
+    ts, t_den = _scaled_powers(derived.t, top_i)
+    us, u_den = _scaled_powers(derived.u, min(a, top_d))
+    vs, v_den = _scaled_powers(derived.v, top_k)
+    ws, w_den = _scaled_powers(derived.w, min(b, top_d))
     top_m = min(a + b, top_c + top_d)
-    inverse = [Fraction(1, value) for value in _falling(n)[: top_m + 1]]
+    falling_n = _falling(n)[: top_m + 1]
+    inverse = [falling_n[top_m] // value for value in falling_n]
     fa, fb = _falling(a), _falling(b)
-    sums: dict = {}
-    for i in range(min(a, top_c) + 1):
-        for j in range(min(a - i, top_d) + 1):
-            ij = fa[i + j] * ts[i] * us[j]
-            for k in range(min(b, top_c - i) + 1):
-                ijk = ij * vs[k]
-                for l in range(min(b - k, top_d - j) + 1):
-                    key = (i + k, j + l)
-                    term = ijk * fb[k + l] * ws[l]
-                    sums[key] = sums[key] + term if key in sums else term
-    return {(p, q): value * inverse[p + q] for (p, q), value in sums.items()}
+    front = [
+        [fa[i + j] * ts[i] * us[j] for j in range(min(a - i, top_d) + 1)]
+        for i in range(top_i + 1)
+    ]
+    back = [
+        [fb[k + l] * vs[k] * ws[l] for l in range(min(b - k, top_d) + 1)]
+        for k in range(top_k + 1)
+    ]
+    sums = [[0] * (top_m - p + 1) for p in range(min(top_i + top_k, top_c) + 1)]
+    for i, front_row in enumerate(front):
+        for j, x in enumerate(front_row):
+            for k in range(min(top_k, top_c - i) + 1):
+                row = sums[i + k]
+                for q, y in enumerate(back[k][: top_d - j + 1], j):
+                    row[q] += x * y
+    table = [
+        [value * inverse[p + q] for q, value in enumerate(row)]
+        for p, row in enumerate(sums)
+    ]
+    return table, t_den * u_den * v_den * w_den * falling_n[top_m]
 
 
 def eval_P(a: int, b: int, c: int, d: int, derived: DerivedParams, n: int) -> Fraction:
     """Exact value of P at a lattice point: a+b <= N and c+d <= N.
 
     Only the box i+j <= a, k+l <= b, i+k <= c, j+l <= d is summed; every
-    other term has a vanishing shifted factorial.  Raises ValueError for
-    a negative argument or N, and for arguments off the lattice.
+    other term has a vanishing shifted factorial.  The sum runs over the
+    integers, and one Fraction is built at the end.  Raises ValueError
+    for a negative argument or N, and for arguments off the lattice.
     """
     _check_lattice(n, a, b, c, d)
+    table, den = _falling_coefficients(a, b, derived, n, c, d)
     fc, fd = _falling(c), _falling(d)
-    total = Fraction(0)
-    for (p, q), value in _falling_coefficients(a, b, derived, n, c, d).items():
-        total += value * (fc[p] * fd[q])
-    return total
+    total = sum(fc[p] * sum(map(mul, row, fd)) for p, row in enumerate(table))
+    return Fraction(total, den)
 
 
 def _falling_powers(op, vector: Poly3, top: int):
@@ -133,8 +167,10 @@ def eval_P_operator(
 
     C and D map Poly3 to Poly3 on the degree-n module; CD = DC is checked
     once, on every monomial.  Each (-C)_p (-D)_q v with p+q <= max(s+t)
-    is built once and weighted by every pair's table A_pq.  P(C, D | s, t)
-    is this value on ``derived.dual()``.  Raises ValueError like
+    is built once, and all of them are scaled to integers over one common
+    denominator.  Each pair's image weights them by its integer table
+    A_pq and divides by the two denominators once per coefficient.
+    P(C, D | s, t) is this value on ``derived.dual()``.  Raises ValueError like
     ``eval_P``, and NonCommutingOperators unless CD = DC.
     """
     for s_arg, t_arg in int_pairs:
@@ -150,11 +186,24 @@ def eval_P_operator(
     for q, d_power in enumerate(_falling_powers(d_op, vector, top)):
         for p, both in enumerate(_falling_powers(c_op, d_power, top - q)):
             powers[p, q] = both.coeffs
+    numerators, power_den = over_common_denominator(
+        value for coeffs in powers.values() for value in coeffs.values()
+    )
+    numerators = iter(numerators)
+    powers = {
+        pq: [(key, next(numerators)) for key in coeffs] for pq, coeffs in powers.items()
+    }
     images = []
     for s_arg, t_arg in int_pairs:
+        table, den = _falling_coefficients(s_arg, t_arg, derived, n, n, n)
         total: dict = {}
-        for (p, q), value in _falling_coefficients(s_arg, t_arg, derived, n, n, n).items():
-            for key, x in powers[p, q].items():
-                total[key] = total.get(key, 0) + value * x
-        images.append(Poly3(total, vector.kind))
+        for p, row in enumerate(table):
+            for q, value in enumerate(row):
+                if value:
+                    for key, x in powers[p, q]:
+                        total[key] = total.get(key, 0) + value * x
+        den *= power_den
+        images.append(
+            Poly3({key: Fraction(x, den) for key, x in total.items()}, vector.kind)
+        )
     return images

@@ -34,9 +34,10 @@ def test_check_names_offending_expression(runner):
     assert "p1p4-p2p3" in result.output
 
 
-def test_check_ignores_the_degree_of_a_parameter_file(runner, tmp_path):
+@pytest.mark.parametrize("n", [3, 13], ids=["below-ceiling", "above-ceiling"])
+def test_check_ignores_the_degree_of_a_parameter_file(runner, tmp_path, n):
     path = tmp_path / "p.json"
-    path.write_text(json.dumps({"p": ["1", "2", "3", "5"], "N": 3}))
+    path.write_text(json.dumps({"p": ["1", "2", "3", "5"], "N": n}))
     result = runner.invoke(main, ["check", "--params-file", str(path)])
     assert result.exit_code == 0
     assert result.stdout == "ok\n"

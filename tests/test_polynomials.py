@@ -134,19 +134,29 @@ def _defining_term_weights(d, n):
                     yield (i, j, k, l), weight
 
 
+def _defining_sums(entries, derived, n):
+    """P at each (a, b, c, d) of ``entries``, summed over every i+j+k+l <= N,
+    zero terms included; the weights are written out once."""
+    weights = list(_defining_term_weights(derived, n))
+    totals = []
+    for a, b, c, d in entries:
+        total = Fraction(0)
+        for (i, j, k, l), weight in weights:
+            factor = (
+                pochhammer(-a, i + j)
+                * pochhammer(-b, k + l)
+                * pochhammer(-c, i + k)
+                * pochhammer(-d, j + l)
+            )
+            if factor != 0:
+                total += factor * weight
+        totals.append(total)
+    return totals
+
+
 def _defining_sum(a, b, c, d, derived, n):
     """P summed over every i+j+k+l <= N, zero terms included."""
-    total = Fraction(0)
-    for (i, j, k, l), weight in _defining_term_weights(derived, n):
-        factor = (
-            pochhammer(-a, i + j)
-            * pochhammer(-b, k + l)
-            * pochhammer(-c, i + k)
-            * pochhammer(-d, j + l)
-        )
-        if factor != 0:
-            total += factor * weight
-    return total
+    return _defining_sums([(a, b, c, d)], derived, n)[0]
 
 
 def _assert_eval_P_is_the_defining_sum(d, n):
@@ -167,6 +177,27 @@ def test_eval_P_is_the_defining_sum(derived_matrix, p, n):
 @settings(max_examples=25, deadline=None)
 def test_eval_P_is_the_defining_sum_random(p, n):
     _assert_eval_P_is_the_defining_sum(derive(p), n)
+
+
+@st.composite
+def lattice_entries(draw, n):
+    """An argument tuple (a, b, c, d) with a+b <= N and c+d <= N."""
+    a = draw(st.integers(0, n))
+    b = draw(st.integers(0, n - a))
+    c = draw(st.integers(0, n))
+    return a, b, c, draw(st.integers(0, n - c))
+
+
+@given(valid_parameter_sets(), st.integers(4, 12), st.data())
+@settings(max_examples=15, deadline=None)
+def test_eval_P_is_the_defining_sum_at_depth(p, n, data):
+    """A few random entries at N = 4..12, on random rationals (negative and
+    non-integer ones included): the depths at which the integer tables'
+    denominators, powers of each x_d times factorials and (-N)_M, grow."""
+    derived = derive(p)
+    entries = [data.draw(lattice_entries(n)) for _ in range(3)]
+    expected = _defining_sums(entries, derived, n)
+    assert [eval_P(*entry, derived, n) for entry in entries] == expected
 
 
 def test_extended_sum_range_changes_nothing(derived_matrix):

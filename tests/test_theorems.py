@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 from fractions import Fraction
 
@@ -212,6 +213,25 @@ def test_corruption_sensitivity(structures):
     assert not verify_matrices(corrupted).ok
 
 
+@pytest.mark.parametrize("field", ["t", "u", "v", "w"])
+@pytest.mark.parametrize(
+    "p",
+    [ParameterSet.of(1, 2, 3, 5), ParameterSet.of(Fraction(-3, 2), 5, Fraction(1, 2), -3)],
+    ids=str,
+)
+def test_each_kernel_constant_is_caught(p, field):
+    """Shifting t, u, v or w alone by 1 fails orthogonality, the recurrences
+    and the operator identities at N = 1..3.  The first two read P through
+    eval_P; the operator suite already fails on its tilde elements, built
+    through U from the same constants, which lose their zero trace."""
+    d = derive(p)
+    s = build(p, dataclasses.replace(d, **{field: getattr(d, field) + 1}))
+    for n in (1, 2, 3):
+        assert not verify_orthogonality(s.d, n).ok
+        assert not verify_recurrences(s, n).ok
+        assert not verify_operator_identities(s, n).ok
+
+
 def _with_eta_t(index: int, zeroed: bool):
     """The (1,2,3,5) structure with eta~_index shifted by 1, or set to 0."""
     s = build(ParameterSet.of(1, 2, 3, 5))
@@ -329,10 +349,13 @@ def test_every_suite_on_random_parameters(p, n):
 @given(valid_parameter_sets())
 @settings(max_examples=15, deadline=None)
 def test_integer_sum_suites_on_random_parameters_at_degree_5(p):
-    """The suites whose sums run over common denominators, on random
-    rationals (negative and non-integer ones included) at N=5."""
-    reports = run_suites(p, 5, ["form", "orthogonality", "recurrence"])
-    assert len(reports) == 5
+    """The suites whose sums run over common denominators, and every
+    reader of the integer P kernel, on random rationals (negative and
+    non-integer ones included) at N=5."""
+    reports = run_suites(
+        p, 5, ["form", "transitions", "orthogonality", "recurrence", "operators"]
+    )
+    assert len(reports) == 9
     assert [r.name for r in reports if not r.ok] == []
 
 
