@@ -21,8 +21,8 @@ its entries is one integer dot product: tilde_norms and the tilde
 duality entries of dual_sums read it instead of calling ``inner``.
 ``expand`` turns the columns of a tilde polynomial into Fractions, and
 ``inner`` sums Fraction products; the remaining checks go through them.
-``polymodule.expand_tilde_monomial_direct`` stays the independent
-oracle for the columns.
+The tests keep an independent oracle for the columns: the substitution
+of the tilde variables, multiplied out over Fractions.
 """
 
 from __future__ import annotations

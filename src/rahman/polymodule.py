@@ -15,10 +15,11 @@ validates its input and refuses a float or bool coefficient, and any
 exponent that is not a nonnegative int.  ``scale`` refuses a float or
 bool factor.
 
-Only the tilde-to-plain substitution is written out.  The tilde
-coordinates of a structure ``s`` are the plain coordinates of
-``s.dual()``, so the same substitution on ``s.dual()`` writes plain
-monomials in tilde coordinates.
+The cross-Cartan actions (varphi~, phi~ on plain monomials; varphi, phi
+on tilde ones) act as in a rank-2 Leonard pair: ``verify_block_structure``
+checks that they vanish off the diagonal and the lattice neighbours, and
+``irreducibility_probe`` that no neighbour entry vanishes, so V is
+irreducible.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ __all__ = [
     "lattice_dimension",
     "adjacent",
     "action",
-    "tilde_variables",
-    "expand_tilde_monomial_direct",
     "verify_block_structure",
     "irreducibility_probe",
     "verify_action_tables",
@@ -247,39 +246,41 @@ def action(beta: Mat, s: StructureSet, kind: str = "plain"):
     return apply
 
 
-def tilde_variables(s: StructureSet) -> tuple:
-    """The tilde variables as degree-1 plain polynomials (columns of R)."""
-    return tuple(
-        Poly3({(1, 0, 0): s.R[0, j], (0, 1, 0): s.R[1, j], (0, 0, 1): s.R[2, j]})
-        for j in range(3)
-    )
+# Exponent shifts e_i - e_j to the lattice neighbours of a point, in
+# lattice order (descending r, then s) of the neighbours they reach.
+_NEIGHBOUR_SHIFTS = ((1, 0, -1), (1, -1, 0), (0, 1, -1), (0, -1, 1), (-1, 1, 0), (-1, 0, 1))
 
 
-def expand_tilde_monomial_direct(rho: int, sigma: int, tau: int, s: StructureSet) -> Poly3:
-    """Plain-basis expansion of a tilde monomial by symbolic substitution.
+def _neighbours(point: tuple) -> list:
+    """The lattice points adjacent to ``point``, in lattice order."""
+    shifted = (tuple(x + dx for x, dx in zip(point, shift)) for shift in _NEIGHBOUR_SHIFTS)
+    return [mu for mu in shifted if min(mu) >= 0]
 
-    Independent oracle for ``form.BilinearForm.tilde_columns``: substitute
-    the degree-1 expressions for the tilde variables and multiply out
-    over Fractions.  On ``s.dual()`` this is the tilde-basis expansion of
-    the plain monomial x^rho y^sigma z^tau.
+
+def _cross_cartan_images(s: StructureSet, n: int):
+    """Each cross-Cartan action with its images of the degree-n monomials.
+
+    Yields (label, images), images in lattice order, for varphi~ and
+    phi~ on plain monomials and varphi and phi on tilde monomials.  Each
+    action is built when its turn comes, so a NotTraceless raised there
+    surfaces inside the caller's Recorder.
     """
-    xt, yt, zt = tilde_variables(s)
-    return xt.power(rho) * yt.power(sigma) * zt.power(tau)
-
-
-def verify_block_structure(s: StructureSet, n: int) -> Report:
-    """Cross-Cartan action support: diagonal plus adjacent entries only."""
-    points = lattice(n)
     cases = [
         ("varphi~ on plain", s.varphi_t, "plain"),
         ("phi~ on plain", s.phi_t, "plain"),
         ("varphi on tilde", s.varphi, "tilde"),
         ("phi on tilde", s.phi, "tilde"),
     ]
+    for label, beta, kind in cases:
+        apply = action(beta, s, kind)
+        yield label, [apply(Poly3.monomial(*lam, kind=kind)) for lam in lattice(n)]
+
+
+def verify_block_structure(s: StructureSet, n: int) -> Report:
+    """Cross-Cartan action support: diagonal plus adjacent entries only."""
+    points = lattice(n)
     with Recorder(f"module.block_structure.N{n}") as rec:
-        for label, beta, kind in cases:
-            apply = action(beta, s, kind)
-            images = [apply(Poly3.monomial(*lam, kind=kind)) for lam in points]
+        for label, images in _cross_cartan_images(s, n):
             for mu in points:
                 for lam, image in zip(points, images):
                     if mu == lam or adjacent(mu, lam):
@@ -390,34 +391,32 @@ def verify_weight_diagonality(s: StructureSet, n: int) -> Report:
 
 
 def irreducibility_probe(s: StructureSet, n: int) -> Report:
-    """Closure of x^N under the six unit actions must fill the module."""
-    dim = lattice_dimension(n)
-    basis: list = []  # reduced row-echelon rows spanning the reached subspace
+    """V is irreducible: no cross-Cartan action has a zero neighbour entry.
 
-    def insert(vector) -> bool:
-        for row in basis:
-            pivot = next(i for i, x in enumerate(row) if x != 0)
-            if vector[pivot] != 0:
-                factor = vector[pivot] / row[pivot]
-                vector = [a - factor * b for a, b in zip(vector, row)]
-        if all(x == 0 for x in vector):
-            return False
-        basis.append(vector)
-        return True
+    One check.  H = span(varphi, phi) has distinct weights on the plain
+    monomials (``verify_weight_diagonality``), so an H-invariant subspace
+    is spanned by monomials.  If it is varphi~-invariant and holds x^lam,
+    it holds x^mu for every mu in the support of varphi~ x^lam, which
+    here is every lattice neighbour.  The lattice is connected, so V is
+    irreducible under the algebra that H and H~ generate, hence under
+    sl3, and x^N generates it.  The tilde side exchanges the two Cartans.
 
-    start = Poly3.monomial(n, 0, 0)
+    The entry at lam + e_i - e_j is lam_j times the off-diagonal entry
+    (i, j) of the operator's matrix, an ``expansion_coefficients`` value
+    whose factors ``params.validate`` keeps nonzero.  So the check reads
+    the structure's own R and fails only on a corrupted one.
+    """
+    points = lattice(n)
     with Recorder(f"module.irreducibility.N{n}") as rec:
-        units = [action(beta, s) for beta in s.e.values()]
-        insert(start.to_vector(n))
-        frontier = [start]
-        while frontier:
-            xi = frontier.pop()
-            for apply in units:
-                image = apply(xi)
-                if insert(image.to_vector(n)):
-                    frontier.append(image)
-        rec.check(
-            len(basis) == dim,
-            f"reached dimension {len(basis)}, expected {dim}",
+        zero = next(
+            (
+                f"{label}: zero entry at row {mu}, column {lam}"
+                for label, images in _cross_cartan_images(s, n)
+                for lam, image in zip(points, images)
+                for mu in _neighbours(lam)
+                if image[mu] == 0
+            ),
+            None,
         )
+        rec.check(zero is None, zero)
     return rec.report()

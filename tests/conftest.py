@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from rahman.params import ParameterSet, derive
-from rahman.sl3 import build
+from rahman.polymodule import Poly3
+from rahman.sl3 import StructureSet, build
 
 PARAM_MATRIX = [
     ParameterSet.of(1, 2, 3, 5),
@@ -36,3 +37,23 @@ def dense_product(a, b):
          for j in range(b.ncols)]
         for i in range(a.nrows)
     ]
+
+
+def tilde_variables(s: StructureSet) -> tuple:
+    """The tilde variables as degree-1 plain polynomials (columns of R)."""
+    return tuple(
+        Poly3({(1, 0, 0): s.R[0, j], (0, 1, 0): s.R[1, j], (0, 0, 1): s.R[2, j]})
+        for j in range(3)
+    )
+
+
+def expand_tilde_monomial_direct(rho: int, sigma: int, tau: int, s: StructureSet) -> Poly3:
+    """Plain-basis expansion of a tilde monomial by symbolic substitution.
+
+    Independent oracle for ``form.BilinearForm.tilde_columns``: substitute
+    the degree-1 expressions for the tilde variables and multiply out
+    over Fractions.  On ``s.dual()`` this is the tilde-basis expansion of
+    the plain monomial x^rho y^sigma z^tau.
+    """
+    xt, yt, zt = tilde_variables(s)
+    return xt.power(rho) * yt.power(sigma) * zt.power(tau)

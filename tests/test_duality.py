@@ -83,7 +83,7 @@ def test_dual_keeps_a_corrupted_constant():
 
 def test_corruption_trips_the_same_verifiers():
     """A dual derived again from p would repair the corruption and let
-    the tilde-side checks pass; these 11 fail on it."""
+    the tilde-side checks pass; these 12 fail on it."""
     s = build(ParameterSet.of(1, 2, 3, 5)).with_corrupted_eta_t(1, 1)
     n = 2
     f = BilinearForm(s, n)
@@ -110,7 +110,7 @@ def test_corruption_trips_the_same_verifiers():
     tripped = {name for name, verifier in verifiers.items() if not verifier().ok}
     assert tripped >= {
         "matrices", "dagger", "expansions", "block_structure", "action_tables",
-        "representation", "weights", "tilde_norms", "dual_sums",
+        "representation", "weights", "irreducibility", "tilde_norms", "dual_sums",
         "orthogonality", "operators",
     }
 

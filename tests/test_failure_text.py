@@ -1,11 +1,13 @@
-"""Each P and form verifier's Report on one targeted corruption, pinned
-verbatim: name, status, checked count and first-failure text.
+"""Each P and form verifier's Report on one targeted corruption, and the
+irreducibility probe's on an identity R, pinned verbatim: name, status,
+checked count and first-failure text.
 
 The expected tuples were taken from the Fraction-by-Fraction verifiers
 (every product its own Fraction); the integer sums over common
 denominators must fail at the same check with the same text.
 """
 
+import dataclasses
 from fractions import Fraction
 from math import lcm
 
@@ -13,7 +15,9 @@ import pytest
 
 from rahman import theorems
 from rahman.form import BilinearForm, verify_dual_sum_identities, verify_tilde_norms
+from rahman.matrices import Mat
 from rahman.params import ParameterSet
+from rahman.polymodule import irreducibility_probe, verify_block_structure
 from rahman.sl3 import build
 
 REFERENCE = ParameterSet.of(1, 2, 3, 5)
@@ -175,4 +179,34 @@ def test_pcosines_on_a_zeroed_eta_t_0(n):
     report = theorems.verify_pcosines(_zeroed_eta_t_0(REFERENCE, n))
     assert (report.name, report.status, report.checked, report.first_failure) == (
         ZEROED_EXPECTED[n]
+    )
+
+
+IDENTITY_R_EXPECTED = {
+    1: (
+        "module.irreducibility.N1", "fail", 1,
+        "varphi~ on plain: zero entry at row (0, 1, 0), column (1, 0, 0)",
+    ),
+    2: (
+        "module.irreducibility.N2", "fail", 1,
+        "varphi~ on plain: zero entry at row (1, 1, 0), column (2, 0, 0)",
+    ),
+    3: (
+        "module.irreducibility.N3", "fail", 1,
+        "varphi~ on plain: zero entry at row (2, 1, 0), column (3, 0, 0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_irreducibility_on_an_identity_R(n):
+    """With R = R^-1 = I, H~ is H: every cross-Cartan action is diagonal,
+    so V splits into monomial lines.  The support stays in the band, so
+    block structure passes, and only the irreducibility probe fails."""
+    identity = Mat.identity(3)
+    s = dataclasses.replace(build(REFERENCE), R=identity, Rinv=identity)
+    assert verify_block_structure(s, n).ok
+    report = irreducibility_probe(s, n)
+    assert (report.name, report.status, report.checked, report.first_failure) == (
+        IDENTITY_R_EXPECTED[n]
     )

@@ -14,11 +14,11 @@ from rahman.form import (
     verify_tilde_norms,
 )
 from rahman.params import ParameterSet, derive
-from rahman.polymodule import DegreeMismatch, Poly3, expand_tilde_monomial_direct, lattice
+from rahman.polymodule import DegreeMismatch, Poly3, lattice
 from rahman.polynomials import eval_P
 from rahman.sl3 import build
 
-from conftest import PARAM_MATRIX
+from conftest import PARAM_MATRIX, expand_tilde_monomial_direct
 from test_params import valid_parameter_sets
 
 

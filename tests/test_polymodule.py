@@ -10,19 +10,24 @@ from rahman.polymodule import (
     Poly3,
     action,
     adjacent,
-    expand_tilde_monomial_direct,
     irreducibility_probe,
     lattice,
     lattice_dimension,
-    tilde_variables,
     verify_action_tables,
     verify_block_structure,
     verify_representation_law,
     verify_weight_diagonality,
 )
-from rahman.sl3 import NotTraceless
+from rahman.polymodule import _neighbours
+from rahman.sl3 import NotTraceless, build
 
-from conftest import PARAM_MATRIX, dense_product
+from conftest import (
+    PARAM_MATRIX,
+    dense_product,
+    expand_tilde_monomial_direct,
+    tilde_variables,
+)
+from test_params import valid_parameter_sets
 
 
 def test_lattice_small_cases():
@@ -43,6 +48,12 @@ def test_adjacent():
     assert adjacent((1, 1, 0), (1, 0, 1))
     with pytest.raises(DegreeMismatch):
         adjacent((1, 0, 0), (1, 1, 0))
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_neighbours_are_the_adjacent_points_in_lattice_order(n):
+    for lam in lattice(n):
+        assert _neighbours(lam) == [mu for mu in lattice(n) if adjacent(mu, lam)]
 
 
 def test_poly3_rejects_mixed_degrees():
@@ -286,10 +297,20 @@ def test_block_structure(structures, p, n):
     assert report.ok, report.first_failure
 
 
-@pytest.mark.parametrize("n", [0, 2, 5])
+@pytest.mark.parametrize("n", [0, 2, 5, 12])
 def test_irreducibility(reference_structure, n):
     report = irreducibility_probe(reference_structure, n)
     assert report.ok, report.first_failure
+
+
+@given(valid_parameter_sets(), st.integers(1, 7))
+@settings(max_examples=40, deadline=None)
+def test_irreducibility_holds_on_random_parameters(p, n):
+    """Every neighbour entry of the cross-Cartan actions is a product of
+    factors that validation keeps nonzero, so no valid parameter set
+    fails the probe."""
+    report = irreducibility_probe(build(p), n)
+    assert (report.status, report.checked) == ("pass", 1), report.first_failure
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])

@@ -268,6 +268,7 @@ VERIFIERS = {
         ("dagger", False, "NotTraceless: trace is "),
         ("action_tables", False, "NotTraceless: trace is "),
         ("block_structure", False, "NotTraceless: trace is "),
+        ("irreducibility", False, "NotTraceless: trace is "),
         ("representation", False, "NotTraceless: trace is "),
         ("weights", False, "NotTraceless: trace is "),
         ("operators", False, "NotTraceless: trace is "),
@@ -275,7 +276,7 @@ VERIFIERS = {
         ("trans2", True, "ZeroDivisionError: "),
         ("pcosines", True, "ZeroDivisionError: "),
     ],
-    ids=["dagger", "action_tables", "block_structure", "representation",
+    ids=["dagger", "action_tables", "block_structure", "irreducibility", "representation",
          "weights", "operators", "generation-zeroed", "trans2-zeroed",
          "pcosines-zeroed"],
 )
