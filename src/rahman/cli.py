@@ -5,7 +5,7 @@ Usage:
     rahman eval 1 0 1 0 --p 1,2,3,5 --N 1
     rahman table --p 1,2,3,5 --N 2 --format csv
     rahman verify all --p 1,2,3,5 --N 3
-    rahman export structure --p 1,2,3,5 --N 2 --out dump.json
+    rahman export structure --p 1,2,3,5 --out dump.json
 
 Exit codes: 0 success, 1 verification failure, 2 invalid parameters or
 malformed input.  All output is exact rational strings; identical
@@ -41,13 +41,8 @@ def _max_n() -> int:
         raise click.UsageError(f"RAHMAN_MAX_N must be an integer, got {raw!r}")
 
 
-def _resolve_params(
-    p: str | None, params_file: str | None, n: int | None, reads_degree: bool = True
-):
-    """Combine --p / --params-file / --N into (ParameterSet, N or None).
-
-    N is held to the ceiling only for a command that ``reads_degree``.
-    """
+def _resolve_params(p: str | None, params_file: str | None, n: int | None):
+    """Combine --p / --params-file / --N into (ParameterSet, N or None)."""
     if p is not None and params_file is not None:
         raise click.UsageError("--p and --params-file are mutually exclusive")
     if params_file is not None:
@@ -67,19 +62,19 @@ def _resolve_params(
         params = ParameterSet(*values)
     else:
         raise click.UsageError("provide parameters via --p or --params-file")
-    if n is not None and reads_degree:
-        if n < 0:
-            raise click.UsageError("N must be nonnegative")
-        if n > _max_n():
-            raise click.UsageError(
-                f"N={n} exceeds the ceiling {_max_n()} (override with RAHMAN_MAX_N)"
-            )
     return params, n
 
 
 def _require_n(n: int | None) -> int:
+    """The degree of a command that reads N, held to the ceiling."""
     if n is None:
         raise click.UsageError("this command requires --N")
+    if n < 0:
+        raise click.UsageError("N must be nonnegative")
+    if n > _max_n():
+        raise click.UsageError(
+            f"N={n} exceeds the ceiling {_max_n()} (override with RAHMAN_MAX_N)"
+        )
     return n
 
 
@@ -102,19 +97,25 @@ def _dump_json(data) -> str:
     return json.dumps(data, indent=2)
 
 
-def shared_options(command):
-    for option in reversed([
-        click.option("--p", "p", default=None, help="four rationals: 1,2,3,5"),
-        click.option("--params-file", default=None, type=click.Path(),
-                     help='JSON file: {"p": ["1","2","3","5"], "N": 4}'),
-        click.option("--N", "n", default=None, type=int, help="total degree"),
-        click.option("--format", "fmt", default="json",
-                     type=click.Choice(["json", "csv"])),
-        click.option("--out", default=None, type=click.Path(),
-                     help="write output to a file instead of stdout"),
-    ]):
-        command = option(command)
-    return command
+_OPTIONS = {
+    "p": click.option("--p", "p", default=None, help="four rationals: 1,2,3,5"),
+    "params-file": click.option("--params-file", default=None, type=click.Path(),
+                                help='JSON file: {"p": ["1","2","3","5"], "N": 4}'),
+    "N": click.option("--N", "n", default=None, type=int, help="total degree"),
+    "format": click.option("--format", "fmt", default="json",
+                           type=click.Choice(["json", "csv"])),
+    "out": click.option("--out", default=None, type=click.Path(),
+                        help="write output to a file instead of stdout"),
+}
+
+
+def _options(*names):
+    """Declare the named ``_OPTIONS`` on a command, in the order given."""
+    def declare(command):
+        for name in reversed(names):
+            command = _OPTIONS[name](command)
+        return command
+    return declare
 
 
 @click.group()
@@ -123,17 +124,13 @@ def main():
 
 
 @main.command()
-@shared_options
-def check(p, params_file, n, fmt, out):
+@_options("p", "params-file", "out")
+def check(p, params_file, out):
     """Validate the parameter set against the forbidden combinations.
 
     The verdict is one line of text; check reads no degree.
     """
-    if fmt == "csv":
-        raise click.UsageError("check has no CSV form; it prints one verdict")
-    if n is not None:
-        raise click.UsageError("check takes no --N; it reads only the parameters")
-    params, _ = _resolve_params(p, params_file, n, reads_degree=False)
+    params, _ = _resolve_params(p, params_file, None)
     try:
         validate(params)
     except ValidationError as exc:
@@ -147,11 +144,9 @@ def check(p, params_file, n, fmt, out):
 @click.argument("b", type=int)
 @click.argument("c", type=int)
 @click.argument("d", type=int)
-@shared_options
-def eval_command(a, b, c, d, p, params_file, n, fmt, out):
+@_options("p", "params-file", "N", "out")
+def eval_command(a, b, c, d, p, params_file, n, out):
     """Evaluate P(A, B, C, D) at integer arguments; prints one value."""
-    if fmt == "csv":
-        raise click.UsageError("eval has no CSV form; it prints one value")
     params, n = _resolve_params(p, params_file, n)
     n = _require_n(n)
     try:
@@ -162,7 +157,7 @@ def eval_command(a, b, c, d, p, params_file, n, fmt, out):
 
 
 @main.command()
-@shared_options
+@_options("p", "params-file", "N", "format", "out")
 def table(p, params_file, n, fmt, out):
     """Emit the full D x D matrix of P values over the index lattice."""
     params, n = _resolve_params(p, params_file, n)
@@ -185,23 +180,18 @@ def table(p, params_file, n, fmt, out):
 
 @main.command()
 @click.argument("suites", nargs=-1)
-@click.option("--suite", "suite_flags", multiple=True,
-              help="suite name (alternative to the positional form); repeatable")
-@shared_options
-def verify(suites, suite_flags, p, params_file, n, fmt, out):
+@_options("p", "params-file", "N", "out")
+def verify(suites, p, params_file, n, out):
     """Run verification suites; exits 1 if any identity fails.
 
     SUITES may be "all" (default) or any of: structure, module, form,
     transitions, orthogonality, recurrence, operators.  The reports are
     JSON only.
     """
-    if fmt == "csv":
-        raise click.UsageError("verify has no CSV form; its reports are JSON only")
     params, n = _resolve_params(p, params_file, n)
     n = _require_n(n)
-    names = list(suites) + list(suite_flags) or ["all"]
     try:
-        reports = run_suites(params, n, names)
+        reports = run_suites(params, n, list(suites) or ["all"])
     except ValueError as exc:
         raise click.UsageError(str(exc))
     _emit(_dump_json([r.to_json() for r in reports]), out)
@@ -214,15 +204,20 @@ EXPORT_KINDS = ["structure", "gram", "dual-bases", "lattice"]
 
 @main.command()
 @click.argument("what", type=click.Choice(EXPORT_KINDS))
-@shared_options
+@_options("p", "params-file", "N", "format", "out")
 def export(what, p, params_file, n, fmt, out):
     """Export structural matrices, the Gram diagonal, or the dual bases.
 
     Only ``gram`` has a CSV form; the other kinds are JSON only.
+    ``structure`` reads no degree.
     """
     if fmt == "csv" and what != "gram":
         raise click.UsageError(f"export {what} has no CSV form; only export gram does")
+    if what == "structure" and n is not None:
+        raise click.UsageError("export structure takes no --N; it reads only the parameters")
     params, n = _resolve_params(p, params_file, n)
+    if what != "structure":
+        n = _require_n(n)
     try:
         s = build(params)
     except ValidationError as exc:
@@ -254,7 +249,6 @@ def export(what, p, params_file, n, fmt, out):
         _emit(_dump_json(data), out)
         return
 
-    n = _require_n(n)
     f = BilinearForm(s, n)
     if what == "gram":
         if fmt == "csv":

@@ -356,8 +356,8 @@ def verify_representation_law(s: StructureSet, n: int) -> Report:
                     [on_beta(on_gamma(m)) - on_gamma(on_beta(m)) for m in plain],
                     f"bracket pair ({name_b}, {name_g})",
                 )
-        for name, beta in basis.items():
-            on_conjugated = action(s.R @ beta @ s.Rinv, s, "tilde")
+        for name, conjugated in zip(names, s.tilde_basis().values()):
+            on_conjugated = action(conjugated, s, "tilde")
             rec.equal(
                 [on_conjugated(m).coeffs for m in tilde],
                 [actions[name](m).coeffs for m in plain],

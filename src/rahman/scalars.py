@@ -21,7 +21,6 @@ __all__ = [
     "parse_rational",
     "format_rational",
     "over_common_denominator",
-    "factorial",
     "multinomial",
 ]
 

@@ -43,6 +43,15 @@ def test_check_ignores_the_degree_of_a_parameter_file(runner, tmp_path, n):
     assert result.stdout == "ok\n"
 
 
+@pytest.mark.parametrize("n", [3, 13], ids=["below-ceiling", "above-ceiling"])
+def test_export_structure_ignores_the_degree_of_a_parameter_file(runner, tmp_path, n):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"p": ["1", "2", "3", "5"], "N": n}))
+    result = runner.invoke(main, ["export", "structure", "--params-file", str(path)])
+    assert result.exit_code == 0
+    assert result.stdout == (GOLDEN / "structure_1_2_3_5.json").read_text()
+
+
 def test_check_requires_parameters(runner):
     result = runner.invoke(main, ["check"])
     assert result.exit_code == 2
@@ -82,18 +91,9 @@ def test_verify_all_passes(runner):
     assert reports and all(r["status"] == "pass" for r in reports)
 
 
-def test_verify_single_suite_flag(runner):
-    result = runner.invoke(main, ["verify", "--suite", "structure", "--p", "1,2,3,5", "--N", "1"])
-    assert result.exit_code == 0
-    reports = json.loads(result.output)
-    assert all(r["name"].startswith("structure.") for r in reports)
-
-
-def test_verify_repeated_suite_flag(runner):
-    """Repeated --suite flags all run, in order, after the positional suites."""
+def test_verify_runs_positional_suites_in_order(runner):
     result = runner.invoke(main, [
-        "verify", "module", "--suite", "structure", "--suite", "form",
-        "--p", "2,1,7,3", "--N", "1",
+        "verify", "module", "structure", "form", "--p", "2,1,7,3", "--N", "1",
     ])
     assert result.exit_code == 0
     prefixes = [r["name"].split(".")[0] for r in json.loads(result.output)]
@@ -166,6 +166,41 @@ def test_out_file(runner, tmp_path):
     assert target.read_text().strip() == "1"
 
 
+ALL_OPTIONS = ["--p", "--params-file", "--N", "--format", "--out"]
+
+
+def test_each_command_declares_only_the_options_it_reads():
+    declared = {
+        name: [param.opts[0] for param in command.params]
+        for name, command in main.commands.items()
+    }
+    assert declared == {
+        "check": ["--p", "--params-file", "--out"],
+        "eval": ["a", "b", "c", "d", "--p", "--params-file", "--N", "--out"],
+        "verify": ["suites", "--p", "--params-file", "--N", "--out"],
+        "table": ALL_OPTIONS,
+        "export": ["what", *ALL_OPTIONS],
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "5", "0", "0", "0", "--p", "1,2,3,5", "--N", "13"],
+        ["table", "--p", "1,-1,3,5", "--N", "13"],
+        ["verify", "bogus", "--p", "1,2,3,5", "--N", "13"],
+        ["export", "gram", "--p", "1,-1,3,5", "--N", "13"],
+    ],
+    ids=["eval-off-lattice", "table-forbidden", "verify-unknown-suite", "export-forbidden"],
+)
+def test_degree_is_checked_before_anything_is_built(runner, argv):
+    result = runner.invoke(main, argv, env={"RAHMAN_MAX_N": None})
+    assert result.exit_code == 2
+    assert result.stderr.splitlines()[-1] == (
+        "Error: N=13 exceeds the ceiling 12 (override with RAHMAN_MAX_N)"
+    )
+
+
 def test_n_ceiling(runner, monkeypatch):
     result = runner.invoke(main, ["table", "--p", "1,2,3,5", "--N", "13"])
     assert result.exit_code == 2
@@ -205,6 +240,9 @@ def defect_files(tmp_path):
         ["eval", "1", "0", "1", "0", "--p", "1,2,3,5", "--N", "1", "--format", "csv"],
         ["check", "--p", "1,2,3,5", "--format", "csv"],
         ["check", "--p", "1,2,3,5", "--N", "2"],
+        ["verify", "--suite", "structure", "--p", "1,2,3,5", "--N", "1"],
+        ["verify", "all", "--p", "1,2,3,5", "--N", "1", "--format", "json"],
+        ["export", "structure", "--p", "1,2,3,5", "--N", "2"],
     ],
     ids=[
         "zero-denominator-param",
@@ -222,6 +260,9 @@ def defect_files(tmp_path):
         "eval-csv",
         "check-csv",
         "check-degree",
+        "verify-suite-option",
+        "verify-json",
+        "export-structure-degree",
     ],
 )
 def test_malformed_input_exits_2(runner, defect_files, argv):
@@ -345,7 +386,8 @@ def _with_n(argv, n):
 
 FORMATS = st.sampled_from(["json", "json", "csv"])
 EVAL_ARGS = st.lists(st.sampled_from([0, 1, -1]), min_size=4, max_size=4)
-# (argv before the parameters, argv after them); check refuses every N.
+# (argv before the parameters, argv after them); check and export
+# structure refuse every --N.
 COMMAND_LINES = st.one_of(
     st.builds(lambda n: (_with_n(["check"], n), []), st.none() | st.integers(-3, 15)),
     st.builds(lambda n, args: (_with_n(["eval"], n), ["--", *map(str, args)]),

@@ -22,7 +22,7 @@ from rahman.polymodule import (
     verify_representation_law,
     verify_weight_diagonality,
 )
-from rahman.polynomials import eval_P
+from rahman.polynomials import eval_P, eval_P_operator
 from rahman.report import Recorder, Report
 from rahman.scalars import format_rational, multinomial
 from rahman.sl3 import (
@@ -230,6 +230,44 @@ def test_each_kernel_constant_is_caught(p, field):
         assert not verify_orthogonality(s.d, n).ok
         assert not verify_recurrences(s, n).ok
         assert not verify_operator_identities(s, n).ok
+
+
+# The verifiers that read the kernel, through eval_P or eval_P_operator.
+KERNEL_READERS = {
+    **P_VERIFIERS,
+    "verify_operator_identities": lambda s, f, n: verify_operator_identities(s, n),
+}
+
+
+@pytest.mark.parametrize("field", ["t", "u", "v", "w"])
+@pytest.mark.parametrize(
+    "p",
+    [ParameterSet.of(1, 2, 3, 5), ParameterSet.of(Fraction(-3, 2), 5, Fraction(1, 2), -3)],
+    ids=str,
+)
+def test_every_kernel_reader_catches_a_wrong_kernel_constant(monkeypatch, p, field):
+    """A kernel that reads t, u, v or w shifted by 1, under a correct
+    structure and form, fails every verifier that reads P at N = 1 and 2,
+    and each first failure is a value mismatch, not a raised error."""
+
+    def shifted(derived):
+        return dataclasses.replace(derived, **{field: getattr(derived, field) + 1})
+
+    monkeypatch.setattr(
+        "rahman.theorems.eval_P",
+        lambda a, b, c, dd, derived, n: eval_P(a, b, c, dd, shifted(derived), n),
+    )
+    monkeypatch.setattr(
+        "rahman.theorems.eval_P_operator",
+        lambda pairs, ops, v, derived, n: eval_P_operator(pairs, ops, v, shifted(derived), n),
+    )
+    s = build(p)
+    for n in (1, 2):
+        f = BilinearForm(s, n)
+        for name, verifier in KERNEL_READERS.items():
+            report = verifier(s, f, n)
+            assert not report.ok, (name, n)
+            assert not report.first_failure.startswith("raised "), (name, n, report.first_failure)
 
 
 def _with_eta_t(index: int, zeroed: bool):
