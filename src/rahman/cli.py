@@ -261,8 +261,8 @@ def export(what, p, params_file, n, fmt, out):
                               "gram": f.gram_json()}), out)
     elif what == "dual-bases":
         data = {
-            kind: [vector.to_json() for vector in dual_basis(f, kind)]
-            for kind in ("plain", "tilde")
+            kind: [vector.to_json() for vector in dual_basis(form)]
+            for kind, form in (("plain", f), ("tilde", f.dual))
         }
         _emit(_dump_json(data), out)
     elif what == "lattice":

@@ -19,10 +19,14 @@ diagonal.  ``BilinearForm.tilde_gram`` pairs every two of them through
 the Gram diagonal, scaled to integers over one denominator, so each of
 its entries is one integer dot product: tilde_norms and the tilde
 duality entries of dual_sums read it instead of calling ``inner``.
-``expand`` turns the columns of a tilde polynomial into Fractions, and
-``inner`` sums Fraction products; the remaining checks go through them.
-The tests keep an independent oracle for the columns: the substitution
-of the tilde variables, multiplied out over Fractions.
+
+A Poly3 carries no coordinate tag.  ``inner`` reads both arguments as
+plain coordinates and sums Fraction products over the Gram diagonal;
+``expand`` reads its argument as tilde coordinates and turns their
+columns into Fractions.  The tilde dual basis is ``dual_basis(f.dual)``,
+in tilde coordinates.  The tests keep an independent oracle for the
+columns: the substitution of the tilde variables, multiplied out over
+Fractions.
 """
 
 from __future__ import annotations
@@ -145,11 +149,8 @@ class BilinearForm:
         return table
 
     def expand(self, xi: Poly3) -> Poly3:
-        """Plain-basis coordinates of a polynomial of degree n in either basis."""
-        if xi.coeffs and xi.degree != self.n:
-            raise DegreeMismatch(f"degree {xi.degree}, form has degree {self.n}")
-        if xi.kind == "plain":
-            return xi
+        """Plain coordinates of a degree-n polynomial in tilde coordinates."""
+        self._require_degree(xi)
         points = lattice(self.n)
         out: dict = {}
         for key, coeff in xi.coeffs.items():
@@ -159,38 +160,36 @@ class BilinearForm:
                 if value:
                     term = Fraction(top * value, bottom)
                     out[point] = out[point] + term if point in out else term
-        return Poly3._of(out, "plain", self.n)
+        return Poly3._of(out, self.n)
+
+    def _require_degree(self, xi: Poly3) -> None:
+        if xi.coeffs and xi.degree != self.n:
+            raise DegreeMismatch(f"degree {xi.degree}, form has degree {self.n}")
 
     def gram_json(self) -> list:
         return [format_rational(self.gram[key]) for key in lattice(self.n)]
 
 
 def inner(xi: Poly3, zeta: Poly3, f: BilinearForm) -> Fraction:
-    """Evaluate the form; tilde inputs are expanded to plain coordinates."""
-    left = f.expand(xi)
-    right = f.expand(zeta)
-    keys = left.coeffs.keys() & right.coeffs.keys()
+    """Evaluate the form on two polynomials in plain coordinates.
+
+    A polynomial in tilde coordinates is paired through ``f.expand``.
+    """
+    f._require_degree(xi)
+    f._require_degree(zeta)
+    keys = xi.coeffs.keys() & zeta.coeffs.keys()
     return sum(
-        (f.gram[key] * left.coeffs[key] * right.coeffs[key] for key in keys),
+        (f.gram[key] * xi.coeffs[key] * zeta.coeffs[key] for key in keys),
         Fraction(0),
     )
 
 
-def dual_basis(f: BilinearForm, kind: str = "plain") -> list:
-    """The basis dual to the monomial basis of the chosen kind.
+def dual_basis(f: BilinearForm) -> list:
+    """The basis dual to the monomial basis: each monomial over its norm.
 
-    Each dual vector is a monomial over its norm: ``f.gram`` for the
-    plain kind, and ``f.dual.gram`` for the tilde kind.
+    The tilde dual basis, in tilde coordinates, is ``dual_basis(f.dual)``.
     """
-    if kind == "plain":
-        norms = f.gram
-    elif kind == "tilde":
-        norms = f.dual.gram
-    else:
-        raise ValueError(f"unknown basis kind {kind!r}")
-    return [
-        Poly3.monomial(*point, 1 / norms[point], kind=kind) for point in lattice(f.n)
-    ]
+    return [Poly3.monomial(*point, 1 / f.gram[point]) for point in lattice(f.n)]
 
 
 def p_table(f: BilinearForm) -> list:
@@ -220,8 +219,8 @@ def verify_adjointness(f: BilinearForm) -> Report:
     monomials = [Poly3.monomial(*point) for point in lattice(n)]
     with Recorder(f"form.adjointness.N{n}") as rec:
         for name, beta in s.cartan_basis().items():
-            on_beta = action(beta, s)
-            on_dagger = action(dagger(beta, s), s)
+            on_beta = action(beta)
+            on_dagger = action(dagger(beta, s))
             dagger_images = [on_dagger(zeta) for zeta in monomials]
             for xi in monomials:
                 image = on_beta(xi)
@@ -265,18 +264,18 @@ def verify_dual_sum_identities(f: BilinearForm) -> Report:
     n = f.n
     scale = pairing_scale(f.s.d, n)
     with Recorder(f"form.dual_sums.N{n}") as rec:
-        plain_duals = dual_basis(f, "plain")
+        plain_duals = dual_basis(f)
         plain_sum = Poly3.zero()
         for vector in plain_duals:
             plain_sum = plain_sum + vector
         rec.equal(
-            f.expand(Poly3.monomial(n, 0, 0, kind="tilde")),
+            f.expand(Poly3.monomial(n, 0, 0)),
             plain_sum.scale(scale),
             "plain dual sum vs x~^N",
         )
 
-        tilde_duals = dual_basis(f, "tilde")
-        tilde_sum = Poly3.zero(kind="tilde")
+        tilde_duals = dual_basis(f.dual)
+        tilde_sum = Poly3.zero()
         for vector in tilde_duals:
             tilde_sum = tilde_sum + vector
         rec.equal(

@@ -1,12 +1,14 @@
 """Degree-N homogeneous polynomials in three variables as an sl3 module.
 
-A Poly3 is a sparse map from exponent triples to rational coefficients,
-tagged with the coordinate system it lives in ("plain" for x,y,z or
-"tilde" for the R-transformed variables).  A single action rule drives
-everything: a 3x3 matrix beta sends variable j to sum_i beta[i][j] *
-variable i, extended to monomials as a derivation.  ``action`` is the
-only way an operator reaches the module; no DxD matrix is built.  The
-per-generator action tables are test vectors, not code paths.
+A Poly3 is a sparse map from exponent triples to rational coefficients.
+It carries no coordinate tag: the structure it was built for says which
+variables the exponents count, and the tilde variables of s are the
+plain ones of ``s.dual()``.  A single action rule drives everything: a
+3x3 matrix m sends variable j to sum_i m[i][j] * variable i, extended to
+monomials as a derivation.  A matrix beta acts on plain coordinates by
+m = beta (``action``) and on the tilde coordinates of s by m = R^-1 beta
+R (``_tilde_action``); no DxD matrix is built.  The per-generator action
+tables are test vectors, not code paths.
 
 Arithmetic results (``+``, ``-``, ``scale``, products and action
 images) are built by the trusted ``Poly3._of``, which drops zeros but
@@ -25,11 +27,12 @@ irreducible.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .matrices import Mat
 from .report import Recorder, Report
 from .scalars import exact_rational, format_rational
-from .sl3 import OFF_DIAGONAL, NotTraceless, StructureSet
+from .sl3 import StructureSet, _require_traceless
 
 __all__ = [
     "DegreeMismatch",
@@ -79,13 +82,11 @@ def adjacent(a: tuple, b: tuple) -> bool:
 
 
 class Poly3:
-    """Sparse homogeneous polynomial in one of the two coordinate systems."""
+    """Sparse homogeneous polynomial in three variables."""
 
-    __slots__ = ("kind", "coeffs", "degree")
+    __slots__ = ("coeffs", "degree")
 
-    def __init__(self, coeffs: dict, kind: str = "plain"):
-        if kind not in ("plain", "tilde"):
-            raise ValueError(f"unknown basis kind {kind!r}")
+    def __init__(self, coeffs: dict):
         clean = {}
         degrees = set()
         for key, value in coeffs.items():
@@ -99,30 +100,28 @@ class Poly3:
             clean[key] = value
         if len(degrees) > 1:
             raise NotHomogeneous(f"mixed degrees {sorted(degrees)}")
-        self.kind = kind
         self.coeffs = clean
         self.degree = degrees.pop() if degrees else None
 
     @classmethod
-    def _of(cls, coeffs: dict, kind: str, degree) -> "Poly3":
+    def _of(cls, coeffs: dict, degree) -> "Poly3":
         """Trusted constructor for arithmetic results.
 
         ``coeffs`` maps exponent triples of total degree ``degree`` to
         Fractions; zeros are dropped, and nothing else is checked.
         """
         result = object.__new__(cls)
-        result.kind = kind
         result.coeffs = {key: value for key, value in coeffs.items() if value}
         result.degree = degree if result.coeffs else None
         return result
 
     @classmethod
-    def monomial(cls, r: int, s: int, t: int, coeff=1, kind: str = "plain") -> "Poly3":
-        return cls({(r, s, t): coeff}, kind)
+    def monomial(cls, r: int, s: int, t: int, coeff=1) -> "Poly3":
+        return cls({(r, s, t): coeff})
 
     @classmethod
-    def zero(cls, kind: str = "plain") -> "Poly3":
-        return cls({}, kind)
+    def zero(cls) -> "Poly3":
+        return cls({})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -131,26 +130,17 @@ class Poly3:
         return self.coeffs.get(tuple(key), Fraction(0))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Poly3)
-            and self.kind == other.kind
-            and self.coeffs == other.coeffs
-        )
-
-    def _require_same_kind(self, other: "Poly3") -> None:
-        if self.kind != other.kind:
-            raise ValueError(f"mixing {self.kind} and {other.kind} polynomials")
+        return isinstance(other, Poly3) and self.coeffs == other.coeffs
 
     def _merge(self, other: "Poly3", sign: int) -> "Poly3":
         """self + sign * other, for sign = 1 or -1."""
-        self._require_same_kind(other)
         if self.coeffs and other.coeffs and self.degree != other.degree:
             raise NotHomogeneous(f"mixed degrees {sorted([self.degree, other.degree])}")
         merged = dict(self.coeffs)
         for key, value in other.coeffs.items():
             value = value if sign > 0 else -value
             merged[key] = merged[key] + value if key in merged else value
-        return Poly3._of(merged, self.kind, self.degree if self.coeffs else other.degree)
+        return Poly3._of(merged, self.degree if self.coeffs else other.degree)
 
     def __add__(self, other: "Poly3") -> "Poly3":
         return self._merge(other, 1)
@@ -160,21 +150,18 @@ class Poly3:
 
     def scale(self, c) -> "Poly3":
         c = exact_rational(c, "factor")
-        return Poly3._of(
-            {key: c * value for key, value in self.coeffs.items()}, self.kind, self.degree
-        )
+        return Poly3._of({key: c * value for key, value in self.coeffs.items()}, self.degree)
 
     def __mul__(self, other: "Poly3") -> "Poly3":
-        self._require_same_kind(other)
         product: dict = {}
         for (a, b, c), u in self.coeffs.items():
             for (x, y, z), v in other.coeffs.items():
                 key = (a + x, b + y, c + z)
                 product[key] = product.get(key, Fraction(0)) + u * v
-        return Poly3._of(product, self.kind, (self.degree or 0) + (other.degree or 0))
+        return Poly3._of(product, (self.degree or 0) + (other.degree or 0))
 
     def power(self, n: int) -> "Poly3":
-        result = Poly3({(0, 0, 0): 1}, self.kind)
+        result = Poly3({(0, 0, 0): 1})
         for _ in range(n):
             result = result * self
         return result
@@ -194,29 +181,35 @@ class Poly3:
         ]
 
     def __repr__(self):
-        return f"Poly3({self.coeffs}, kind={self.kind!r})"
+        return f"Poly3({self.coeffs})"
 
 
-def action(beta: Mat, s: StructureSet, kind: str = "plain"):
-    """The derivation by which a traceless 3x3 matrix acts on ``kind``
-    polynomials, as a function from Poly3 to Poly3.
+def action(matrix: Mat):
+    """The derivation by which a traceless 3x3 matrix acts on polynomials,
+    as a function from Poly3 to Poly3.
 
-    The matrix sends variable j to sum_i m[i][j] * variable i, extended
-    to monomials as a derivation, with m = beta on plain polynomials and
-    m = R^-1 beta R on tilde ones: the conjugated units act on tilde
-    monomials exactly like the plain units act on plain monomials.  The
-    trace is checked, the conjugation formed and the nonzero entries of
-    m listed once, when the action is built; the returned function
-    raises ValueError on a polynomial of the other kind.
+    The matrix m sends variable j to sum_i m[i][j] * variable i, extended
+    to monomials as a derivation.  The trace is checked and the nonzero
+    entries of m listed once, when the action is built.
     """
-    if beta.trace() != 0:
-        raise NotTraceless(f"trace is {beta.trace()}, expected 0")
-    if kind == "plain":
-        matrix = beta
-    elif kind == "tilde":
-        matrix = s.Rinv @ beta @ s.R
-    else:
-        raise ValueError(f"unknown basis kind {kind!r}")
+    _require_traceless(matrix)
+    return _derivation(matrix)
+
+
+def _tilde_action(beta: Mat, s: StructureSet):
+    """The action of beta on the tilde coordinates of s: that of R^-1 beta R.
+
+    The conjugated units act on tilde monomials exactly like the plain
+    units act on plain monomials.  beta's own trace is checked, before
+    conjugating, so a failure reports it: on a corrupted structure R^-1
+    is no inverse of R, and R^-1 beta R can have another trace.
+    """
+    _require_traceless(beta)
+    return _derivation(s.Rinv @ beta @ s.R)
+
+
+def _derivation(matrix: Mat):
+    """``action`` without the trace check, which each caller makes first."""
     # For each variable j: (shift of the exponent triple, m[i][j]) for the
     # nonzero entries of column j, in row order.
     columns = [
@@ -229,8 +222,6 @@ def action(beta: Mat, s: StructureSet, kind: str = "plain"):
     ]
 
     def apply(xi: Poly3) -> Poly3:
-        if xi.kind != kind:
-            raise ValueError(f"a {kind} action applied to a {xi.kind} polynomial")
         out: dict = {}
         for exps, coeff in xi.coeffs.items():
             for j, entries in enumerate(columns):
@@ -241,7 +232,7 @@ def action(beta: Mat, s: StructureSet, kind: str = "plain"):
                     key = (exps[0] + da, exps[1] + db, exps[2] + dc)
                     term = weight * entry
                     out[key] = out[key] + term if key in out else term
-        return Poly3._of(out, kind, xi.degree)
+        return Poly3._of(out, xi.degree)
 
     return apply
 
@@ -265,15 +256,17 @@ def _cross_cartan_images(s: StructureSet, n: int):
     action is built when its turn comes, so a NotTraceless raised there
     surfaces inside the caller's Recorder.
     """
+    on_tilde = partial(_tilde_action, s=s)
     cases = [
-        ("varphi~ on plain", s.varphi_t, "plain"),
-        ("phi~ on plain", s.phi_t, "plain"),
-        ("varphi on tilde", s.varphi, "tilde"),
-        ("phi on tilde", s.phi, "tilde"),
+        ("varphi~ on plain", action, s.varphi_t),
+        ("phi~ on plain", action, s.phi_t),
+        ("varphi on tilde", on_tilde, s.varphi),
+        ("phi on tilde", on_tilde, s.phi),
     ]
-    for label, beta, kind in cases:
-        apply = action(beta, s, kind)
-        yield label, [apply(Poly3.monomial(*lam, kind=kind)) for lam in lattice(n)]
+    monomials = [Poly3.monomial(*lam) for lam in lattice(n)]
+    for label, make_action, beta in cases:
+        apply = make_action(beta)
+        yield label, [apply(m) for m in monomials]
 
 
 def verify_block_structure(s: StructureSet, n: int) -> Report:
@@ -312,21 +305,18 @@ def verify_action_tables(s: StructureSet, n: int) -> Report:
             ("phi", {(r, st, t): Fraction(t) - Fraction(n, 3)}),
         ]
 
-    labels = {f"e{i}{j}": (i, j) for i, j in OFF_DIAGONAL}
+    basis = s.cartan_basis()
     with Recorder(f"module.action_tables.N{n}") as rec:
-        for kind in ("plain", "tilde"):
-            if kind == "plain":
-                gens = {**{k: s.e[v] for k, v in labels.items()},
-                        "varphi": s.varphi, "phi": s.phi}
-            else:
-                gens = {**{k: s.e_t[v] for k, v in labels.items()},
-                        "varphi": s.varphi_t, "phi": s.phi_t}
-            actions = {label: action(beta, s, kind) for label, beta in gens.items()}
+        for kind, gens, make_action in (
+            ("plain", basis, action),
+            ("tilde", s.tilde_basis(), partial(_tilde_action, s=s)),
+        ):
+            actions = {label: make_action(beta) for label, beta in zip(basis, gens.values())}
             for point in lattice(n):
                 for label, image in expected_rows(*point):
                     rec.equal(
-                        actions[label](Poly3.monomial(*point, kind=kind)),
-                        Poly3(image, kind),
+                        actions[label](Poly3.monomial(*point)),
+                        Poly3(image),
                         f"{kind} table {label} at {point}",
                     )
     return rec.report()
@@ -342,25 +332,24 @@ def verify_representation_law(s: StructureSet, n: int) -> Report:
     """
     basis = s.cartan_basis()
     names = list(basis)
-    plain = [Poly3.monomial(*point) for point in lattice(n)]
-    tilde = [Poly3.monomial(*point, kind="tilde") for point in lattice(n)]
+    monomials = [Poly3.monomial(*point) for point in lattice(n)]
     with Recorder(f"module.representation.N{n}") as rec:
-        actions = {name: action(beta, s) for name, beta in basis.items()}
+        actions = {name: action(beta) for name, beta in basis.items()}
         for a, name_b in enumerate(names):
             beta, on_beta = basis[name_b], actions[name_b]
             for name_g in names[a + 1:]:
                 gamma, on_gamma = basis[name_g], actions[name_g]
-                on_bracket = action(beta.bracket(gamma), s)
+                on_bracket = action(beta.bracket(gamma))
                 rec.equal(
-                    [on_bracket(m) for m in plain],
-                    [on_beta(on_gamma(m)) - on_gamma(on_beta(m)) for m in plain],
+                    [on_bracket(m) for m in monomials],
+                    [on_beta(on_gamma(m)) - on_gamma(on_beta(m)) for m in monomials],
                     f"bracket pair ({name_b}, {name_g})",
                 )
         for name, conjugated in zip(names, s.tilde_basis().values()):
-            on_conjugated = action(conjugated, s, "tilde")
+            on_conjugated = _tilde_action(conjugated, s)
             rec.equal(
-                [on_conjugated(m).coeffs for m in tilde],
-                [actions[name](m).coeffs for m in plain],
+                [on_conjugated(m).coeffs for m in monomials],
+                [actions[name](m).coeffs for m in monomials],
                 f"tilde compatibility for {name}",
             )
     return rec.report()
@@ -369,16 +358,17 @@ def verify_representation_law(s: StructureSet, n: int) -> Report:
 def verify_weight_diagonality(s: StructureSet, n: int) -> Report:
     """Both Cartan pairs are diagonal in their own basis, with s-N/3, t-N/3."""
     points = lattice(n)
+    on_tilde = partial(_tilde_action, s=s)
     cases = [
-        ("varphi plain", s.varphi, "plain", 1),
-        ("phi plain", s.phi, "plain", 2),
-        ("varphi~ tilde", s.varphi_t, "tilde", 1),
-        ("phi~ tilde", s.phi_t, "tilde", 2),
+        ("varphi plain", action, s.varphi, 1),
+        ("phi plain", action, s.phi, 2),
+        ("varphi~ tilde", on_tilde, s.varphi_t, 1),
+        ("phi~ tilde", on_tilde, s.phi_t, 2),
     ]
+    monomials = [Poly3.monomial(*point) for point in points]
     with Recorder(f"module.weights.N{n}") as rec:
-        for label, beta, kind, slot in cases:
-            monomials = [Poly3.monomial(*point, kind=kind) for point in points]
-            apply = action(beta, s, kind)
+        for label, make_action, beta, slot in cases:
+            apply = make_action(beta)
             rec.equal(
                 [apply(m) for m in monomials],
                 [

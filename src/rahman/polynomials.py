@@ -177,7 +177,7 @@ def eval_P_operator(
         _check_lattice(n, s_arg, t_arg)
     c_op, d_op = op_pair
     for point in lattice(n):
-        m = Poly3.monomial(*point, kind=vector.kind)
+        m = Poly3.monomial(*point)
         if c_op(d_op(m)) != d_op(c_op(m)):
             raise NonCommutingOperators("operator pair does not commute")
 
@@ -203,7 +203,5 @@ def eval_P_operator(
                     for key, x in powers[p, q]:
                         total[key] = total.get(key, 0) + value * x
         den *= power_den
-        images.append(
-            Poly3({key: Fraction(x, den) for key, x in total.items()}, vector.kind)
-        )
+        images.append(Poly3({key: Fraction(x, den) for key, x in total.items()}))
     return images

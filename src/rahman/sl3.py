@@ -50,6 +50,12 @@ class NotTraceless(ValueError):
     """Raised when an operation requires a trace-zero matrix."""
 
 
+def _require_traceless(beta: Mat) -> None:
+    """Raise NotTraceless unless beta has trace 0."""
+    if beta.trace() != 0:
+        raise NotTraceless(f"trace is {beta.trace()}, expected 0")
+
+
 @dataclass(frozen=True)
 class StructureSet:
     p: ParameterSet
@@ -109,10 +115,11 @@ class StructureSet:
     def dual(self) -> "StructureSet":
         """The structure of ``p.dual()``, built on ``d.dual()``.
 
-        Its R is this R^-1: read in this structure's tilde coordinates,
-        it is this structure with the plain and tilde sides exchanged.
-        The constants are swapped, not derived again, so a corrupted
-        constant carries over.
+        Read in this structure's tilde coordinates, it is this structure
+        with the plain and tilde sides exchanged.  The constants are
+        swapped, not derived again, so a corrupted constant carries over.
+        R and R^-1 are rebuilt from them, so the dual's R is this R^-1 as
+        ``build`` forms it: a replaced R or R^-1 does not carry over.
         """
         return build(self.p.dual(), self.d.dual())
 
@@ -148,8 +155,7 @@ def dagger(beta: Mat, s: StructureSet) -> Mat:
     a zero entry of beta gives a zero entry without a division.
     Requires a traceless argument; fixes both Cartan subalgebras.
     """
-    if beta.trace() != 0:
-        raise NotTraceless(f"trace is {beta.trace()}, expected 0")
+    _require_traceless(beta)
     eta_t = s.d.eta_t
     rows = beta.rows
     return Mat._of(tuple(

@@ -277,14 +277,14 @@ def verify_operator_identities(s: StructureSet, n: int) -> Report:
     third = Fraction(n, 3)
     start = Poly3.monomial(n, 0, 0)
 
-    def shifted(beta, side):
-        apply = action(beta, side)
+    def shifted(beta):
+        apply = action(beta)
         return lambda m: apply(m) + m.scale(third)
 
     with Recorder(f"operators.N{n}") as rec:
         images = []
         for label, side in (("back", s), ("front", s.dual())):
-            ops = (shifted(side.varphi_t, side), shifted(side.phi_t, side))
+            ops = (shifted(side.varphi_t), shifted(side.phi_t))
             images.append((label, eval_P_operator(pairs, ops, start, side.d, n)))
         for index, (s_idx, t_idx) in enumerate(pairs):
             target = Poly3.monomial(n - s_idx - t_idx, s_idx, t_idx)

@@ -1,6 +1,7 @@
-"""Each P and form verifier's Report on one targeted corruption, and the
-irreducibility probe's on an identity R, pinned verbatim: name, status,
-checked count and first-failure text.
+"""Each P and form verifier's Report on one targeted corruption, the
+irreducibility probe's on an identity R, and the tilde side's trace
+failure on a shifted eta~_0, pinned verbatim: name, status, checked count
+and first-failure text.
 
 The expected tuples were taken from the Fraction-by-Fraction verifiers
 (every product its own Fraction); the integer sums over common
@@ -14,10 +15,20 @@ from math import lcm
 import pytest
 
 from rahman import theorems
-from rahman.form import BilinearForm, verify_dual_sum_identities, verify_tilde_norms
+from rahman.form import (
+    BilinearForm,
+    verify_adjointness,
+    verify_dual_sum_identities,
+    verify_tilde_norms,
+)
 from rahman.matrices import Mat
 from rahman.params import ParameterSet
-from rahman.polymodule import irreducibility_probe, verify_block_structure
+from rahman.polymodule import (
+    irreducibility_probe,
+    verify_action_tables,
+    verify_block_structure,
+    verify_weight_diagonality,
+)
 from rahman.sl3 import build
 
 REFERENCE = ParameterSet.of(1, 2, 3, 5)
@@ -49,6 +60,11 @@ def _doubled_tilde_norm(f):
     f.dual.gram[(0, 1, 1)] *= 2
 
 
+def _doubled_plain_norm(f):
+    """Adjointness reads no R, only the action and the plain Gram data."""
+    f.gram[(1, 1, 0)] *= 2
+
+
 def _balanced_tilde_columns(f):
     """Add ||x~^mu||^2 x^N to the column of x~^mu for mu = (0,2,0), and
     subtract it for mu = (0,1,1): the sum of the tilde dual basis and the
@@ -78,6 +94,7 @@ CASES = {
     "dual_sums-doubled-norm": (None, _doubled_tilde_norm, verify_dual_sum_identities),
     "dual_sums-balanced-columns": (
         None, _balanced_tilde_columns, verify_dual_sum_identities),
+    "adjointness-doubled-plain-norm": (None, _doubled_plain_norm, verify_adjointness),
 }
 
 
@@ -127,17 +144,17 @@ EXPECTED = {
     ),
     ("dual_sums-doubled-norm", "1,2,3,5"): (
         "form.dual_sums.N2", "fail", 74,
-        "tilde dual sum vs x^N: Poly3({(2, 0, 0): Fraction(1, 1)}, kind='plain') != "
+        "tilde dual sum vs x^N: Poly3({(2, 0, 0): Fraction(1, 1)}) != "
         "Poly3({(2, 0, 0): Fraction(2531, 3136), (1, 1, 0): Fraction(605, 224), "
         "(1, 0, 1): Fraction(-1815, 784), (0, 2, 0): Fraction(1815, 64), "
-        "(0, 1, 1): Fraction(-6655, 112), (0, 0, 2): Fraction(3025, 98)}, kind='plain')",
+        "(0, 1, 1): Fraction(-6655, 112), (0, 0, 2): Fraction(3025, 98)})",
     ),
     ("dual_sums-doubled-norm", "-3/2,5,1/2,-3"): (
         "form.dual_sums.N2", "fail", 74,
-        "tilde dual sum vs x^N: Poly3({(2, 0, 0): Fraction(1, 1)}, kind='plain') != "
+        "tilde dual sum vs x^N: Poly3({(2, 0, 0): Fraction(1, 1)}) != "
         "Poly3({(2, 0, 0): Fraction(37, 28), (1, 1, 0): Fraction(9, 14), "
         "(1, 0, 1): Fraction(-9, 7), (0, 2, 0): Fraction(27, 112), "
-        "(0, 1, 1): Fraction(-9, 8), (0, 0, 2): Fraction(135, 112)}, kind='plain')",
+        "(0, 1, 1): Fraction(-9, 8), (0, 0, 2): Fraction(135, 112)})",
     ),
     ("dual_sums-balanced-columns", "1,2,3,5"): (
         "form.dual_sums.N2", "fail", 74,
@@ -146,6 +163,16 @@ EXPECTED = {
     ("dual_sums-balanced-columns", "-3/2,5,1/2,-3"): (
         "form.dual_sums.N2", "fail", 74,
         "tilde duality entry (0,3): Fraction(1225, 32) != Fraction(0, 1)",
+    ),
+    ("adjointness-doubled-plain-norm", "1,2,3,5"): (
+        "form.adjointness.N2", "fail", 288,
+        "beta=e01, xi={(1, 1, 0): Fraction(1, 1)}, zeta={(2, 0, 0): Fraction(1, 1)}: "
+        "Fraction(708083712, 1) != Fraction(1416167424, 1)",
+    ),
+    ("adjointness-doubled-plain-norm", "-3/2,5,1/2,-3"): (
+        "form.adjointness.N2", "fail", 288,
+        "beta=e01, xi={(1, 1, 0): Fraction(1, 1)}, zeta={(2, 0, 0): Fraction(1, 1)}: "
+        "Fraction(1225, 32) != Fraction(1225, 16)",
     ),
 }
 
@@ -209,4 +236,26 @@ def test_irreducibility_on_an_identity_R(n):
     report = irreducibility_probe(s, n)
     assert (report.name, report.status, report.checked, report.first_failure) == (
         IDENTITY_R_EXPECTED[n]
+    )
+
+
+TRACE_EXPECTED = {
+    verify_weight_diagonality: (
+        "module.weights.N1", "fail", 3, "raised NotTraceless: trace is -48, expected 0",
+    ),
+    verify_action_tables: (
+        "module.action_tables.N1", "fail", 25, "raised NotTraceless: trace is 176, expected 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("verifier", list(TRACE_EXPECTED), ids=lambda fn: fn.__name__)
+def test_the_tilde_side_names_the_trace_of_beta(verifier):
+    """On a shifted eta~_0, R^-1 is no inverse of R, so R^-1 beta R need
+    not have the trace of beta.  The tilde side checks beta itself:
+    varphi~ (trace -48) in the weights, e~01 (trace 176) in the tables."""
+    s = build(REFERENCE).with_corrupted_eta_t(0, 1)
+    report = verifier(s, 1)
+    assert (report.name, report.status, report.checked, report.first_failure) == (
+        TRACE_EXPECTED[verifier]
     )

@@ -58,7 +58,7 @@ def test_mixed_basis_spot_value(reference_structure):
     s = reference_structure
     f = BilinearForm(s, 1)
     y = Poly3.monomial(0, 1, 0)
-    xt = Poly3.monomial(1, 0, 0, kind="tilde")
+    xt = f.expand(Poly3.monomial(1, 0, 0))
     assert inner(y, xt, f) == 672
 
 
@@ -67,7 +67,7 @@ def test_degree_mismatch(reference_structure):
     with pytest.raises(DegreeMismatch):
         inner(Poly3.monomial(1, 0, 0), Poly3.monomial(1, 1, 0), f)
     with pytest.raises(DegreeMismatch):
-        f.expand(Poly3.monomial(1, 0, 0, kind="tilde"))
+        inner(Poly3.monomial(1, 1, 0), Poly3.monomial(1, 0, 0), f)
     with pytest.raises(DegreeMismatch):
         f.expand(Poly3.monomial(1, 0, 0))
 
@@ -97,12 +97,12 @@ def test_dual_basis_pairing_is_identity(reference_structure):
     s = reference_structure
     for n in (0, 2, 3):
         f = BilinearForm(s, n)
-        for kind in ("plain", "tilde"):
-            duals = dual_basis(f, kind)
-            monomials = [Poly3.monomial(*pt, kind=kind) for pt in lattice(n)]
+        monomials = [Poly3.monomial(*pt) for pt in lattice(n)]
+        # The tilde side in tilde coordinates, paired through f.expand.
+        for duals, to_plain in ((dual_basis(f), lambda xi: xi), (dual_basis(f.dual), f.expand)):
             for i, xi in enumerate(monomials):
                 for j, dual in enumerate(duals):
-                    assert inner(xi, dual, f) == int(i == j)
+                    assert inner(to_plain(xi), to_plain(dual), f) == int(i == j)
 
 
 def _assert_table_matches_eval_P(s, n):
@@ -185,8 +185,8 @@ def test_tilde_columns_match_direct_expansion_at_the_ceiling():
 
 def _assert_tilde_gram_matches_inner(f):
     points = lattice(f.n)
-    monomials = [Poly3.monomial(*point, kind="tilde") for point in points]
-    assert f.tilde_gram == [[inner(a, b, f) for b in monomials] for a in monomials]
+    columns = [f.expand(Poly3.monomial(*point)) for point in points]
+    assert f.tilde_gram == [[inner(a, b, f) for b in columns] for a in columns]
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -211,7 +211,7 @@ def test_gram_values_off_the_axis(reference_structure):
     f = BilinearForm(s, 3)
     assert f.gram[(1, 1, 1)] == Fraction(39652687872, 605)
     assert f.gram[(0, 2, 1)] == Fraction(3776446464, 6655)
-    xyz_t = Poly3.monomial(1, 1, 1, kind="tilde")
+    xyz_t = f.expand(Poly3.monomial(1, 1, 1))
     assert inner(xyz_t, xyz_t, f) == Fraction(29132587008, 605)
 
 
@@ -219,7 +219,7 @@ def test_tilde_base_norm(reference_structure):
     s = reference_structure
     n = 3
     f = BilinearForm(s, n)
-    xt_n = Poly3.monomial(n, 0, 0, kind="tilde")
+    xt_n = f.expand(Poly3.monomial(n, 0, 0))
     assert inner(xt_n, xt_n, f) == (
         Fraction(factorial(n)) * s.d.theta_t**n / s.d.eta[0] ** n
     )

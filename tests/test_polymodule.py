@@ -18,7 +18,7 @@ from rahman.polymodule import (
     verify_representation_law,
     verify_weight_diagonality,
 )
-from rahman.polymodule import _neighbours
+from rahman.polymodule import _neighbours, _tilde_action
 from rahman.sl3 import NotTraceless, build
 
 from conftest import (
@@ -61,13 +61,14 @@ def test_poly3_rejects_mixed_degrees():
         Poly3({(1, 0, 0): 1, (2, 0, 0): 1})
 
 
-def _act_per_call(beta, xi, s):
+def _act_per_call(beta, xi, s, kind):
     """The action rule evaluated per call, a test-local oracle: the trace
-    check and the conjugation R^-1 beta R (dense products) on every call,
-    and a result built by the validating Poly3 constructor."""
+    check and, on tilde coordinates, the conjugation R^-1 beta R (dense
+    products) on every call, and a result built by the validating Poly3
+    constructor."""
     if beta.trace() != 0:
         raise NotTraceless(f"trace is {beta.trace()}, expected 0")
-    if xi.kind == "plain":
+    if kind == "plain":
         matrix = beta
     else:
         matrix = Mat(dense_product(Mat(dense_product(s.Rinv, beta)), s.R))
@@ -82,41 +83,48 @@ def _act_per_call(beta, xi, s):
                 raised[i] += 1
                 key = tuple(raised)
                 out[key] = out.get(key, Fraction(0)) + coeff * exps[j] * matrix[i, j]
-    return Poly3(out, xi.kind)
+    return Poly3(out)
 
 
 @pytest.mark.parametrize("n", range(4))
 @pytest.mark.parametrize("p", PARAM_MATRIX, ids=str)
 def test_action_matches_the_per_call_action(structures, p, n):
-    """One action per (beta, kind) gives the images that the per-call rule
-    gives, for all 16 plain and tilde basis elements on every monomial of
-    both kinds (so varphi and phi on tilde monomials too)."""
+    """One action per beta and coordinate side gives the images that the
+    per-call rule gives, for all 16 plain and tilde basis elements on
+    every monomial in both coordinates (so varphi and phi on tilde
+    monomials too)."""
     s = structures[p]
     for beta in {**s.cartan_basis(), **s.tilde_basis()}.values():
-        for kind in ("plain", "tilde"):
-            apply = action(beta, s, kind)
+        for kind, apply in (("plain", action(beta)), ("tilde", _tilde_action(beta, s))):
             for point in lattice(n):
-                xi = Poly3.monomial(*point, Fraction(-3, 7), kind=kind)
-                expected = _act_per_call(beta, xi, s)
+                xi = Poly3.monomial(*point, Fraction(-3, 7))
+                expected = _act_per_call(beta, xi, s, kind)
                 image = apply(xi)
                 assert image == expected
                 assert image.degree == expected.degree
                 assert all(image.coeffs.values())
 
 
-def test_action_checks_trace_and_kind(reference_structure):
+def test_action_checks_the_trace(reference_structure):
     s = reference_structure
     with pytest.raises(NotTraceless):
-        action(Mat.diag([1, 0, 0]), s)
+        action(Mat.diag([1, 0, 0]))
     with pytest.raises(NotTraceless):
-        action(Mat.identity(3), s, "tilde")
-    with pytest.raises(ValueError):
-        action(s.e[0, 1], s, "mixed")
-    on_plain = action(s.e[0, 1], s)
-    with pytest.raises(ValueError):
-        on_plain(Poly3.monomial(1, 1, 0, kind="tilde"))
-    with pytest.raises(ValueError):
-        action(s.e[0, 1], s, "tilde")(Poly3.monomial(1, 1, 0))
+        _tilde_action(Mat.identity(3), s)
+
+
+def test_tilde_action_checks_the_trace_of_beta_not_of_its_conjugate(reference_structure):
+    """On a shifted eta~_0, R^-1 is no inverse of R: varphi is traceless
+    and R^-1 varphi R is not, and varphi~ = R varphi R^-1 is not either.
+    The tilde action names the trace of the matrix it was given."""
+    s = reference_structure.with_corrupted_eta_t(0, 1)
+    conjugate = s.Rinv @ s.varphi @ s.R
+    assert conjugate.trace() != 0
+    with pytest.raises(NotTraceless):
+        action(conjugate)
+    _tilde_action(s.varphi, s)
+    with pytest.raises(NotTraceless, match=f"trace is {s.varphi_t.trace()}, expected 0"):
+        _tilde_action(s.varphi_t, s)
 
 
 def test_poly3_arithmetic_keeps_the_invariants():
@@ -135,8 +143,6 @@ def test_poly3_arithmetic_keeps_the_invariants():
     for combine in (Poly3.__add__, Poly3.__sub__):
         with pytest.raises(NotHomogeneous):
             combine(p, cubic)
-        with pytest.raises(ValueError):
-            combine(p, Poly3.monomial(2, 0, 0, kind="tilde"))
 
 
 @pytest.mark.parametrize("bad", [0.1, 2.0, True, False])
@@ -144,7 +150,7 @@ def test_poly3_refuses_float_and_bool_coefficients(bad):
     with pytest.raises(ValueError):
         Poly3.monomial(1, 0, 0, bad)
     with pytest.raises(ValueError):
-        Poly3({(2, 0, 0): 1, (1, 1, 0): bad}, "tilde")
+        Poly3({(2, 0, 0): 1, (1, 1, 0): bad})
     assert Poly3.monomial(1, 0, 0, Fraction(1, 10))[1, 0, 0] == Fraction(1, 10)
 
 
@@ -156,7 +162,7 @@ def test_poly3_refuses_non_integral_exponents(key):
     with pytest.raises(ValueError, match="bad exponent triple"):
         Poly3({key: 1})
     with pytest.raises(ValueError, match="bad exponent triple"):
-        Poly3({(0, 1, 0): 1, key: 1}, "tilde")
+        Poly3({(0, 1, 0): 1, key: 1})
 
 
 @pytest.mark.parametrize("bad", [0.1, 2.0, True, False])
@@ -172,27 +178,26 @@ def test_poly3_scale_refuses_float_and_bool_factors(bad):
 def test_action_examples(reference_structure):
     s = reference_structure
     xi = Poly3.monomial(2, 1, 1)
-    assert action(s.e[0, 1], s)(xi) == Poly3.monomial(3, 0, 1)
-    assert action(s.varphi, s)(xi) == Poly3.monomial(2, 1, 1, Fraction(1) - Fraction(4, 3))
-    tilde = Poly3.monomial(1, 2, 0, kind="tilde")
-    assert action(s.e_t[2, 1], s, "tilde")(tilde) == Poly3.monomial(1, 1, 1, 2, kind="tilde")
+    assert action(s.e[0, 1])(xi) == Poly3.monomial(3, 0, 1)
+    assert action(s.varphi)(xi) == Poly3.monomial(2, 1, 1, Fraction(1) - Fraction(4, 3))
+    # x~ y~^2 under e~21, in tilde coordinates.
+    assert _tilde_action(s.e_t[2, 1], s)(Poly3.monomial(1, 2, 0)) == Poly3.monomial(1, 1, 1, 2)
 
 
-def _dense_matrix_of(beta, n, kind, s):
-    """DxD matrix of beta on degree-n polynomials: the action's images of
-    the monomials in lattice order, as columns.  A test-only oracle for
-    the dense products."""
-    apply = action(beta, s, kind)
-    columns = [apply(Poly3.monomial(*point, kind=kind)).to_vector(n) for point in lattice(n)]
+def _dense_matrix_of(apply, n):
+    """DxD matrix of an action on degree-n polynomials: its images of the
+    monomials in lattice order, as columns.  A test-only oracle for the
+    dense products."""
+    columns = [apply(Poly3.monomial(*point)).to_vector(n) for point in lattice(n)]
     return Mat(columns).transpose()
 
 
 def test_matrix_of_examples(reference_structure):
     s = reference_structure
-    assert _dense_matrix_of(Mat.zero(3), 2, "plain", s) == Mat.zero(6)
-    m = _dense_matrix_of(s.e[0, 1], 1, "plain", s)
+    assert _dense_matrix_of(action(Mat.zero(3)), 2) == Mat.zero(6)
+    m = _dense_matrix_of(action(s.e[0, 1]), 1)
     assert m == Mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    weights = _dense_matrix_of(s.varphi, 2, "plain", s)
+    weights = _dense_matrix_of(action(s.varphi), 2)
     assert weights == Mat.diag(
         [Fraction(st) - Fraction(2, 3) for (_, st, _) in lattice(2)]
     )
@@ -215,29 +220,29 @@ def test_act_matches_dense_products(structures, p, n):
         return Mat([image.to_vector(n) for image in images]).transpose()
 
     basis = s.cartan_basis()
-    dense = {name: _dense_matrix_of(beta, n, "plain", s) for name, beta in basis.items()}
-    on_plain = {name: action(beta, s) for name, beta in basis.items()}
+    dense = {name: _dense_matrix_of(action(beta), n) for name, beta in basis.items()}
+    on_plain = {name: action(beta) for name, beta in basis.items()}
     for name_b, beta in basis.items():
         for name_g, gamma in basis.items():
             b_act, g_act = on_plain[name_b], on_plain[name_g]
             module_bracket = columns(b_act(g_act(m)) - g_act(b_act(m)) for m in plain)
             assert module_bracket == dense[name_b] @ dense[name_g] - dense[name_g] @ dense[name_b]
-            assert module_bracket == _dense_matrix_of(beta.bracket(gamma), n, "plain", s)
+            assert module_bracket == _dense_matrix_of(action(beta.bracket(gamma)), n)
 
     t = columns(expand_tilde_monomial_direct(*point, s) for point in points)
     t_inv = t.inverse()
     for beta, beta_t, slot in ((s.varphi, s.varphi_t, 1), (s.phi, s.phi_t, 2)):
         weights = Mat.diag([Fraction(point[slot]) - Fraction(n, 3) for point in points])
-        plain_beta_t = _dense_matrix_of(beta_t, n, "plain", s)
-        assert _dense_matrix_of(beta, n, "plain", s) == weights
-        assert _dense_matrix_of(beta_t, n, "tilde", s) == t_inv @ plain_beta_t @ t == weights
-        for gamma, kind, matrix in (
-            (beta_t, "plain", t @ weights @ t_inv),
-            (beta, "tilde", t_inv @ weights @ t),
+        plain_beta_t = _dense_matrix_of(action(beta_t), n)
+        assert _dense_matrix_of(action(beta), n) == weights
+        tilde_beta_t = _dense_matrix_of(_tilde_action(beta_t, s), n)
+        assert tilde_beta_t == t_inv @ plain_beta_t @ t == weights
+        for apply, matrix in (
+            (action(beta_t), t @ weights @ t_inv),
+            (_tilde_action(beta, s), t_inv @ weights @ t),
         ):
-            apply = action(gamma, s, kind)
             for j, lam in enumerate(points):
-                support = set(apply(Poly3.monomial(*lam, kind=kind)).coeffs)
+                support = set(apply(Poly3.monomial(*lam)).coeffs)
                 assert support == {mu for i, mu in enumerate(points) if matrix[i, j] != 0}
                 assert all(mu == lam or adjacent(mu, lam) for mu in support)
 
@@ -263,7 +268,7 @@ def test_derivation_law(point_a, point_b, coeff, name):
     }[name]
     xi = Poly3.monomial(*point_a, coeff if coeff != 0 else 1)
     zeta = Poly3.monomial(*point_b)
-    apply = action(beta, s)
+    apply = action(beta)
     assert apply(xi * zeta) == apply(xi) * zeta + xi * apply(zeta)
 
 

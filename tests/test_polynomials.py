@@ -252,14 +252,12 @@ def _matrix(op, n):
 
 def _diagonal(weight):
     """The module operator scaling x^r y^s z^t by weight(r, s, t)."""
-    return lambda v: Poly3(
-        {key: weight(*key) * value for key, value in v.coeffs.items()}, v.kind
-    )
+    return lambda v: Poly3({key: weight(*key) * value for key, value in v.coeffs.items()})
 
 
-def _shifted_action(beta, side, n):
-    """The module operator beta + N/3 of a structure, on plain polynomials."""
-    apply = action(beta, side)
+def _shifted_action(beta, n):
+    """The module operator beta + N/3 on plain polynomials."""
+    apply = action(beta)
     return lambda v: apply(v) + v.scale(Fraction(n, 3))
 
 
@@ -281,8 +279,8 @@ def test_operator_identity_at_zero(derived_matrix):
 def test_operator_noncommuting_rejected(reference_structure, derived_matrix):
     s = reference_structure
     d = derived_matrix[ParameterSet.of(1, 2, 3, 5)]
-    c_op = action(s.e[0, 1], s)
-    d_op = action(s.e[1, 0], s)
+    c_op = action(s.e[0, 1])
+    d_op = action(s.e[1, 0])
     with pytest.raises(NonCommutingOperators):
         eval_P_operator([(0, 0)], (c_op, d_op), Poly3.monomial(2, 0, 0), d, 2)
 
@@ -294,8 +292,8 @@ def test_operator_commutation_is_checked_on_the_whole_module(
     the module: [e12, e21] = e11 - e22 does not vanish on y^N."""
     s = reference_structure
     d = derived_matrix[ParameterSet.of(1, 2, 3, 5)]
-    c_op = action(s.e[1, 2], s)
-    d_op = action(s.e[2, 1], s)
+    c_op = action(s.e[1, 2])
+    d_op = action(s.e[2, 1])
     start = Poly3.monomial(2, 0, 0)
     assert c_op(d_op(start)) == d_op(c_op(start))
     with pytest.raises(NonCommutingOperators):
@@ -357,8 +355,8 @@ def test_operator_matches_dense_oracle(structures, derived_matrix, p, n):
     pairs = [(s_arg, t_arg) for (_, s_arg, t_arg) in lattice(n)]
     for side, side_d in ((structures[p], d), (structures[p].dual(), d.dual())):
         ops = (
-            _shifted_action(side.varphi_t, side, n),
-            _shifted_action(side.phi_t, side, n),
+            _shifted_action(side.varphi_t, n),
+            _shifted_action(side.phi_t, n),
         )
         dense_ops = tuple(_matrix(op, n) for op in ops)
         columns = [

@@ -16,6 +16,7 @@ from rahman.form import (
 )
 from rahman.params import ParameterSet, derive
 from rahman.polymodule import (
+    action,
     irreducibility_probe,
     verify_action_tables,
     verify_block_structure,
@@ -338,7 +339,8 @@ def test_every_verifier_survives_a_zeroed_eta_t(index):
 
 
 # Each verifier and form helper takes one carrier and nothing that carrier
-# holds: a structure s carries p and d, a form f carries s and n.
+# holds: a structure s carries p and d, a form f carries s and n.  The
+# action takes only its matrix.
 CARRIER_SIGNATURES = {
     verify_matrices: ("s",),
     verify_dagger: ("s",),
@@ -359,7 +361,8 @@ CARRIER_SIGNATURES = {
     verify_dual_sum_identities: ("f",),
     verify_orthogonality: ("d", "n"),
     inner: ("xi", "zeta", "f"),
-    dual_basis: ("f", "kind"),
+    dual_basis: ("f",),
+    action: ("matrix",),
 }
 
 
