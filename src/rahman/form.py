@@ -37,7 +37,14 @@ from math import factorial
 from operator import mul
 
 from .params import DerivedParams
-from .polymodule import DegreeMismatch, Poly3, action, lattice, lattice_dimension
+from .polymodule import (
+    DegreeMismatch,
+    Poly3,
+    _require_degree,
+    action,
+    lattice,
+    lattice_dimension,
+)
 from .report import Recorder, Report
 from .scalars import format_rational, over_common_denominator
 from .sl3 import StructureSet, dagger
@@ -63,8 +70,7 @@ class BilinearForm:
     """Diagonal Gram data for degree n: ||x^r y^s z^t||^2 by lattice point."""
 
     def __init__(self, s: StructureSet, n: int):
-        if n < 0:
-            raise ValueError("degree must be nonnegative")
+        _require_degree(n)
         self.n = n
         self.s = s
 
@@ -150,7 +156,7 @@ class BilinearForm:
 
     def expand(self, xi: Poly3) -> Poly3:
         """Plain coordinates of a degree-n polynomial in tilde coordinates."""
-        self._require_degree(xi)
+        self._require_its_degree(xi)
         points = lattice(self.n)
         out: dict = {}
         for key, coeff in xi.coeffs.items():
@@ -162,7 +168,7 @@ class BilinearForm:
                     out[point] = out[point] + term if point in out else term
         return Poly3._of(out, self.n)
 
-    def _require_degree(self, xi: Poly3) -> None:
+    def _require_its_degree(self, xi: Poly3) -> None:
         if xi.coeffs and xi.degree != self.n:
             raise DegreeMismatch(f"degree {xi.degree}, form has degree {self.n}")
 
@@ -175,8 +181,8 @@ def inner(xi: Poly3, zeta: Poly3, f: BilinearForm) -> Fraction:
 
     A polynomial in tilde coordinates is paired through ``f.expand``.
     """
-    f._require_degree(xi)
-    f._require_degree(zeta)
+    f._require_its_degree(xi)
+    f._require_its_degree(zeta)
     keys = xi.coeffs.keys() & zeta.coeffs.keys()
     return sum(
         (f.gram[key] * xi.coeffs[key] * zeta.coeffs[key] for key in keys),

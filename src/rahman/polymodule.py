@@ -17,6 +17,10 @@ validates its input and refuses a float or bool coefficient, and any
 exponent that is not a nonnegative int.  ``scale`` refuses a float or
 bool factor.
 
+The six moves e_i - e_j of e_ij on exponents are one table, ``_MOVES``,
+read by ``_neighbours`` and the recurrences; ``_derivation`` and the
+action tables, which those checks test, write their shifts out.
+
 The cross-Cartan actions (varphi~, phi~ on plain monomials; varphi, phi
 on tilde ones) act as in a rank-2 Leonard pair: ``verify_block_structure``
 checks that they vanish off the diagonal and the lattice neighbours, and
@@ -28,11 +32,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from operator import add
 
 from .matrices import Mat
 from .report import Recorder, Report
 from .scalars import exact_rational, format_rational
-from .sl3 import StructureSet, _require_traceless
+from .sl3 import OFF_DIAGONAL, StructureSet, _require_traceless
 
 __all__ = [
     "DegreeMismatch",
@@ -40,7 +45,6 @@ __all__ = [
     "Poly3",
     "lattice",
     "lattice_dimension",
-    "adjacent",
     "action",
     "verify_block_structure",
     "irreducibility_probe",
@@ -58,10 +62,17 @@ class NotHomogeneous(ValueError):
     """Raised when a polynomial mixes total degrees."""
 
 
-def lattice(n: int) -> list:
-    """All (r, s, t) with r+s+t = n, ordered by descending r then s."""
+def _require_degree(n: int) -> None:
+    """Raise ValueError unless n is a nonnegative int; a bool is not one."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"degree must be an integer, got {n!r}")
     if n < 0:
         raise ValueError("degree must be nonnegative")
+
+
+def lattice(n: int) -> list:
+    """All (r, s, t) with r+s+t = n, ordered by descending r then s."""
+    _require_degree(n)
     return [
         (r, s, n - r - s)
         for r in range(n, -1, -1)
@@ -71,14 +82,6 @@ def lattice(n: int) -> list:
 
 def lattice_dimension(n: int) -> int:
     return (n + 1) * (n + 2) // 2
-
-
-def adjacent(a: tuple, b: tuple) -> bool:
-    """True iff the componentwise difference is a permutation of (1, -1, 0)."""
-    if sum(a) != sum(b):
-        raise DegreeMismatch(f"{a} and {b} have different degrees")
-    diff = sorted(x - y for x, y in zip(a, b))
-    return diff == [-1, 0, 1]
 
 
 class Poly3:
@@ -237,14 +240,14 @@ def _derivation(matrix: Mat):
     return apply
 
 
-# Exponent shifts e_i - e_j to the lattice neighbours of a point, in
-# lattice order (descending r, then s) of the neighbours they reach.
-_NEIGHBOUR_SHIFTS = ((1, 0, -1), (1, -1, 0), (0, 1, -1), (0, -1, 1), (-1, 1, 0), (-1, 0, 1))
+# The six moves of the lattice: the unit e_ij shifts an exponent triple
+# by e_i - e_j.  Keyed by (i, j), in OFF_DIAGONAL order.
+_MOVES = {(i, j): tuple(int(k == i) - int(k == j) for k in range(3)) for i, j in OFF_DIAGONAL}
 
 
 def _neighbours(point: tuple) -> list:
     """The lattice points adjacent to ``point``, in lattice order."""
-    shifted = (tuple(x + dx for x, dx in zip(point, shift)) for shift in _NEIGHBOUR_SHIFTS)
+    shifted = sorted((tuple(map(add, point, move)) for move in _MOVES.values()), reverse=True)
     return [mu for mu in shifted if min(mu) >= 0]
 
 
@@ -270,13 +273,16 @@ def _cross_cartan_images(s: StructureSet, n: int):
 
 
 def verify_block_structure(s: StructureSet, n: int) -> Report:
-    """Cross-Cartan action support: diagonal plus adjacent entries only."""
+    """Cross-Cartan action support: diagonal plus adjacent entries only.
+    Any 3x3 derivation maps x^lam into x^lam and its neighbours, so this
+    fails only by a raise, such as NotTraceless when an action is built."""
     points = lattice(n)
+    bands = [{lam, *_neighbours(lam)} for lam in points]
     with Recorder(f"module.block_structure.N{n}") as rec:
         for label, images in _cross_cartan_images(s, n):
             for mu in points:
-                for lam, image in zip(points, images):
-                    if mu == lam or adjacent(mu, lam):
+                for lam, band, image in zip(points, bands, images):
+                    if mu in band:
                         continue
                     rec.check(
                         image[mu] == 0,
@@ -391,10 +397,10 @@ def irreducibility_probe(s: StructureSet, n: int) -> Report:
     irreducible under the algebra that H and H~ generate, hence under
     sl3, and x^N generates it.  The tilde side exchanges the two Cartans.
 
-    The entry at lam + e_i - e_j is lam_j times the off-diagonal entry
-    (i, j) of the operator's matrix, an ``expansion_coefficients`` value
-    whose factors ``params.validate`` keeps nonzero.  So the check reads
-    the structure's own R and fails only on a corrupted one.
+    A move lam + e_i - e_j stays on the lattice iff lam_j > 0.  Its entry is
+    lam_j times the (i, j) entry of the operator's matrix, a nonzero
+    ``expansion_coefficients`` value (``params.validate``), so the check
+    reads the structure's own R and fails only on a corrupted one.
     """
     points = lattice(n)
     with Recorder(f"module.irreducibility.N{n}") as rec:

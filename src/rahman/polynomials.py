@@ -36,7 +36,7 @@ from math import factorial
 from operator import mul
 
 from .params import DerivedParams
-from .polymodule import Poly3, lattice
+from .polymodule import Poly3, _require_degree, lattice
 from .scalars import over_common_denominator
 
 __all__ = [
@@ -74,12 +74,11 @@ def _scaled_powers(x: Fraction, top: int) -> tuple:
 
 
 def _check_lattice(n: int, *args: int) -> None:
-    """Raise ValueError unless N >= 0 and the arguments, read as the pairs
-    (a, b) and (c, d), are nonnegative with each pair summing to at most N."""
-    if min(args) < 0:
+    """Raise ValueError unless N and the arguments are nonnegative ints (not
+    bools) and the pairs (a, b) and (c, d) each sum to at most N."""
+    if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in args):
         raise ValueError("arguments must be nonnegative integers")
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
+    _require_degree(n)
     if any(first + second > n for first, second in zip(args[::2], args[1::2])):
         raise ValueError(
             f"arguments off the lattice: need A+B <= N and C+D <= N (N={n})"
@@ -141,7 +140,7 @@ def eval_P(a: int, b: int, c: int, d: int, derived: DerivedParams, n: int) -> Fr
     Only the box i+j <= a, k+l <= b, i+k <= c, j+l <= d is summed; every
     other term has a vanishing shifted factorial.  The sum runs over the
     integers, and one Fraction is built at the end.  Raises ValueError
-    for a negative argument or N, and for arguments off the lattice.
+    unless N and the arguments are nonnegative ints on the lattice.
     """
     _check_lattice(n, a, b, c, d)
     table, den = _falling_coefficients(a, b, derived, n, c, d)

@@ -23,7 +23,7 @@ still names the two Fractions it compared.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 from .form import (
     BilinearForm,
@@ -35,6 +35,7 @@ from .form import (
 )
 from .params import DerivedParams, ParameterSet
 from .polymodule import (
+    _MOVES,
     Poly3,
     action,
     irreducibility_probe,
@@ -151,7 +152,6 @@ def verify_orthogonality(d: DerivedParams, n: int) -> Report:
     one denominator once, so each sum is one integer dot product.
     """
     points = lattice(n)
-    pairs = _pairs(n)
     with Recorder(f"orthogonality.N{n}") as rec:
         p = _p_matrix(d, n)
         relations = []
@@ -170,10 +170,9 @@ def verify_orthogonality(d: DerivedParams, n: int) -> Report:
                 for numerators, den in scaled
             ]
             relations.append((label, side, scaled, weighted))
-        for a, (s_idx, t_idx) in enumerate(pairs):
-            r_idx = n - s_idx - t_idx
+        for a, (r_idx, s_idx, t_idx) in enumerate(points):
             rhs_base = 1 / multinomial(n, [r_idx, s_idx, t_idx])
-            for b, (sigma, tau) in enumerate(pairs):
+            for b, (_, sigma, tau) in enumerate(points):
                 delta = Fraction(int(a == b))
                 for label, side, scaled, weighted in relations:
                     left, left_den = weighted[a]
@@ -184,36 +183,29 @@ def verify_orthogonality(d: DerivedParams, n: int) -> Report:
     return rec.report()
 
 
-# Recurrence shift patterns: (shift of the back pair, which counter
-# multiplies the coefficient, expansion-coefficient key).  The counters
-# are the back pair (A, B) and the complement C = N - A - B.
-_SHIFT_PATTERN = [
-    ((-1, 0), "A", "e01"),
-    ((0, -1), "B", "e02"),
-    ((+1, 0), "C", "e10"),
-    ((+1, -1), "B", "e12"),
-    ((0, +1), "C", "e20"),
-    ((-1, +1), "A", "e21"),
-]
-
-
 def verify_recurrences(s: StructureSet, n: int) -> Report:
     """The four seven-term recurrences, against direct P evaluation.
 
     Parts (i) and (ii) shift the back pair (sigma, tau) of P(s, t, sigma,
     tau).  Parts (iii) and (iv) are parts (i) and (ii) of the dual
     parameters, so their failures name the dual's indices (sigma, tau,
-    s, t).  A shifted (sigma, tau) with no column is off the lattice; its
-    coefficient carries a counter whose vanishing is asserted, not
-    assumed.
+    s, t).  The shifted terms are the moves e_i - e_j of mu = (N - sigma -
+    tau, sigma, tau), times mu_j.  A move leaves the lattice only if mu_j is
+    0, so the zero-counter checks there cannot fail (kept for the count).
 
     Each P row and each coefficient table is scaled to integers over one
     denominator once, and both sides are multiplied by 3 (clearing the
     N/3 shifts) and by those denominators, so each check compares two
     integers.
     """
-    pairs = _pairs(n)
-    index = {pair: position for position, pair in enumerate(pairs)}
+    points = lattice(n)
+    index = {point: position for position, point in enumerate(points)}
+    # Per column mu, per move (i, j): key, counter mu_j, column of the move.
+    stencils = [
+        [(f"e{i}{j}", mu[j], index.get(tuple(map(add, mu, move))))
+         for (i, j), move in _MOVES.items()]
+        for mu in points
+    ]
 
     with Recorder(f"recurrences.N{n}") as rec:
         p = _p_matrix(s.d, n)
@@ -231,19 +223,15 @@ def verify_recurrences(s: StructureSet, n: int) -> Report:
                 numerators, den = over_common_denominator(coeffs.values())
                 parts.append((name, dict(zip(coeffs, numerators)), den, eig, rows))
 
-        for row, (s_idx, t_idx) in enumerate(pairs):
-            for column, (sigma, tau) in enumerate(pairs):
-                c_idx = n - sigma - tau
-                counters = {"A": sigma, "B": tau, "C": c_idx}
+        for row, (_, s_idx, t_idx) in enumerate(points):
+            for column, ((_, sigma, tau), stencil) in enumerate(zip(points, stencils)):
                 for name, coeffs, coeff_den, eig, rows in parts:
                     p_row, p_den = rows[row]
                     base = p_row[column]
                     total = (
                         (3 * sigma - n) * coeffs["h1"] + (3 * tau - n) * coeffs["h2"]
                     ) * base
-                    for (da, db), counter, key in _SHIFT_PATTERN:
-                        factor = counters[counter]
-                        shifted = index.get((sigma + da, tau + db))
+                    for key, factor, shifted in stencil:
                         if shifted is None:
                             rec.check(
                                 factor == 0,

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from rahman.params import ParameterSet, derive
-from rahman.polymodule import Poly3
+from rahman.polymodule import DegreeMismatch, Poly3
 from rahman.sl3 import StructureSet, build
 
 PARAM_MATRIX = [
@@ -27,6 +27,15 @@ def structures():
 @pytest.fixture(scope="session")
 def reference_structure(structures, reference_params):
     return structures[reference_params]
+
+
+def adjacent(a: tuple, b: tuple) -> bool:
+    """True iff the componentwise difference is a permutation of (1, -1, 0):
+    the oracle for ``polymodule._neighbours``."""
+    if sum(a) != sum(b):
+        raise DegreeMismatch(f"{a} and {b} have different degrees")
+    diff = sorted(x - y for x, y in zip(a, b))
+    return diff == [-1, 0, 1]
 
 
 def dense_product(a, b):

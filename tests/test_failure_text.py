@@ -1,7 +1,8 @@
 """Each P and form verifier's Report on one targeted corruption, the
-irreducibility probe's on an identity R, and the tilde side's trace
-failure on a shifted eta~_0, pinned verbatim: name, status, checked count
-and first-failure text.
+irreducibility probe's on an identity R, block structure's and the
+representation law's on one shifted entry of R, and the tilde side's
+trace failure on a shifted eta~_0, pinned verbatim: name, status, checked
+count and first-failure text.
 
 The expected tuples were taken from the Fraction-by-Fraction verifiers
 (every product its own Fraction); the integer sums over common
@@ -27,6 +28,7 @@ from rahman.polymodule import (
     irreducibility_probe,
     verify_action_tables,
     verify_block_structure,
+    verify_representation_law,
     verify_weight_diagonality,
 )
 from rahman.sl3 import build
@@ -236,6 +238,51 @@ def test_irreducibility_on_an_identity_R(n):
     report = irreducibility_probe(s, n)
     assert (report.name, report.status, report.checked, report.first_failure) == (
         IDENTITY_R_EXPECTED[n]
+    )
+
+
+SHIFTED_R_EXPECTED = {
+    (verify_block_structure, "1,2,3,5"): (
+        "module.block_structure.N2", "fail", 1,
+        "raised NotTraceless: trace is 44/9, expected 0",
+    ),
+    (verify_block_structure, "-3/2,5,1/2,-3"): (
+        "module.block_structure.N2", "fail", 1,
+        "raised NotTraceless: trace is 5/7, expected 0",
+    ),
+    (verify_representation_law, "1,2,3,5"): (
+        "module.representation.N2", "fail", 31,
+        "tilde compatibility for e01: [{}, {(2, 0, 0): Fraction(25, 3)}, {}, "
+        "{(1, 1, 0): Fraction(50, 3)}, {(1, 0, 1): Fraction(25, 3)}, {}] != "
+        "[{}, {(2, 0, 0): Fraction(1, 1)}, {}, {(1, 1, 0): Fraction(2, 1)}, "
+        "{(1, 0, 1): Fraction(1, 1)}, {}]",
+    ),
+    (verify_representation_law, "-3/2,5,1/2,-3"): (
+        "module.representation.N2", "fail", 31,
+        "tilde compatibility for e01: [{}, {(2, 0, 0): Fraction(29, 14)}, {}, "
+        "{(1, 1, 0): Fraction(29, 7)}, {(1, 0, 1): Fraction(29, 14)}, {}] != "
+        "[{}, {(2, 0, 0): Fraction(1, 1)}, {}, {(1, 1, 0): Fraction(2, 1)}, "
+        "{(1, 0, 1): Fraction(1, 1)}, {}]",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "verifier, label",
+    list(SHIFTED_R_EXPECTED),
+    ids=lambda value: getattr(value, "__name__", value),
+)
+def test_a_shifted_entry_of_R(verifier, label):
+    """R[0][1] + 1 with R^-1 left as it is.  Any derivation maps x^lam into
+    x^lam and its neighbours, so block structure can fail only by a raise:
+    here varphi~ = R varphi R^-1 loses its zero trace.  The representation
+    law fails by value, on the first tilde generator it conjugates."""
+    s = build(PARAMETERS[label])
+    rows = [list(row) for row in s.R.rows]
+    rows[0][1] += 1
+    report = verifier(dataclasses.replace(s, R=Mat(rows)), 2)
+    assert (report.name, report.status, report.checked, report.first_failure) == (
+        SHIFTED_R_EXPECTED[verifier, label]
     )
 
 

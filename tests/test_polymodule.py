@@ -9,7 +9,6 @@ from rahman.polymodule import (
     NotHomogeneous,
     Poly3,
     action,
-    adjacent,
     irreducibility_probe,
     lattice,
     lattice_dimension,
@@ -23,6 +22,7 @@ from rahman.sl3 import NotTraceless, build
 
 from conftest import (
     PARAM_MATRIX,
+    adjacent,
     dense_product,
     expand_tilde_monomial_direct,
     tilde_variables,

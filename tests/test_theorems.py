@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rahman import theorems
 from rahman.form import (
     BilinearForm,
     dual_basis,
@@ -16,7 +17,9 @@ from rahman.form import (
 )
 from rahman.params import ParameterSet, derive
 from rahman.polymodule import (
+    _MOVES,
     action,
+    lattice,
     irreducibility_probe,
     verify_action_tables,
     verify_block_structure,
@@ -28,6 +31,7 @@ from rahman.report import Recorder, Report
 from rahman.scalars import format_rational, multinomial
 from rahman.sl3 import (
     build,
+    expansion_coefficients,
     verify_dagger,
     verify_expansions,
     verify_generation,
@@ -174,6 +178,57 @@ def test_recurrences(structures, p, n):
     assert report.ok, report.first_failure
 
 
+# The recurrence stencil written out by hand, the oracle for the moves
+# table: (shift of the back pair (sigma, tau), the counter that multiplies
+# the coefficient, expansion-coefficient key).  The counters are the back
+# pair (A, B) and the complement C = N - A - B.
+SHIFT_PATTERN = [
+    ((-1, 0), "A", "e01"),
+    ((0, -1), "B", "e02"),
+    ((+1, 0), "C", "e10"),
+    ((+1, -1), "B", "e12"),
+    ((0, +1), "C", "e20"),
+    ((-1, +1), "A", "e21"),
+]
+
+
+def test_the_moves_are_the_recurrence_shift_pattern():
+    """On mu = (C, A, B), the move (i, j) shifts (sigma, tau) = (A, B) as
+    the pattern says, and its counter mu_j is the pattern's counter."""
+    assert [f"e{i}{j}" for i, j in _MOVES] == [key for _, _, key in SHIFT_PATTERN]
+    for ((i, j), move), (shift, counter, key) in zip(_MOVES.items(), SHIFT_PATTERN):
+        assert sum(move) == 0
+        assert move[1:] == shift, key
+        assert "CAB"[j] == counter, key
+
+
+EXPANSION_KEYS = ["e01", "e02", "e10", "e12", "e20", "e21", "h1", "h2"]
+
+
+@pytest.mark.parametrize("key", EXPANSION_KEYS)
+@pytest.mark.parametrize("table", [0, 1], ids=["varphi", "phi"])
+@pytest.mark.parametrize(
+    "p",
+    [ParameterSet.of(1, 2, 3, 5), ParameterSet.of(Fraction(-3, 2), 5, Fraction(1, 2), -3)],
+    ids=str,
+)
+def test_recurrences_read_every_expansion_coefficient(monkeypatch, p, table, key):
+    """One entry of one expansion table off by one, for p and for
+    p.dual(), fails the recurrences at N = 2 by value.  Failure texts alone
+    cannot tell e01 from e21 there, so each key is corrupted on its own."""
+    assert sorted(expansion_coefficients(p)[table]) == sorted(EXPANSION_KEYS)
+
+    def wrong(q):
+        tables = list(expansion_coefficients(q))
+        tables[table] = {**tables[table], key: tables[table][key] + 1}
+        return tuple(tables)
+
+    monkeypatch.setattr(theorems, "expansion_coefficients", wrong)
+    report = verify_recurrences(build(p), 2)
+    assert report.status == "fail"
+    assert not report.first_failure.startswith("raised"), report.first_failure
+
+
 @pytest.mark.parametrize("n", [0, 1, 3])
 @pytest.mark.parametrize("p", PARAM_MATRIX, ids=str)
 def test_operator_identities(structures, p, n):
@@ -198,6 +253,27 @@ def test_run_suites_rejects_unknown():
 def test_run_suites_rejects_negative_degree():
     with pytest.raises(ValueError):
         run_suites(ParameterSet.of(1, 2, 3, 5), -1, ["structure"])
+
+
+DEGREE_REFUSALS = {
+    "run-suites-bool": lambda p, d, s: run_suites(p, True, ["orthogonality"]),
+    "run-suites-float": lambda p, d, s: run_suites(p, 2.0),
+    "eval-P-float-degree": lambda p, d, s: eval_P(1, 0, 1, 0, d, 1.0),
+    "eval-P-float-argument": lambda p, d, s: eval_P(0.5, 0, 0, 0, d, 1),
+    "eval-P-bool-argument": lambda p, d, s: eval_P(True, 0, 0, 0, d, 1),
+    "p-table-float": lambda p, d, s: p_table(BilinearForm(s, 1.0)),
+    "form-bool": lambda p, d, s: BilinearForm(s, True),
+    "lattice-bool": lambda p, d, s: lattice(False),
+}
+
+
+@pytest.mark.parametrize("call", list(DEGREE_REFUSALS.values()), ids=list(DEGREE_REFUSALS))
+def test_the_library_refuses_a_degree_that_is_not_an_int(call):
+    """N and the lattice arguments are ints: a bool or a float is refused
+    with ValueError, as the CLI refuses it, not read as 1 or truncated."""
+    p = ParameterSet.of(1, 2, 3, 5)
+    with pytest.raises(ValueError, match="degree must be an integer|nonnegative integers"):
+        call(p, derive(p), build(p))
 
 
 def test_suite_determinism():
