@@ -1,48 +1,56 @@
 """Small exact rational matrices: the 3x3 structural layer only.
 
 Operators on the degree-N module are applied by ``polymodule.action`` and
-never stored as matrices.  Entries are Fractions (the public ``Mat(...)``
-refuses a float or bool entry, and ``scale`` a float or bool factor);
-rows are tuples, so a matrix is immutable and can be shared freely.
+never stored as matrices.  A matrix is int row tuples ``nums`` over one
+int ``den`` > 0 with gcd(den, *nums) = 1, so equal matrices have equal
+(nums, den) and zero has den 1.  Arithmetic is over the ints with one gcd
+per result (``Mat._over``); ``rows``, ``m[i, j]``, ``to_json`` and
+``repr`` give Fractions.  ``Mat(...)`` refuses a float or bool entry and
+``scale`` such a factor.  A matrix is immutable and can be shared freely.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 
 from .scalars import exact_rational, format_rational
 
 __all__ = ["Mat"]
 
-_ZERO = Fraction(0)
-
 
 class Mat:
-    __slots__ = ("rows",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, rows):
-        self.rows = tuple(
-            tuple(exact_rational(x, "matrix entry") for x in row) for row in rows
-        )
-        width = len(self.rows[0]) if self.rows else 0
-        if any(len(row) != width for row in self.rows):
+        rows = [[exact_rational(x, "matrix entry") for x in row] for row in rows]
+        width = len(rows[0]) if rows else 0
+        if any(len(row) != width for row in rows):
             raise ValueError("ragged rows")
+        self.den = den = lcm(*(x.denominator for row in rows for x in row))
+        self.nums = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
 
     @classmethod
-    def _of(cls, rows) -> "Mat":
-        """Trusted constructor for arithmetic results: ``rows`` is a tuple
-        of equal-length tuples of Fractions, stored as given."""
+    def _over(cls, nums, den: int) -> "Mat":
+        """nums / den in canonical form, for int row tuples and a den > 0."""
+        if den != 1 and (g := gcd(den, *chain.from_iterable(nums))) != 1:
+            nums, den = tuple(tuple(x // g for x in row) for row in nums), den // g
         result = object.__new__(cls)
-        result.rows = rows
+        result.nums, result.den = nums, den
         return result
 
     @property
+    def rows(self) -> tuple:
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.nums)
+
+    @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.nums)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return len(self.nums[0]) if self.nums else 0
 
     @classmethod
     def zero(cls, n: int) -> "Mat":
@@ -63,34 +71,38 @@ class Mat:
         """Matrix unit: 1 in position (i, j), zero elsewhere."""
         return cls([[1 if (a, b) == (i, j) else 0 for b in range(n)] for a in range(n)])
 
-    def __getitem__(self, ij):
+    def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self.rows[i][j]
+        return Fraction(self.nums[i][j], self.den)
 
     def __eq__(self, other):
-        return isinstance(other, Mat) and self.rows == other.rows
+        return isinstance(other, Mat) and self.den == other.den and self.nums == other.nums
+
+    def _combine(self, other: "Mat", sign: int) -> "Mat":
+        """self + sign * other, for sign = 1 or -1, over the lcm of the two dens."""
+        g = gcd(self.den, other.den)
+        a, b = other.den // g, sign * (self.den // g)
+        return Mat._over(tuple(
+            tuple(x * a + y * b for x, y in zip(ra, rb))
+            for ra, rb in zip(self.nums, other.nums)
+        ), self.den * a)
 
     def __add__(self, other: "Mat") -> "Mat":
-        return Mat._of(tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
-        ))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return Mat._of(tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
-        ))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Mat":
-        return Mat._of(tuple(tuple(-a for a in row) for row in self.rows))
+        return Mat._over(tuple(tuple(-x for x in row) for row in self.nums), self.den)
 
     def scale(self, c) -> "Mat":
         c = exact_rational(c, "factor")
-        return Mat._of(tuple(tuple(c * a for a in row) for row in self.rows))
+        nums = tuple(tuple(c.numerator * x for x in row) for row in self.nums)
+        return Mat._over(nums, self.den * c.denominator)
 
     def __matmul__(self, other: "Mat") -> "Mat":
-        """Row-by-row product that skips every zero factor.
+        """Row-by-row integer product that skips every zero factor.
 
         The structural matrices are mostly matrix units and diagonals,
         so most of the n^3 products of the dense formula are by zero.
@@ -99,28 +111,28 @@ class Mat:
             raise ValueError("dimension mismatch")
         width = other.ncols
         rows = []
-        for row in self.rows:
-            out = [_ZERO] * width
-            for a, other_row in zip(row, other.rows):
+        for row in self.nums:
+            out = [0] * width
+            for a, other_row in zip(row, other.nums):
                 if not a:
                     continue
                 for j, b in enumerate(other_row):
                     if b:
                         out[j] += a * b
             rows.append(tuple(out))
-        return Mat._of(tuple(rows))
+        return Mat._over(tuple(rows), self.den * other.den)
 
     def apply(self, vector):
         """Multiply by a column vector (list of Fractions)."""
         if self.ncols != len(vector):
             raise ValueError("dimension mismatch")
-        return [sum(a * b for a, b in zip(row, vector)) for row in self.rows]
+        return [Fraction(sum(a * b for a, b in zip(row, vector)), self.den) for row in self.nums]
 
     def transpose(self) -> "Mat":
-        return Mat._of(tuple(zip(*self.rows)))
+        return Mat._over(tuple(zip(*self.nums)), self.den)
 
-    def trace(self):
-        return sum(self.rows[i][i] for i in range(min(self.nrows, self.ncols)))
+    def trace(self) -> Fraction:
+        return Fraction(sum(self.nums[i][i] for i in range(min(self.nrows, self.ncols))), self.den)
 
     def bracket(self, other: "Mat") -> "Mat":
         """Commutator [self, other] = self other - other self."""
@@ -144,7 +156,7 @@ class Mat:
                 if r != col and work[r][col] != 0:
                     factor = work[r][col]
                     work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-        return Mat._of(tuple(tuple(row[n:]) for row in work))
+        return Mat([row[n:] for row in work])
 
     def to_json(self):
         """Row-major nested list of rational strings."""

@@ -1,30 +1,25 @@
 """Degree-N homogeneous polynomials in three variables as an sl3 module.
 
-A Poly3 is a sparse map from exponent triples to rational coefficients.
-It carries no coordinate tag: the structure it was built for says which
-variables the exponents count, and the tilde variables of s are the
-plain ones of ``s.dual()``.  A single action rule drives everything: a
-3x3 matrix m sends variable j to sum_i m[i][j] * variable i, extended to
-monomials as a derivation.  A matrix beta acts on plain coordinates by
-m = beta (``action``) and on the tilde coordinates of s by m = R^-1 beta
-R (``_tilde_action``); no DxD matrix is built.  The per-generator action
-tables are test vectors, not code paths.
+A Poly3 is a sparse map from exponent triples to Fraction coefficients,
+with no coordinate tag: the tilde variables of s are the plain ones of
+``s.dual()``.  One action rule drives everything: a 3x3 matrix m sends
+variable j to sum_i m[i][j] * variable i, extended to monomials as a
+derivation, which ``action`` (m = beta) and ``_tilde_action`` (m = R^-1
+beta R) apply with no DxD matrix.  The derivation reads m's integer
+numerators and sums each image coefficient as one integer over one
+denominator.  The per-generator action tables are test vectors.
 
-Arithmetic results (``+``, ``-``, ``scale``, products and action
-images) are built by the trusted ``Poly3._of``, which drops zeros but
-does not convert or re-validate entries; the public ``Poly3(...)``
-validates its input and refuses a float or bool coefficient, and any
-exponent that is not a nonnegative int.  ``scale`` refuses a float or
-bool factor.
+Arithmetic results are built by the trusted ``Poly3._of``, which only
+drops zeros; the public ``Poly3(...)`` refuses a float or bool
+coefficient and any exponent that is not a nonnegative int, and
+``scale`` a float or bool factor.
 
 The six moves e_i - e_j of e_ij on exponents are one table, ``_MOVES``,
 read by ``_neighbours`` and the recurrences; ``_derivation`` and the
-action tables, which those checks test, write their shifts out.
-
-The cross-Cartan actions (varphi~, phi~ on plain monomials; varphi, phi
-on tilde ones) act as in a rank-2 Leonard pair: ``verify_block_structure``
-checks that they vanish off the diagonal and the lattice neighbours, and
-``irreducibility_probe`` that no neighbour entry vanishes, so V is
+action tables, which those checks test, write their shifts out.  The
+cross-Cartan actions act as in a rank-2 Leonard pair: they vanish off
+the diagonal and the lattice neighbours (``verify_block_structure``),
+and no neighbour entry vanishes (``irreducibility_probe``), so V is
 irreducible.
 """
 
@@ -32,6 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from math import lcm
 from operator import add
 
 from .matrices import Mat
@@ -81,6 +77,7 @@ def lattice(n: int) -> list:
 
 
 def lattice_dimension(n: int) -> int:
+    _require_degree(n)
     return (n + 1) * (n + 2) // 2
 
 
@@ -212,30 +209,36 @@ def _tilde_action(beta: Mat, s: StructureSet):
 
 
 def _derivation(matrix: Mat):
-    """``action`` without the trace check, which each caller makes first."""
-    # For each variable j: (shift of the exponent triple, m[i][j]) for the
-    # nonzero entries of column j, in row order.
+    """``action`` without the trace check, which each caller makes first.
+
+    Each image coefficient is an int sum over L * ``matrix.den``, L the lcm
+    of xi's denominators, made a Fraction once; keys keep first-term order.
+    """
+    # For each variable j: (shift of the exponent triple, numerator of
+    # m[i][j]) for the nonzero entries of column j, in row order.
     columns = [
         [
-            (tuple(int(k == i) - int(k == j) for k in range(3)), matrix[i, j])
+            (tuple(int(k == i) - int(k == j) for k in range(3)), matrix.nums[i][j])
             for i in range(3)
-            if matrix[i, j] != 0
+            if matrix.nums[i][j]
         ]
         for j in range(3)
     ]
 
     def apply(xi: Poly3) -> Poly3:
+        scale = lcm(*(coeff.denominator for coeff in xi.coeffs.values()))
         out: dict = {}
         for exps, coeff in xi.coeffs.items():
+            numerator = coeff.numerator * (scale // coeff.denominator)
             for j, entries in enumerate(columns):
                 if exps[j] == 0:
                     continue
-                weight = coeff * exps[j]
+                weight = numerator * exps[j]
                 for (da, db, dc), entry in entries:
                     key = (exps[0] + da, exps[1] + db, exps[2] + dc)
-                    term = weight * entry
-                    out[key] = out[key] + term if key in out else term
-        return Poly3._of(out, xi.degree)
+                    out[key] = out.get(key, 0) + weight * entry
+        den = scale * matrix.den
+        return Poly3._of({key: Fraction(v, den) for key, v in out.items() if v}, xi.degree)
 
     return apply
 

@@ -16,11 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from types import MappingProxyType
 
 from .matrices import Mat
 from .params import DerivedParams, ParameterSet, derive, validate
 from .report import Recorder, Report
+from .scalars import over_common_denominator
 
 __all__ = [
     "NotTraceless",
@@ -37,7 +39,6 @@ __all__ = [
 
 OFF_DIAGONAL = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
 
-_ZERO = Fraction(0)
 _THIRD = Fraction(1, 3)
 
 VARPHI = Mat.diag([-_THIRD, 2 * _THIRD, -_THIRD])
@@ -151,20 +152,24 @@ def build(p: ParameterSet, d: DerivedParams | None = None) -> StructureSet:
 def dagger(beta: Mat, s: StructureSet) -> Mat:
     """The antiautomorphism: beta -> W~ beta^t W~^-1.
 
-    W~ is diagonal, so entry (i, j) is eta~_i beta[j][i] / eta~_j, and
-    a zero entry of beta gives a zero entry without a division.
+    W~ is diagonal: with eta~ = k / g over the ints, entry (i, j) is
+    k_i beta[j][i] / k_j, one int over beta's den times the lcm of the
+    nonzero k_j.  A zero entry of beta gives a zero entry with no division;
+    a nonzero one over eta~_j = 0 raises Fraction's ZeroDivisionError.
     Requires a traceless argument; fixes both Cartan subalgebras.
     """
     _require_traceless(beta)
     eta_t = s.d.eta_t
-    rows = beta.rows
-    return Mat._of(tuple(
-        tuple(
-            eta_t[i] * rows[j][i] / eta_t[j] if rows[j][i] else _ZERO
-            for j in range(3)
-        )
-        for i in range(3)
-    ))
+    k, _ = over_common_denominator(eta_t)
+    scale = lcm(*filter(None, k))
+
+    def at(i, j):
+        n = beta.nums[j][i]
+        if n and not k[j]:
+            return eta_t[i] * beta[j, i] / eta_t[j]  # raises ZeroDivisionError
+        return k[i] * n * (scale // k[j]) if n else 0
+
+    return Mat._over(tuple(tuple(at(i, j) for j in range(3)) for i in range(3)), beta.den * scale)
 
 
 def r_closed_form(p: ParameterSet) -> Mat:

@@ -48,6 +48,36 @@ def dense_product(a, b):
     ]
 
 
+def fraction_derivation(matrix):
+    """The derivation by which a 3x3 matrix acts on polynomials, summed
+    Fraction by Fraction (every term its own Fraction): the oracle for
+    the integer sums of ``polymodule._derivation``, keys included in
+    their order."""
+    columns = [
+        [
+            (tuple(int(k == i) - int(k == j) for k in range(3)), matrix[i, j])
+            for i in range(3)
+            if matrix[i, j] != 0
+        ]
+        for j in range(3)
+    ]
+
+    def apply(xi: Poly3) -> Poly3:
+        out: dict = {}
+        for exps, coeff in xi.coeffs.items():
+            for j, entries in enumerate(columns):
+                if exps[j] == 0:
+                    continue
+                weight = coeff * exps[j]
+                for (da, db, dc), entry in entries:
+                    key = (exps[0] + da, exps[1] + db, exps[2] + dc)
+                    term = weight * entry
+                    out[key] = out[key] + term if key in out else term
+        return Poly3._of(out, xi.degree)
+
+    return apply
+
+
 def tilde_variables(s: StructureSet) -> tuple:
     """The tilde variables as degree-1 plain polynomials (columns of R)."""
     return tuple(

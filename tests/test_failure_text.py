@@ -1,8 +1,9 @@
 """Each P and form verifier's Report on one targeted corruption, the
 irreducibility probe's on an identity R, block structure's and the
-representation law's on one shifted entry of R, and the tilde side's
-trace failure on a shifted eta~_0, pinned verbatim: name, status, checked
-count and first-failure text.
+representation law's on one shifted entry of R, the tilde side's trace
+failure on a shifted eta~_0, and the dagger and adjointness Reports on a
+zeroed eta~_i, pinned verbatim: name, status, checked count and
+first-failure text.
 
 The expected tuples were taken from the Fraction-by-Fraction verifiers
 (every product its own Fraction); the integer sums over common
@@ -31,7 +32,7 @@ from rahman.polymodule import (
     verify_representation_law,
     verify_weight_diagonality,
 )
-from rahman.sl3 import build
+from rahman.sl3 import build, verify_dagger
 
 REFERENCE = ParameterSet.of(1, 2, 3, 5)
 NEGATIVE = ParameterSet.of(Fraction(-3, 2), 5, Fraction(1, 2), -3)
@@ -305,4 +306,40 @@ def test_the_tilde_side_names_the_trace_of_beta(verifier):
     report = verifier(s, 1)
     assert (report.name, report.status, report.checked, report.first_failure) == (
         TRACE_EXPECTED[verifier]
+    )
+
+
+ZERO_ETA_T_EXPECTED = {
+    (0, None): ("structure.dagger", "fail", 1, "raised ZeroDivisionError: Fraction(1, 0)"),
+    (0, 0): ("form.adjointness.N0", "fail", 1, "raised ZeroDivisionError: Fraction(1, 0)"),
+    (0, 1): ("form.adjointness.N1", "fail", 1, "raised ZeroDivisionError: Fraction(1, 0)"),
+    (1, None): (
+        "structure.dagger", "fail", 5,
+        "involution on e01: Mat([['0', '0', '0'], ['0', '0', '0'], ['0', '0', '0']]) != "
+        "Mat([['0', '1', '0'], ['0', '0', '0'], ['0', '0', '0']])",
+    ),
+    (1, 0): ("form.adjointness.N0", "fail", 3, "raised ZeroDivisionError: Fraction(1, 0)"),
+    (1, 1): ("form.adjointness.N1", "fail", 4, "raised ZeroDivisionError: Fraction(1, 0)"),
+    (2, None): (
+        "structure.dagger", "fail", 9,
+        "involution on e02: Mat([['0', '0', '0'], ['0', '0', '0'], ['0', '0', '0']]) != "
+        "Mat([['0', '0', '1'], ['0', '0', '0'], ['0', '0', '0']])",
+    ),
+    (2, 0): ("form.adjointness.N0", "fail", 5, "raised ZeroDivisionError: Fraction(1, 0)"),
+    (2, 1): ("form.adjointness.N1", "fail", 4, "raised ZeroDivisionError: Fraction(1, 0)"),
+}
+
+
+@pytest.mark.parametrize("index, n", list(ZERO_ETA_T_EXPECTED))
+def test_dagger_on_a_zeroed_eta_t(index, n):
+    """eta~_i = 0 makes W~ singular.  dagger gives a zero entry, with no
+    division, wherever beta has one, and raises Fraction's own
+    ZeroDivisionError at the first nonzero entry it must divide by
+    eta~_i: e01 maps to zero when eta~_1 = 0, so the involution fails by
+    value, and only the first raise ends the Report."""
+    base = build(REFERENCE)
+    s = base.with_corrupted_eta_t(index, -base.d.eta_t[index])
+    report = verify_dagger(s) if n is None else verify_adjointness(BilinearForm(s, n))
+    assert (report.name, report.status, report.checked, report.first_failure) == (
+        ZERO_ETA_T_EXPECTED[index, n]
     )

@@ -25,9 +25,11 @@ from conftest import (
     adjacent,
     dense_product,
     expand_tilde_monomial_direct,
+    fraction_derivation,
     tilde_variables,
 )
 from test_params import valid_parameter_sets
+from test_sl3 import half_zero_entries
 
 
 def test_lattice_small_cases():
@@ -103,6 +105,45 @@ def test_action_matches_the_per_call_action(structures, p, n):
                 assert image == expected
                 assert image.degree == expected.degree
                 assert all(image.coeffs.values())
+
+
+# Traceless: the last diagonal entry is minus the sum of the other two.
+traceless_matrices = st.lists(half_zero_entries, min_size=8, max_size=8).map(
+    lambda x: Mat([x[0:3], x[3:6], [x[6], x[7], -x[0] - x[4]]])
+)
+
+
+@st.composite
+def polynomials(draw):
+    """A degree-n polynomial, n <= 5, on a random subset of the lattice,
+    with coefficients of mixed denominators."""
+    n = draw(st.integers(0, 5))
+    points = draw(st.lists(st.sampled_from(lattice(n)), max_size=8, unique=True))
+    return Poly3({point: draw(half_zero_entries) for point in points})
+
+
+@given(traceless_matrices, polynomials())
+@settings(max_examples=200, deadline=None)
+def test_the_derivation_matches_the_fraction_oracle(matrix, xi):
+    """The integer sums give the Fraction-by-Fraction image, with the keys
+    in the same order: the reprs in failure texts follow it."""
+    assert repr(action(matrix)(xi)) == repr(fraction_derivation(matrix)(xi))
+
+
+def test_the_derivation_matches_the_fraction_oracle_on_the_structure(structures):
+    """The same on every plain and tilde generator, acting on every
+    monomial of degree 3 and on their sum with mixed-denominator
+    coefficients, in both coordinates."""
+    points = lattice(3)
+    xis = [Poly3.monomial(*point) for point in points]
+    xis.append(Poly3({point: Fraction(k - 4, k + 1) for k, point in enumerate(points)}))
+    for s in structures.values():
+        for beta in {**s.cartan_basis(), **s.tilde_basis()}.values():
+            for apply, matrix in ((action(beta), beta),
+                                  (_tilde_action(beta, s), s.Rinv @ beta @ s.R)):
+                oracle = fraction_derivation(matrix)
+                for xi in xis:
+                    assert repr(apply(xi)) == repr(oracle(xi))
 
 
 def test_action_checks_the_trace(reference_structure):

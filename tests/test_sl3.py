@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rahman.matrices import Mat
 from rahman.params import ParameterSet
+from rahman.scalars import format_rational
 from rahman.sl3 import (
     NotTraceless,
     build,
@@ -149,6 +151,57 @@ def test_matmul_matches_the_dense_triple_loop(a, b):
     assert product == Mat(dense_product(a, b))
     assert all(type(x) is Fraction for row in product.rows for x in row)
     assert a.bracket(b) == Mat(dense_product(a, b)) - Mat(dense_product(b, a))
+
+
+def _same(m: Mat, rows) -> None:
+    """m holds exactly the Fraction rows ``rows``, in canonical form: a
+    positive den coprime to the int numerators, so equal values have
+    equal forms and zero has den 1."""
+    assert type(m.den) is int and m.den > 0
+    assert all(type(x) is int for row in m.nums for x in row)
+    assert gcd(m.den, *(x for row in m.nums for x in row)) == 1
+    if not any(any(row) for row in rows):
+        assert m.den == 1
+    assert m.rows == tuple(tuple(row) for row in rows)
+    assert all(type(x) is Fraction for row in m.rows for x in row)
+    assert all(
+        type(m[i, j]) is Fraction and m[i, j] == rows[i][j]
+        for i in range(len(rows)) for j in range(len(rows[0]))
+    )
+    rebuilt = Mat(rows)
+    assert (m.nums, m.den) == (rebuilt.nums, rebuilt.den) and m == rebuilt
+
+
+@given(matrices_3x3, matrices_3x3, half_zero_entries)
+@settings(max_examples=200, deadline=None)
+def test_mat_matches_the_fraction_entrywise_oracle(a, b, c):
+    """Every operation equals its entrywise Fraction formula and leaves a
+    canonical (nums, den); the Fraction views and texts read the same."""
+    ra, rb = a.rows, b.rows
+    idx = range(3)
+    _same(a, ra)
+    _same(a + b, [[ra[i][j] + rb[i][j] for j in idx] for i in idx])
+    _same(a - b, [[ra[i][j] - rb[i][j] for j in idx] for i in idx])
+    _same(-a, [[-ra[i][j] for j in idx] for i in idx])
+    _same(a.scale(c), [[c * ra[i][j] for j in idx] for i in idx])
+    _same(a @ b, dense_product(a, b))
+    _same(a.transpose(), [[ra[j][i] for j in idx] for i in idx])
+    _same(a.bracket(b), [
+        [x - y for x, y in zip(row_ab, row_ba)]
+        for row_ab, row_ba in zip(dense_product(a, b), dense_product(b, a))
+    ])
+    _same(a - a, [[Fraction(0)] * 3 for _ in idx])
+    assert a.trace() == sum(ra[i][i] for i in idx) and type(a.trace()) is Fraction
+    vector = [rb[0][j] for j in idx]
+    assert a.apply(vector) == [sum(ra[i][j] * vector[j] for j in idx) for i in idx]
+    assert a.to_json() == [[format_rational(x) for x in row] for row in ra]
+    assert repr(a) == f"Mat({[[str(x) for x in row] for row in ra]})"
+    assert (a == b) == (ra == rb)
+    try:
+        inverse = a.inverse()
+    except ZeroDivisionError:
+        return
+    _same(inverse @ a, [[Fraction(int(i == j)) for j in idx] for i in idx])
 
 
 @pytest.mark.parametrize("bad", [0.1, 2.0, True, False])

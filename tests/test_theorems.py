@@ -20,6 +20,7 @@ from rahman.polymodule import (
     _MOVES,
     action,
     lattice,
+    lattice_dimension,
     irreducibility_probe,
     verify_action_tables,
     verify_block_structure,
@@ -264,15 +265,22 @@ DEGREE_REFUSALS = {
     "p-table-float": lambda p, d, s: p_table(BilinearForm(s, 1.0)),
     "form-bool": lambda p, d, s: BilinearForm(s, True),
     "lattice-bool": lambda p, d, s: lattice(False),
+    "lattice-dimension-bool": lambda p, d, s: lattice_dimension(True),
+    "lattice-dimension-float": lambda p, d, s: lattice_dimension(2.5),
+    "lattice-dimension-negative": lambda p, d, s: lattice_dimension(-3),
 }
 
 
 @pytest.mark.parametrize("call", list(DEGREE_REFUSALS.values()), ids=list(DEGREE_REFUSALS))
 def test_the_library_refuses_a_degree_that_is_not_an_int(call):
     """N and the lattice arguments are ints: a bool or a float is refused
-    with ValueError, as the CLI refuses it, not read as 1 or truncated."""
+    with ValueError, as the CLI refuses it, not read as 1 or truncated,
+    and a negative degree is refused too."""
     p = ParameterSet.of(1, 2, 3, 5)
-    with pytest.raises(ValueError, match="degree must be an integer|nonnegative integers"):
+    with pytest.raises(
+        ValueError,
+        match="degree must be an integer|degree must be nonnegative|nonnegative integers",
+    ):
         call(p, derive(p), build(p))
 
 
