@@ -234,7 +234,7 @@ def verify_adjointness(f: BilinearForm) -> Report:
                     rec.equal(
                         inner(image, zeta, f),
                         inner(xi, zeta_image, f),
-                        f"beta={name}, xi={xi.coeffs}, zeta={zeta.coeffs}",
+                        lambda: f"beta={name}, xi={xi.coeffs}, zeta={zeta.coeffs}",
                     )
     return rec.report()
 

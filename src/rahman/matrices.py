@@ -1,12 +1,14 @@
-"""Small exact rational matrices: the 3x3 structural layer only.
+"""Exact rational 3x3 matrices: the structural layer of sl3.
 
-Operators on the degree-N module are applied by ``polymodule.action`` and
-never stored as matrices.  A matrix is int row tuples ``nums`` over one
-int ``den`` > 0 with gcd(den, *nums) = 1, so equal matrices have equal
-(nums, den) and zero has den 1.  Arithmetic is over the ints with one gcd
-per result (``Mat._over``); ``rows``, ``m[i, j]``, ``to_json`` and
-``repr`` give Fractions.  ``Mat(...)`` refuses a float or bool entry and
-``scale`` such a factor.  A matrix is immutable and can be shared freely.
+Every matrix here is 3x3 (U, W, W~, R, R^-1, the Cartan elements and the
+matrix units); ``Mat(...)`` refuses any other shape.  Operators on the
+degree-N module are applied by ``polymodule.action`` and never stored as
+matrices.  A matrix is int row tuples ``nums`` over one int ``den`` > 0
+with gcd(den, *nums) = 1, so equal matrices have equal (nums, den) and
+zero has den 1.  Arithmetic is over the ints with one gcd per result
+(``Mat._over``); ``rows``, ``m[i, j]``, ``to_json`` and ``repr`` give
+Fractions.  ``Mat(...)`` refuses a float or bool entry and ``scale`` such
+a factor.  A matrix is immutable and can be shared freely.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ class Mat:
 
     def __init__(self, rows):
         rows = [[exact_rational(x, "matrix entry") for x in row] for row in rows]
-        width = len(rows[0]) if rows else 0
-        if any(len(row) != width for row in rows):
-            raise ValueError("ragged rows")
+        if len(rows) != 3 or any(len(row) != 3 for row in rows):
+            raise ValueError(f"a Mat is 3x3, got rows of lengths {[len(row) for row in rows]}")
         self.den = den = lcm(*(x.denominator for row in rows for x in row))
         self.nums = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
 
@@ -44,32 +45,23 @@ class Mat:
     def rows(self) -> tuple:
         return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.nums)
 
-    @property
-    def nrows(self) -> int:
-        return len(self.nums)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.nums[0]) if self.nums else 0
+    @classmethod
+    def zero(cls) -> "Mat":
+        return cls.diag([0, 0, 0])
 
     @classmethod
-    def zero(cls, n: int) -> "Mat":
-        return cls([[0] * n for _ in range(n)])
-
-    @classmethod
-    def identity(cls, n: int) -> "Mat":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    def identity(cls) -> "Mat":
+        return cls.diag([1, 1, 1])
 
     @classmethod
     def diag(cls, entries) -> "Mat":
         entries = list(entries)
-        n = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls([[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)])
 
     @classmethod
-    def unit(cls, n: int, i: int, j: int) -> "Mat":
+    def unit(cls, i: int, j: int) -> "Mat":
         """Matrix unit: 1 in position (i, j), zero elsewhere."""
-        return cls([[1 if (a, b) == (i, j) else 0 for b in range(n)] for a in range(n)])
+        return cls([[int((a, b) == (i, j)) for b in range(3)] for a in range(3)])
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
@@ -105,14 +97,11 @@ class Mat:
         """Row-by-row integer product that skips every zero factor.
 
         The structural matrices are mostly matrix units and diagonals,
-        so most of the n^3 products of the dense formula are by zero.
+        so most of the 27 products of the dense formula are by zero.
         """
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        width = other.ncols
         rows = []
         for row in self.nums:
-            out = [0] * width
+            out = [0, 0, 0]
             for a, other_row in zip(row, other.nums):
                 if not a:
                     continue
@@ -123,40 +112,38 @@ class Mat:
         return Mat._over(tuple(rows), self.den * other.den)
 
     def apply(self, vector):
-        """Multiply by a column vector (list of Fractions)."""
-        if self.ncols != len(vector):
-            raise ValueError("dimension mismatch")
+        """Multiply by a column 3-vector (list of Fractions)."""
+        if len(vector) != 3:
+            raise ValueError(f"expected a 3-vector, got {len(vector)} entries")
         return [Fraction(sum(a * b for a, b in zip(row, vector)), self.den) for row in self.nums]
 
     def transpose(self) -> "Mat":
         return Mat._over(tuple(zip(*self.nums)), self.den)
 
     def trace(self) -> Fraction:
-        return Fraction(sum(self.nums[i][i] for i in range(min(self.nrows, self.ncols))), self.den)
+        return Fraction(sum(self.nums[i][i] for i in range(3)), self.den)
 
     def bracket(self, other: "Mat") -> "Mat":
         """Commutator [self, other] = self other - other self."""
         return self @ other - other @ self
 
     def inverse(self) -> "Mat":
-        """Gauss-Jordan inverse; exact, raises on singular input."""
-        n = self.nrows
-        if n != self.ncols:
-            raise ValueError("not square")
-        work = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-                for i, row in enumerate(self.rows)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-            if pivot is None:
-                raise ZeroDivisionError("singular matrix")
-            work[col], work[pivot] = work[pivot], work[col]
-            inv = 1 / work[col][col]
-            work[col] = [x * inv for x in work[col]]
-            for r in range(n):
-                if r != col and work[r][col] != 0:
-                    factor = work[r][col]
-                    work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-        return Mat([row[n:] for row in work])
+        """den adj(nums) / det(nums), over the ints; raises ZeroDivisionError
+        on a singular matrix."""
+        m = self.nums
+        adj = tuple(
+            tuple(
+                m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
+                - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3]
+                for j in range(3)
+            )
+            for i in range(3)
+        )
+        det = sum(m[0][k] * adj[k][0] for k in range(3))
+        if det == 0:
+            raise ZeroDivisionError("singular matrix")
+        sign = 1 if det > 0 else -1
+        return Mat._over(tuple(tuple(sign * self.den * x for x in row) for row in adj), abs(det))
 
     def to_json(self):
         """Row-major nested list of rational strings."""

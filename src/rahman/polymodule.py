@@ -123,9 +123,6 @@ class Poly3:
     def zero(cls) -> "Poly3":
         return cls({})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __getitem__(self, key) -> Fraction:
         return self.coeffs.get(tuple(key), Fraction(0))
 

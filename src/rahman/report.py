@@ -56,10 +56,11 @@ class Recorder:
         if not condition and self.first_failure is None:
             self.first_failure = describe() if callable(describe) else describe
 
-    def equal(self, left, right, context: str) -> None:
+    def equal(self, left, right, context) -> None:
+        """Record left == right; ``context`` is a string or a thunk for one."""
         self.check(left == right, lambda: _mismatch(context, left, right))
 
-    def equal_over(self, left: int, right: int, den: int, context: str) -> None:
+    def equal_over(self, left: int, right: int, den: int, context) -> None:
         """``equal`` on left/den and right/den, compared as integers; the
         Fractions are built only to describe a failure."""
         self.check(
@@ -72,7 +73,9 @@ class Recorder:
         return Report(self.name, status, self.checked, self.first_failure)
 
 
-def _mismatch(context: str, left, right) -> str:
+def _mismatch(context, left, right) -> str:
+    if callable(context):
+        context = context()
     return f"{context}: {_text(left)} != {_text(right)}"
 
 

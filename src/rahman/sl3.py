@@ -44,7 +44,7 @@ _THIRD = Fraction(1, 3)
 VARPHI = Mat.diag([-_THIRD, 2 * _THIRD, -_THIRD])
 PHI = Mat.diag([-_THIRD, -_THIRD, 2 * _THIRD])
 PSI = -VARPHI - PHI
-UNITS = MappingProxyType({(i, j): Mat.unit(3, i, j) for i, j in OFF_DIAGONAL})
+UNITS = MappingProxyType({(i, j): Mat.unit(i, j) for i, j in OFF_DIAGONAL})
 
 
 class NotTraceless(ValueError):
@@ -228,7 +228,7 @@ def expansion_coefficients(p: ParameterSet) -> tuple:
 
 
 def _combine(coeffs: dict, units: dict, h1: Mat, h2: Mat) -> Mat:
-    result = Mat.zero(3)
+    result = Mat.zero()
     for (i, j) in OFF_DIAGONAL:
         result = result + units[i, j].scale(coeffs[f"e{i}{j}"])
     return result + h1.scale(coeffs["h1"]) + h2.scale(coeffs["h2"])
@@ -236,7 +236,7 @@ def _combine(coeffs: dict, units: dict, h1: Mat, h2: Mat) -> Mat:
 
 def verify_matrices(s: StructureSet) -> Report:
     """Cross-check R and R^-1 against their closed forms and the W identities."""
-    identity = Mat.identity(3)
+    identity = Mat.identity()
     with Recorder("structure.matrices") as rec:
         rec.equal(s.R, r_closed_form(s.p), "R factored vs closed form")
         rec.equal(s.Rinv, r_closed_form(s.p.dual()), "R^-1 factored vs closed form")
@@ -294,7 +294,7 @@ def verify_dagger(s: StructureSet) -> Report:
                     f"bracket law [{name_b},{name_g}]",
                 )
 
-        rec.equal(s.varphi_t.bracket(s.phi_t), Mat.zero(3), "[varphi~, phi~]")
+        rec.equal(s.varphi_t.bracket(s.phi_t), Mat.zero(), "[varphi~, phi~]")
     return rec.report()
 
 

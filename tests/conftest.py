@@ -39,13 +39,76 @@ def adjacent(a: tuple, b: tuple) -> bool:
 
 
 def dense_product(a, b):
-    """Rows of the product a b by the dense triple loop over every entry:
-    the oracle for the zero-skipping ``Mat.__matmul__``."""
+    """Rows of the product a b of two 3x3 matrices by the dense triple loop
+    over every entry: the oracle for the zero-skipping ``Mat.__matmul__``."""
     return [
-        [sum((a[i, k] * b[k, j] for k in range(a.ncols)), Fraction(0))
-         for j in range(b.ncols)]
-        for i in range(a.nrows)
+        [sum((a[i, k] * b[k, j] for k in range(3)), Fraction(0)) for j in range(3)]
+        for i in range(3)
     ]
+
+
+class Dense:
+    """A square matrix of Fractions of any size, by the textbook formulas:
+    the oracle for operators on the degree-N module, which the library
+    applies through ``polymodule.action`` and never stores."""
+
+    def __init__(self, rows):
+        self.rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+    @classmethod
+    def diag(cls, entries):
+        entries = list(entries)
+        return cls([[x if i == j else 0 for j in range(len(entries))]
+                    for i, x in enumerate(entries)])
+
+    @classmethod
+    def identity(cls, n: int):
+        return cls.diag([1] * n)
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.rows[i][j]
+
+    def __eq__(self, other):
+        return isinstance(other, Dense) and self.rows == other.rows
+
+    def __repr__(self):
+        return f"Dense({[[str(x) for x in row] for row in self.rows]})"
+
+    def __add__(self, other):
+        return Dense([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        return Dense([[c * x for x in row] for row in self.rows])
+
+    def transpose(self):
+        return Dense(zip(*self.rows))
+
+    def __matmul__(self, other):
+        columns = list(zip(*other.rows))
+        return Dense([[sum((x * y for x, y in zip(row, column)), Fraction(0))
+                       for column in columns] for row in self.rows])
+
+    def inverse(self):
+        """Gauss-Jordan inverse; exact, raises on singular input."""
+        n = len(self.rows)
+        work = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+                for i, row in enumerate(self.rows)]
+        for col in range(n):
+            pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+            if pivot is None:
+                raise ZeroDivisionError("singular matrix")
+            work[col], work[pivot] = work[pivot], work[col]
+            inv = 1 / work[col][col]
+            work[col] = [x * inv for x in work[col]]
+            for r in range(n):
+                if r != col and work[r][col] != 0:
+                    factor = work[r][col]
+                    work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+        return Dense([row[n:] for row in work])
 
 
 def fraction_derivation(matrix):

@@ -233,7 +233,7 @@ def test_irreducibility_on_an_identity_R(n):
     """With R = R^-1 = I, H~ is H: every cross-Cartan action is diagonal,
     so V splits into monomial lines.  The support stays in the band, so
     block structure passes, and only the irreducibility probe fails."""
-    identity = Mat.identity(3)
+    identity = Mat.identity()
     s = dataclasses.replace(build(REFERENCE), R=identity, Rinv=identity)
     assert verify_block_structure(s, n).ok
     report = irreducibility_probe(s, n)

@@ -22,6 +22,7 @@ from rahman.sl3 import NotTraceless, build
 
 from conftest import (
     PARAM_MATRIX,
+    Dense,
     adjacent,
     dense_product,
     expand_tilde_monomial_direct,
@@ -151,7 +152,7 @@ def test_action_checks_the_trace(reference_structure):
     with pytest.raises(NotTraceless):
         action(Mat.diag([1, 0, 0]))
     with pytest.raises(NotTraceless):
-        _tilde_action(Mat.identity(3), s)
+        _tilde_action(Mat.identity(), s)
 
 
 def test_tilde_action_checks_the_trace_of_beta_not_of_its_conjugate(reference_structure):
@@ -172,12 +173,11 @@ def test_poly3_arithmetic_keeps_the_invariants():
     p = Poly3({(2, 0, 0): Fraction(1, 3), (1, 1, 0): -2})
     q = Poly3({(1, 1, 0): 2, (0, 0, 2): 5})
     difference = p - p
-    assert difference.is_zero() and difference.degree is None
-    assert difference == Poly3.zero()
+    assert difference == Poly3.zero() and difference.degree is None
     assert (p + q) == Poly3({(2, 0, 0): Fraction(1, 3), (0, 0, 2): 5})
     assert (p + q).degree == 2 and (1, 1, 0) not in (p + q).coeffs
     assert (p - q) == Poly3({(2, 0, 0): Fraction(1, 3), (1, 1, 0): -4, (0, 0, 2): -5})
-    assert p.scale(0).is_zero() and p.scale(0).degree is None
+    assert p.scale(0) == Poly3.zero() and p.scale(0).degree is None
     assert p.scale(3) == Poly3({(2, 0, 0): 1, (1, 1, 0): -6})
     assert (Poly3.zero() + p).degree == 2 and (p + Poly3.zero()).degree == 2
     cubic = Poly3.monomial(3, 0, 0)
@@ -230,16 +230,16 @@ def _dense_matrix_of(apply, n):
     monomials in lattice order, as columns.  A test-only oracle for the
     dense products."""
     columns = [apply(Poly3.monomial(*point)).to_vector(n) for point in lattice(n)]
-    return Mat(columns).transpose()
+    return Dense(columns).transpose()
 
 
 def test_matrix_of_examples(reference_structure):
     s = reference_structure
-    assert _dense_matrix_of(action(Mat.zero(3)), 2) == Mat.zero(6)
+    assert _dense_matrix_of(action(Mat.zero()), 2) == Dense.diag([0] * 6)
     m = _dense_matrix_of(action(s.e[0, 1]), 1)
-    assert m == Mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    assert m == Dense([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     weights = _dense_matrix_of(action(s.varphi), 2)
-    assert weights == Mat.diag(
+    assert weights == Dense.diag(
         [Fraction(st) - Fraction(2, 3) for (_, st, _) in lattice(2)]
     )
 
@@ -258,7 +258,7 @@ def test_act_matches_dense_products(structures, p, n):
     plain = [Poly3.monomial(*point) for point in points]
 
     def columns(images):
-        return Mat([image.to_vector(n) for image in images]).transpose()
+        return Dense([image.to_vector(n) for image in images]).transpose()
 
     basis = s.cartan_basis()
     dense = {name: _dense_matrix_of(action(beta), n) for name, beta in basis.items()}
@@ -273,7 +273,7 @@ def test_act_matches_dense_products(structures, p, n):
     t = columns(expand_tilde_monomial_direct(*point, s) for point in points)
     t_inv = t.inverse()
     for beta, beta_t, slot in ((s.varphi, s.varphi_t, 1), (s.phi, s.phi_t, 2)):
-        weights = Mat.diag([Fraction(point[slot]) - Fraction(n, 3) for point in points])
+        weights = Dense.diag([Fraction(point[slot]) - Fraction(n, 3) for point in points])
         plain_beta_t = _dense_matrix_of(action(beta_t), n)
         assert _dense_matrix_of(action(beta), n) == weights
         tilde_beta_t = _dense_matrix_of(_tilde_action(beta_t, s), n)

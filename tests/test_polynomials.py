@@ -4,7 +4,6 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rahman.matrices import Mat
 from rahman.params import ParameterSet, derive
 from rahman.polymodule import Poly3, action, lattice
 from rahman.polynomials import (
@@ -13,7 +12,7 @@ from rahman.polynomials import (
     eval_P_operator,
 )
 
-from conftest import PARAM_MATRIX
+from conftest import PARAM_MATRIX, Dense
 from test_params import valid_parameter_sets
 
 
@@ -245,7 +244,7 @@ def test_extended_sum_range_changes_nothing(derived_matrix):
 
 def _matrix(op, n):
     """Dense matrix of a module operator, one basis monomial per column."""
-    return Mat(
+    return Dense(
         [op(Poly3.monomial(*point)).to_vector(n) for point in lattice(n)]
     ).transpose()
 
@@ -273,7 +272,7 @@ def test_operator_identity_at_zero(derived_matrix):
     c_op = _diagonal(lambda r, s, t: r + 1)
     d_op = _diagonal(lambda r, s, t: s + 4)
     for derived in (d, d.dual()):
-        assert _operator_columns((0, 0), (c_op, d_op), derived, 2) == Mat.identity(6)
+        assert _operator_columns((0, 0), (c_op, d_op), derived, 2) == Dense.identity(6)
 
 
 def test_operator_noncommuting_rejected(reference_structure, derived_matrix):
@@ -317,16 +316,16 @@ def test_diagonal_operator_consistency(derived_matrix, dual, scalar):
     c_op = _diagonal(lambda r, sigma, tau: sigma)
     d_op = _diagonal(lambda r, sigma, tau: tau)
     op = _operator_columns((1, 1), (c_op, d_op), d.dual() if dual else d, n)
-    expected = Mat.diag([scalar(sigma, tau, d, n) for (_, sigma, tau) in points])
+    expected = Dense.diag([scalar(sigma, tau, d, n) for (_, sigma, tau) in points])
     assert op == expected
 
 
 def _operator_pochhammer(op, n):
     """(-C)(-C+I)...(-C+(n-1)I), computed left to right."""
-    dim = op.nrows
-    result = Mat.identity(dim)
+    identity = Dense.identity(len(op.rows))
+    result = identity
     for q in range(n):
-        result = result @ (Mat.identity(dim).scale(q) - op)
+        result = result @ (identity.scale(q) - op)
     return result
 
 
@@ -335,7 +334,7 @@ def _dense_operator(int_pair, op_pair, derived, n):
     its shifted factorials of C and D multiplied out as matrices."""
     s_arg, t_arg = int_pair
     c_op, d_op = op_pair
-    total = Mat.zero(c_op.nrows)
+    total = Dense.diag([0] * len(c_op.rows))
     for (i, j, k, l), weight in _defining_term_weights(derived, n):
         scalar = pochhammer(-s_arg, i + j) * pochhammer(-t_arg, k + l)
         if scalar == 0:
@@ -364,7 +363,7 @@ def test_operator_matches_dense_oracle(structures, derived_matrix, p, n):
             for point in lattice(n)
         ]
         for index, pair in enumerate(pairs):
-            batch = Mat([images[index].to_vector(n) for images in columns]).transpose()
+            batch = Dense([images[index].to_vector(n) for images in columns]).transpose()
             assert batch == _dense_operator(pair, dense_ops, side_d, n)
 
 

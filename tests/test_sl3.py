@@ -18,7 +18,7 @@ from rahman.sl3 import (
     verify_matrices,
 )
 
-from conftest import PARAM_MATRIX, dense_product
+from conftest import PARAM_MATRIX, Dense, dense_product
 
 
 def test_r_corner_entry(reference_structure):
@@ -76,19 +76,19 @@ def test_dagger_is_the_conjugated_transpose(structures, p):
 
 def test_dagger_requires_traceless(reference_structure):
     with pytest.raises(NotTraceless):
-        dagger(Mat.identity(3), reference_structure)
+        dagger(Mat.identity(), reference_structure)
 
 
 def test_tilde_conjugate(reference_structure):
     s = reference_structure
-    assert s.R @ Mat.identity(3) @ s.Rinv == Mat.identity(3)
+    assert s.R @ Mat.identity() @ s.Rinv == Mat.identity()
     assert s.R @ s.varphi @ s.Rinv == s.varphi_t
     assert s.R @ s.phi @ s.Rinv == s.phi_t
 
 
 def test_tilde_cartan_is_abelian(reference_structure):
     s = reference_structure
-    assert s.varphi_t.bracket(s.phi_t) == Mat.zero(3)
+    assert s.varphi_t.bracket(s.phi_t) == Mat.zero()
 
 
 def test_trace_preserved_by_conjugation(reference_structure):
@@ -200,33 +200,53 @@ def test_mat_matches_the_fraction_entrywise_oracle(a, b, c):
     try:
         inverse = a.inverse()
     except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            Dense(ra).inverse()
         return
+    _same(inverse, Dense(ra).inverse().rows)
     _same(inverse @ a, [[Fraction(int(i == j)) for j in idx] for i in idx])
 
 
 @pytest.mark.parametrize("bad", [0.1, 2.0, True, False])
 def test_mat_refuses_float_and_bool_entries(bad):
-    with pytest.raises(ValueError):
-        Mat([[1, bad], [0, 1]])
-    assert Mat([[Fraction(1, 10)]])[0, 0] == Fraction(1, 10)
+    with pytest.raises(ValueError, match="matrix entry"):
+        Mat([[1, bad, 0], [0, 1, 0], [0, 0, 1]])
+    assert Mat.diag([Fraction(1, 10), 0, 0])[0, 0] == Fraction(1, 10)
 
 
 @pytest.mark.parametrize("bad", [0.1, 2.0, True, False])
 def test_mat_scale_refuses_float_and_bool_factors(bad):
-    m = Mat([[1, Fraction(1, 3)], [0, -2]])
-    with pytest.raises(ValueError):
+    m = Mat([[1, Fraction(1, 3), 0], [0, -2, 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match="factor"):
         m.scale(bad)
     assert m.scale(Fraction(1, 10)) == Mat(
-        [[Fraction(1, 10), Fraction(1, 30)], [0, Fraction(-1, 5)]]
+        [[Fraction(1, 10), Fraction(1, 30), 0], [0, Fraction(-1, 5), 0], [0, 0, Fraction(1, 10)]]
     )
-    assert m.scale(3) == Mat([[3, 1], [0, -6]])
+    assert m.scale(3) == Mat([[3, 1, 0], [0, -6, 0], [0, 0, 3]])
 
 
 def test_matmul_of_units_and_zero():
-    e01, e10 = Mat.unit(3, 0, 1), Mat.unit(3, 1, 0)
-    assert e01 @ e10 == Mat.unit(3, 0, 0)
-    assert e01 @ e01 == Mat.zero(3)
-    assert Mat.zero(3) @ e01 == Mat.zero(3)
-    with pytest.raises(ValueError):
-        Mat([[1, 2]]) @ Mat([[1, 2]])
+    e01, e10 = Mat.unit(0, 1), Mat.unit(1, 0)
+    assert e01 @ e10 == Mat.unit(0, 0)
+    assert e01 @ e01 == Mat.zero()
+    assert Mat.zero() @ e01 == Mat.zero()
 
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Mat([]),
+        lambda: Mat([[1]]),
+        lambda: Mat([[1, 2], [3, 4]]),
+        lambda: Mat([[1, 2, 3], [4, 5, 6]]),
+        lambda: Mat([[1, 2], [3, 4], [5, 6]]),
+        lambda: Mat([[int(i == j) for j in range(4)] for i in range(4)]),
+        lambda: Mat([[1, 2, 3], [4, 5], [6, 7, 8]]),
+        lambda: Mat.identity().apply([Fraction(1)] * 2),
+        lambda: Mat.identity().apply([Fraction(1)] * 4),
+    ],
+    ids=["empty", "1x1", "2x2", "2x3", "3x2", "4x4", "ragged", "apply-2", "apply-4"],
+)
+def test_mat_refuses_every_shape_but_3x3(make):
+    with pytest.raises(ValueError, match="3x3|3-vector"):
+        make()
