@@ -61,10 +61,14 @@ class Mat:
     @classmethod
     def unit(cls, i: int, j: int) -> "Mat":
         """Matrix unit: 1 in position (i, j), zero elsewhere."""
+        if not (0 <= i < 3 and 0 <= j < 3):
+            raise IndexError(f"index ({i}, {j}) is outside 0..2")
         return cls([[int((a, b) == (i, j)) for b in range(3)] for a in range(3)])
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
+        if not (0 <= i < 3 and 0 <= j < 3):  # a negative index would wrap
+            raise IndexError(f"index ({i}, {j}) is outside 0..2")
         return Fraction(self.nums[i][j], self.den)
 
     def __eq__(self, other):

@@ -4,7 +4,9 @@ recurrences, and the operator identities.
 Every verifier pairs an independent computation path (symbolic
 expansion, the bilinear form, or operator action on the module) against
 the theorem's closed form; none compares a formula against itself.
-trans1 and trans2 check ``p_table``, the table ``rahman table`` prints.
+trans1 and trans2 check ``p_table``, the table ``rahman table`` prints,
+which reads Sym^N(R) (``f.tilde_columns``); pcosines lowers x~^N by the
+sl3 action, which reads R^-1, and pairs by ``inner``.
 
 P is read as one D x D matrix of ``eval_P`` values per verifier: rows
 (s, t), columns (sigma, tau), in lattice order.  Each theorem about the
@@ -27,6 +29,7 @@ from operator import add, mul
 
 from .form import (
     BilinearForm,
+    inner,
     p_table,
     pairing_scale,
     verify_adjointness,
@@ -95,7 +98,7 @@ def _p_table_against_eval_P(name: str, f: BilinearForm) -> Report:
                 rec.equal(
                     table[row][column],
                     p[row][column],
-                    f"monomial {point}, coefficient of {key}",
+                    lambda: f"monomial {point}, coefficient of {key}",
                 )
     return rec.report()
 
@@ -117,27 +120,32 @@ def verify_trans1(f: BilinearForm) -> Report:
 def verify_pcosines(f: BilinearForm) -> Report:
     """<x^r y^s z^t, x~^rho y~^sigma z~^tau> = N! nu^N P(s, t, sigma, tau).
 
-    Left side through the form: the Gram weight of x^r y^s z^t times its
-    coefficient in the integer column of x~^rho y~^sigma z~^tau, the
-    Gram data read only where that coefficient is nonzero, as ``inner``
-    reads it.  Right side through eval_P.
+    Left side by ``inner``, on tilde monomials built by the sl3 action:
+    x~^N = sum multinomial(N; r, s, t) R00^r R10^s R20^t x^r y^s z^t,
+    lowered sigma times by e~10 = R e_10 R^-1, then tau times by e~20, each
+    image divided by the exponent of x~ it lowered (at N = 0 nothing is
+    lowered, and no lowering operator is built).  Right side through
+    eval_P.  This reads R^-1 and the derivation, never Sym^N(R).
     """
-    d, n = f.s.d, f.n
-    scale = pairing_scale(d, n)
+    s, n = f.s, f.n
+    scale = pairing_scale(s.d, n)
     points = lattice(n)
     with Recorder(f"transitions.pcosines.N{n}") as rec:
-        p = _p_matrix(d, n)
-        columns = list(f.tilde_columns.items())
+        p = _p_matrix(s.d, n)
+        x0, y0, z0 = (s.R[i, 0] for i in range(3))
+        tilde = {(n, 0, 0): Poly3({
+            (a, b, c): multinomial(n, (a, b, c)) * x0**a * y0**b * z0**c for (a, b, c) in points
+        })}
+        by_y, by_z = (action(s.e_t[i, 0]) for i in (1, 2)) if n else (None, None)
+        for rho, sigma, tau in points[1:]:
+            image = (by_z(tilde[rho + 1, sigma, tau - 1]) if tau
+                     else by_y(tilde[rho + 1, sigma - 1, 0]))
+            tilde[rho, sigma, tau] = image.scale(Fraction(1, rho + 1))
         for row, point in enumerate(points):
-            for column, (key, (numerators, denominator)) in enumerate(columns):
-                lhs = Fraction(0)
-                if numerators[row]:
-                    weight = f.gram[point]
-                    lhs = Fraction(
-                        weight.numerator * numerators[row],
-                        weight.denominator * denominator,
-                    )
-                rec.equal(lhs, scale * p[row][column], f"pair ({point}, {key})")
+            monomial = Poly3.monomial(*point)
+            for column, (key, xi) in enumerate(tilde.items()):
+                lhs = inner(monomial, xi, f)
+                rec.equal(lhs, scale * p[row][column], lambda: f"pair ({point}, {key})")
     return rec.report()
 
 
@@ -179,7 +187,7 @@ def verify_orthogonality(d: DerivedParams, n: int) -> Report:
                     right, right_den = scaled[b]
                     lhs = Fraction(sum(map(mul, left, right)), left_den * right_den)
                     rhs = delta / (side.k_t[1] ** s_idx * side.k_t[2] ** t_idx) * rhs_base
-                    rec.equal(lhs, rhs, f"{label} at {(s_idx, t_idx, sigma, tau)}")
+                    rec.equal(lhs, rhs, lambda: f"{label} at {(s_idx, t_idx, sigma, tau)}")
     return rec.report()
 
 
@@ -235,7 +243,7 @@ def verify_recurrences(s: StructureSet, n: int) -> Report:
                         if shifted is None:
                             rec.check(
                                 factor == 0,
-                                f"part ({name}) at {(s_idx, t_idx, sigma, tau)}: "
+                                lambda: f"part ({name}) at {(s_idx, t_idx, sigma, tau)}: "
                                 f"out-of-range term {key} has nonzero counter {factor}",
                             )
                             continue
@@ -247,7 +255,7 @@ def verify_recurrences(s: StructureSet, n: int) -> Report:
                         (3 * (s_idx, t_idx)[eig] - n) * coeff_den * base,
                         total,
                         3 * coeff_den * p_den,
-                        f"part ({name}) at {(s_idx, t_idx, sigma, tau)}",
+                        lambda: f"part ({name}) at {(s_idx, t_idx, sigma, tau)}",
                     )
     return rec.report()
 
@@ -280,7 +288,7 @@ def verify_operator_identities(s: StructureSet, n: int) -> Report:
                 rec.equal(
                     side_images[index],
                     target,
-                    f"{label} identity at (s,t)={(s_idx, t_idx)}",
+                    lambda: f"{label} identity at (s,t)={(s_idx, t_idx)}",
                 )
     return rec.report()
 

@@ -191,21 +191,21 @@ def test_failure_text_is_pinned(monkeypatch, case, label):
 
 ZEROED_EXPECTED = {
     1: (
-        "transitions.pcosines.N1", "fail", 4,
-        "pair ((1, 0, 0), (1, 0, 0)): Fraction(0, 1) != Fraction(672, 1)",
+        "transitions.pcosines.N1", "fail", 1,
+        "raised NotTraceless: trace is -1/672, expected 0",
     ),
     2: (
-        "transitions.pcosines.N2", "fail", 19,
-        "pair ((2, 0, 0), (2, 0, 0)): Fraction(0, 1) != Fraction(903168, 1)",
+        "transitions.pcosines.N2", "fail", 1,
+        "raised NotTraceless: trace is -1/672, expected 0",
     ),
 }
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_pcosines_on_a_zeroed_eta_t_0(n):
-    """eta~_0 = 0 empties row 0 of R: every plain monomial with r > 0
-    pairs to 0 without a Gram weight, and the first Gram weight read
-    divides by zero."""
+    """eta~_0 = 0 empties row 0 of R, so R^-1 is no inverse of R, and the
+    first lowering operator e~10 = R e_10 R^-1 has trace (R^-1 R)[0][1] =
+    -1/672: the action refuses it before any pair is compared."""
     report = theorems.verify_pcosines(_zeroed_eta_t_0(REFERENCE, n))
     assert (report.name, report.status, report.checked, report.first_failure) == (
         ZEROED_EXPECTED[n]

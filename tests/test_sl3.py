@@ -250,3 +250,25 @@ def test_matmul_of_units_and_zero():
 def test_mat_refuses_every_shape_but_3x3(make):
     with pytest.raises(ValueError, match="3x3|3-vector"):
         make()
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda: Mat.unit(3, 0),
+        lambda: Mat.unit(0, 3),
+        lambda: Mat.unit(-1, 0),
+        lambda: Mat.unit(0, -1),
+        lambda: Mat.identity()[-1, 2],
+        lambda: Mat.identity()[2, -1],
+        lambda: Mat.identity()[3, 0],
+        lambda: Mat.identity()[0, 3],
+    ],
+    ids=["unit-3-0", "unit-0-3", "unit-neg-row", "unit-neg-column",
+         "entry-neg-row", "entry-neg-column", "entry-3-0", "entry-0-3"],
+)
+def test_mat_indices_outside_0_to_2_raise(read):
+    """An index outside 0..2 raises IndexError: a unit is never the zero
+    matrix, and a negative index does not wrap around to row or column 2."""
+    with pytest.raises(IndexError, match="outside 0..2"):
+        read()

@@ -15,6 +15,7 @@ from rahman.form import (
     verify_dual_sum_identities,
     verify_tilde_norms,
 )
+from rahman.matrices import Mat
 from rahman.params import ParameterSet, derive
 from rahman.polymodule import (
     _MOVES,
@@ -49,6 +50,7 @@ from rahman.theorems import (
 )
 
 from conftest import PARAM_MATRIX
+from test_failure_text import _doubled_plain_norm, _doubled_tilde_norm
 from test_params import valid_parameter_sets
 
 
@@ -140,6 +142,69 @@ def test_transition_verifiers_check_the_printed_table(forms, monkeypatch):
         assert report.first_failure.startswith(
             "monomial (1, 0, 1), coefficient of (1, 1, 0): "
         )
+
+
+def _shifted_entry(m: Mat) -> Mat:
+    """m with 1 added to entry (0, 1)."""
+    rows = [list(row) for row in m.rows]
+    rows[0][1] += 1
+    return Mat(rows)
+
+
+def _tilde_column_plus_x_n(f):
+    """Add x^N to the Sym^N(R) column of x~^mu, mu the last lattice point."""
+    mu = lattice(f.n)[-1]
+    numerators, den = f.tilde_columns[mu]
+    f.tilde_columns[mu] = ([numerators[0] + den, *numerators[1:]], den)
+
+
+def _reference_with(**matrices):
+    return dataclasses.replace(build(ParameterSet.of(1, 2, 3, 5)), **matrices)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_wrong_tilde_column_trips_trans2_but_not_pcosines(n):
+    """trans2 reads Sym^N(R) (``f.tilde_columns``); pcosines builds the
+    tilde monomials by lowering x~^N, so a wrong column leaves it whole."""
+    f = BilinearForm(_reference_with(), n)
+    _tilde_column_plus_x_n(f)
+    assert not verify_trans2(f).ok
+    assert verify_pcosines(f).ok
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_wrong_entry_of_R_inverse_trips_pcosines_but_not_trans2(n):
+    """R^-1[0][1] + 1: the lowering operators R e_i0 R^-1 lose their zero
+    trace, and trans2, which never reads R^-1, still passes."""
+    s = _reference_with()
+    f = BilinearForm(dataclasses.replace(s, Rinv=_shifted_entry(s.Rinv)), n)
+    report = verify_pcosines(f)
+    assert report.first_failure.startswith("raised NotTraceless: ")
+    assert verify_trans2(f).ok
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("half", [False, True], ids=["plus-1", "minus-half"])
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_a_corrupted_eta_t_trips_pcosines_but_not_trans2(index, half, n):
+    """eta~_i shifted by 1 or by -eta~_i / 2.  trans2's Gram weights and
+    Sym^N(R) carry the same powers of eta~, which cancel in p_table;
+    pcosines' lowering operators read R^-1, which no longer inverts R."""
+    s = _reference_with()
+    s = s.with_corrupted_eta_t(index, -s.d.eta_t[index] / 2 if half else 1)
+    f = BilinearForm(s, n)
+    assert not verify_pcosines(f).ok
+    assert verify_trans2(f).ok
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_an_identity_R_trips_pcosines_by_value(n):
+    """With R = R^-1 = I, x~^N is x^N and lowering gives the plain
+    monomials, which pair to the Gram diagonal, not to N! nu^N P."""
+    identity = Mat.identity()
+    report = verify_pcosines(BilinearForm(_reference_with(R=identity, Rinv=identity), n))
+    assert report.status == "fail"
+    assert not report.first_failure.startswith("raised"), report.first_failure
 
 
 @pytest.mark.parametrize("n", [0, 2, 3])
@@ -317,6 +382,23 @@ def test_each_kernel_constant_is_caught(p, field):
         assert not verify_operator_identities(s, n).ok
 
 
+def _wrong_kernel(patch, field: str):
+    """eval_P and eval_P_operator, as the theorems read them, with t, u, v
+    or w shifted by 1; the structure and the form stay correct."""
+
+    def shifted(derived):
+        return dataclasses.replace(derived, **{field: getattr(derived, field) + 1})
+
+    patch(
+        theorems, "eval_P",
+        lambda a, b, c, dd, derived, n: eval_P(a, b, c, dd, shifted(derived), n),
+    )
+    patch(
+        theorems, "eval_P_operator",
+        lambda pairs, ops, v, derived, n: eval_P_operator(pairs, ops, v, shifted(derived), n),
+    )
+
+
 # The verifiers that read the kernel, through eval_P or eval_P_operator.
 KERNEL_READERS = {
     **P_VERIFIERS,
@@ -334,18 +416,7 @@ def test_every_kernel_reader_catches_a_wrong_kernel_constant(monkeypatch, p, fie
     """A kernel that reads t, u, v or w shifted by 1, under a correct
     structure and form, fails every verifier that reads P at N = 1 and 2,
     and each first failure is a value mismatch, not a raised error."""
-
-    def shifted(derived):
-        return dataclasses.replace(derived, **{field: getattr(derived, field) + 1})
-
-    monkeypatch.setattr(
-        "rahman.theorems.eval_P",
-        lambda a, b, c, dd, derived, n: eval_P(a, b, c, dd, shifted(derived), n),
-    )
-    monkeypatch.setattr(
-        "rahman.theorems.eval_P_operator",
-        lambda pairs, ops, v, derived, n: eval_P_operator(pairs, ops, v, shifted(derived), n),
-    )
+    _wrong_kernel(monkeypatch.setattr, field)
     s = build(p)
     for n in (1, 2):
         f = BilinearForm(s, n)
@@ -361,28 +432,33 @@ def _with_eta_t(index: int, zeroed: bool):
     return s.with_corrupted_eta_t(index, -s.d.eta_t[index] if zeroed else 1)
 
 
-# Every verifier, on a structure s and degree n; the form verifiers get
-# BilinearForm(s, n), which builds its Gram diagonal on first use.
+# Every verifier, on a structure s and its form f of degree n.
 VERIFIERS = {
-    "matrices": lambda s, n: verify_matrices(s),
-    "dagger": lambda s, n: verify_dagger(s),
-    "expansions": lambda s, n: verify_expansions(s),
-    "generation": lambda s, n: verify_generation(s),
-    "action_tables": verify_action_tables,
-    "representation": verify_representation_law,
-    "weights": verify_weight_diagonality,
-    "block_structure": verify_block_structure,
-    "irreducibility": irreducibility_probe,
-    "adjointness": lambda s, n: verify_adjointness(BilinearForm(s, n)),
-    "tilde_norms": lambda s, n: verify_tilde_norms(BilinearForm(s, n)),
-    "dual_sums": lambda s, n: verify_dual_sum_identities(BilinearForm(s, n)),
-    "trans1": lambda s, n: verify_trans1(BilinearForm(s, n)),
-    "trans2": lambda s, n: verify_trans2(BilinearForm(s, n)),
-    "pcosines": lambda s, n: verify_pcosines(BilinearForm(s, n)),
-    "orthogonality": lambda s, n: verify_orthogonality(s.d, n),
-    "recurrences": verify_recurrences,
-    "operators": verify_operator_identities,
+    "matrices": lambda s, f, n: verify_matrices(s),
+    "dagger": lambda s, f, n: verify_dagger(s),
+    "expansions": lambda s, f, n: verify_expansions(s),
+    "generation": lambda s, f, n: verify_generation(s),
+    "action_tables": lambda s, f, n: verify_action_tables(s, n),
+    "representation": lambda s, f, n: verify_representation_law(s, n),
+    "weights": lambda s, f, n: verify_weight_diagonality(s, n),
+    "block_structure": lambda s, f, n: verify_block_structure(s, n),
+    "irreducibility": lambda s, f, n: irreducibility_probe(s, n),
+    "adjointness": lambda s, f, n: verify_adjointness(f),
+    "tilde_norms": lambda s, f, n: verify_tilde_norms(f),
+    "dual_sums": lambda s, f, n: verify_dual_sum_identities(f),
+    "trans1": lambda s, f, n: verify_trans1(f),
+    "trans2": lambda s, f, n: verify_trans2(f),
+    "pcosines": lambda s, f, n: verify_pcosines(f),
+    "orthogonality": lambda s, f, n: verify_orthogonality(s.d, n),
+    "recurrences": lambda s, f, n: verify_recurrences(s, n),
+    "operators": lambda s, f, n: verify_operator_identities(s, n),
 }
+
+
+def _run(name: str, s, n: int) -> Report:
+    """VERIFIERS[name] on s and a fresh form, which builds its Gram
+    diagonal on first use."""
+    return VERIFIERS[name](s, BilinearForm(s, n), n)
 
 
 @pytest.mark.parametrize(
@@ -397,7 +473,7 @@ VERIFIERS = {
         ("operators", False, "NotTraceless: trace is "),
         ("generation", True, "ZeroDivisionError: "),
         ("trans2", True, "ZeroDivisionError: "),
-        ("pcosines", True, "ZeroDivisionError: "),
+        ("pcosines", True, "NotTraceless: trace is 1/32, expected 0"),
     ],
     ids=["dagger", "action_tables", "block_structure", "irreducibility", "representation",
          "weights", "operators", "generation-zeroed", "trans2-zeroed",
@@ -405,9 +481,10 @@ VERIFIERS = {
 )
 def test_verifier_reports_a_raised_error_as_a_failure(name, zeroed, error):
     """On eta~_1 shifted by 1 the tilde elements lose their zero trace; on
-    eta~_1 = 0 a Gram weight or 1/eta~_1 divides by zero.  Either way the
-    verifier returns a failing Report naming the error instead of raising."""
-    report = VERIFIERS[name](_with_eta_t(1, zeroed), 2)
+    eta~_1 = 0 a Gram weight or 1/eta~_1 divides by zero, and pcosines'
+    first lowering operator loses its zero trace.  Either way the verifier
+    returns a failing Report naming the error instead of raising."""
+    report = _run(name, _with_eta_t(1, zeroed), 2)
     assert report.status == "fail"
     assert report.checked >= 1
     assert report.first_failure.startswith(f"raised {error}")
@@ -418,8 +495,94 @@ def test_every_verifier_survives_a_zeroed_eta_t(index):
     """With eta~_1 or eta~_2 zero, every verifier returns a Report; none
     lets the ZeroDivisionError escape, and a form verifier's form builds."""
     s = _with_eta_t(index, zeroed=True)
-    for verifier in VERIFIERS.values():
-        assert isinstance(verifier(s, 2), Report)
+    for name in VERIFIERS:
+        assert isinstance(_run(name, s, 2), Report)
+
+
+def _corrupted_structure(change):
+    """The reference structure changed by ``change``, with its form at N = 2."""
+
+    def corrupt(patch):
+        s = change(_reference_with())
+        return s, BilinearForm(s, 2)
+
+    return corrupt
+
+
+def _corrupted_form(change):
+    """The reference form at N = 2, changed in place by ``change``."""
+
+    def corrupt(patch):
+        s = _reference_with()
+        f = BilinearForm(s, 2)
+        change(f)
+        return s, f
+
+    return corrupt
+
+
+def _corrupted_kernel(patch):
+    """The reference structure and form under ``_wrong_kernel`` with t + 1."""
+    _wrong_kernel(patch, "t")
+    s = _reference_with()
+    return s, BilinearForm(s, 2)
+
+
+IDENTITY = Mat.identity()
+
+# label: (patch -> (structure, form)), one targeted corruption each.
+CORRUPTIONS = {
+    "eta~_1 + 1": _corrupted_structure(lambda s: s.with_corrupted_eta_t(1, 1)),
+    "R = R^-1 = I": _corrupted_structure(
+        lambda s: dataclasses.replace(s, R=IDENTITY, Rinv=IDENTITY)),
+    "R[0][1] + 1": _corrupted_structure(
+        lambda s: dataclasses.replace(s, R=_shifted_entry(s.R))),
+    "R^-1[0][1] + 1": _corrupted_structure(
+        lambda s: dataclasses.replace(s, Rinv=_shifted_entry(s.Rinv))),
+    "kernel t + 1": _corrupted_kernel,
+    "plain norm doubled": _corrupted_form(_doubled_plain_norm),
+    "tilde norm doubled": _corrupted_form(_doubled_tilde_norm),
+    "tilde column + x^N": _corrupted_form(_tilde_column_plus_x_n),
+}
+
+# verifier: (the corruption that trips it, whether it fails by a raise).
+# Any derivation maps x^lam into x^lam and its neighbours, so block
+# structure can fail only by a raise.
+CORRUPTION_MATRIX = {
+    "matrices": ("eta~_1 + 1", False),
+    "dagger": ("eta~_1 + 1", True),
+    "expansions": ("eta~_1 + 1", False),
+    "generation": ("R = R^-1 = I", False),
+    "action_tables": ("eta~_1 + 1", True),
+    "representation": ("R[0][1] + 1", False),
+    "weights": ("eta~_1 + 1", True),
+    "block_structure": ("R[0][1] + 1", True),
+    "irreducibility": ("R = R^-1 = I", False),
+    "adjointness": ("plain norm doubled", False),
+    "tilde_norms": ("tilde norm doubled", False),
+    "dual_sums": ("tilde norm doubled", False),
+    "trans1": ("kernel t + 1", False),
+    "trans2": ("tilde column + x^N", False),
+    "pcosines": ("R^-1[0][1] + 1", True),
+    "orthogonality": ("kernel t + 1", False),
+    "recurrences": ("kernel t + 1", False),
+    "operators": ("kernel t + 1", False),
+}
+
+
+def test_the_corruption_matrix_names_every_verifier():
+    assert list(CORRUPTION_MATRIX) == list(VERIFIERS)
+
+
+@pytest.mark.parametrize("name", list(CORRUPTION_MATRIX))
+def test_each_verifier_is_tripped_by_its_corruption(monkeypatch, name):
+    """Each of the 18 verifiers fails at N = 2 on one targeted corruption,
+    by value or by a raise as the matrix says."""
+    label, by_raise = CORRUPTION_MATRIX[name]
+    s, f = CORRUPTIONS[label](monkeypatch.setattr)
+    report = VERIFIERS[name](s, f, 2)
+    assert report.status == "fail", label
+    assert report.first_failure.startswith("raised ") == by_raise, (label, report.first_failure)
 
 
 # Each verifier and form helper takes one carrier and nothing that carrier
