@@ -21,9 +21,9 @@ its entries is one integer dot product: tilde_norms and the tilde
 duality entries of dual_sums read it instead of calling ``inner``.
 
 A Poly3 carries no coordinate tag.  ``inner`` reads both arguments as
-plain coordinates and sums Fraction products over the Gram diagonal;
-``expand`` reads its argument as tilde coordinates and turns their
-columns into Fractions.  The tilde dual basis is ``dual_basis(f.dual)``,
+plain coordinates and sums int products over the lcm of the Gram
+denominators it meets; ``expand`` reads its argument as tilde coordinates
+and sums their int columns.  The tilde dual basis is ``dual_basis(f.dual)``,
 in tilde coordinates.  The tests keep an independent oracle for the
 columns: the substitution of the tilde variables, multiplied out over
 Fractions.
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, lcm
 from operator import mul
 
 from .params import DerivedParams
@@ -158,18 +158,18 @@ class BilinearForm:
         """Plain coordinates of a degree-n polynomial in tilde coordinates."""
         self._require_its_degree(xi)
         points = lattice(self.n)
+        den = lcm(*(self.tilde_columns[key][1] for key in xi.nums))
         out: dict = {}
-        for key, coeff in xi.coeffs.items():
-            numerators, denominator = self.tilde_columns[key]
-            top, bottom = coeff.numerator, coeff.denominator * denominator
-            for point, value in zip(points, numerators):
-                if value:
-                    term = Fraction(top * value, bottom)
-                    out[point] = out[point] + term if point in out else term
-        return Poly3._of(out, self.n)
+        for key, value in xi.nums.items():
+            numerators, column_den = self.tilde_columns[key]
+            top = value * (den // column_den)
+            for point, entry in zip(points, numerators):
+                if entry:
+                    out[point] = out.get(point, 0) + top * entry
+        return Poly3._over(out, den * xi.den, self.n)
 
     def _require_its_degree(self, xi: Poly3) -> None:
-        if xi.coeffs and xi.degree != self.n:
+        if xi.nums and xi.degree != self.n:
             raise DegreeMismatch(f"degree {xi.degree}, form has degree {self.n}")
 
     def gram_json(self) -> list:
@@ -183,11 +183,12 @@ def inner(xi: Poly3, zeta: Poly3, f: BilinearForm) -> Fraction:
     """
     f._require_its_degree(xi)
     f._require_its_degree(zeta)
-    keys = xi.coeffs.keys() & zeta.coeffs.keys()
-    return sum(
-        (f.gram[key] * xi.coeffs[key] * zeta.coeffs[key] for key in keys),
-        Fraction(0),
-    )
+    keys = xi.nums.keys() & zeta.nums.keys()
+    if not keys:  # the Gram is read only where the supports meet
+        return Fraction(0)
+    weights, den = over_common_denominator(f.gram[key] for key in keys)
+    total = sum(w * xi.nums[key] * zeta.nums[key] for w, key in zip(weights, keys))
+    return Fraction(total, den * xi.den * zeta.den)
 
 
 def dual_basis(f: BilinearForm) -> list:
@@ -195,7 +196,8 @@ def dual_basis(f: BilinearForm) -> list:
 
     The tilde dual basis, in tilde coordinates, is ``dual_basis(f.dual)``.
     """
-    return [Poly3.monomial(*point, 1 / f.gram[point]) for point in lattice(f.n)]
+    return [Poly3._over({point: norm.denominator}, norm.numerator, f.n)
+            for point, norm in f.gram.items()]
 
 
 def p_table(f: BilinearForm) -> list:
@@ -253,9 +255,9 @@ def verify_tilde_norms(f: BilinearForm) -> Report:
         for i, lam in enumerate(points):
             for mu, value in zip(points[i:], table[i][i:]):
                 if lam == mu:
-                    rec.equal(value, norms[lam], f"norm at {lam}")
+                    rec.equal(value, norms[lam], lambda: f"norm at {lam}")
                 else:
-                    rec.equal(value, Fraction(0), f"orthogonality at {lam}, {mu}")
+                    rec.equal(value, Fraction(0), lambda: f"orthogonality at {lam}, {mu}")
     return rec.report()
 
 
@@ -299,14 +301,16 @@ def verify_dual_sum_identities(f: BilinearForm) -> Report:
                 rec.equal(
                     inner(xi, eta_vec, f),
                     Fraction(int(i == j)),
-                    f"plain duality entry ({i},{j})",
+                    lambda: f"plain duality entry ({i},{j})",
                 )
         for i, row in enumerate(f.tilde_gram):
             for j, (value, eta_vec) in enumerate(zip(row, tilde_duals)):
-                (coefficient,) = eta_vec.coeffs.values()
-                rec.equal(
-                    value * coefficient,
-                    Fraction(int(i == j)),
-                    f"tilde duality entry ({i},{j})",
+                (coefficient,) = eta_vec.nums.values()
+                den = value.denominator * eta_vec.den
+                rec.equal_over(
+                    value.numerator * coefficient,
+                    int(i == j) * den,
+                    den,
+                    lambda: f"tilde duality entry ({i},{j})",
                 )
     return rec.report()

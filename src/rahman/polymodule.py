@@ -1,16 +1,16 @@
 """Degree-N homogeneous polynomials in three variables as an sl3 module.
 
-A Poly3 is a sparse map from exponent triples to Fraction coefficients,
-with no coordinate tag: the tilde variables of s are the plain ones of
-``s.dual()``.  One action rule drives everything: a 3x3 matrix m sends
-variable j to sum_i m[i][j] * variable i, extended to monomials as a
-derivation, which ``action`` (m = beta) and ``_tilde_action`` (m = R^-1
-beta R) apply with no DxD matrix.  The derivation reads m's integer
-numerators and sums each image coefficient as one integer over one
-denominator.  The per-generator action tables are test vectors.
+A Poly3 maps exponent triples to int numerators over one denominator,
+like ``Mat``, with no coordinate tag: the tilde variables of s are the
+plain ones of ``s.dual()``.  One action rule drives everything: a 3x3
+matrix m sends variable j to sum_i m[i][j] * variable i, extended to
+monomials as a derivation, which ``action`` (m = beta) and
+``_tilde_action`` (m = R^-1 beta R) apply as int sums over xi.den *
+m.den, with no DxD matrix.  The per-generator tables are test vectors.
 
-Arithmetic results are built by the trusted ``Poly3._of``, which only
-drops zeros; the public ``Poly3(...)`` refuses a float or bool
+Arithmetic is over the ints with one gcd per result (the trusted
+``Poly3._over``); ``coeffs``, ``p[key]``, ``to_json`` and ``repr`` give
+Fractions.  The public ``Poly3(...)`` refuses a float or bool
 coefficient and any exponent that is not a nonnegative int, and
 ``scale`` a float or bool factor.
 
@@ -27,12 +27,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import lcm
+from math import gcd, lcm
 from operator import add
 
 from .matrices import Mat
 from .report import Recorder, Report
-from .scalars import exact_rational, format_rational
+from .scalars import exact_rational, format_over
 from .sl3 import OFF_DIAGONAL, StructureSet, _require_traceless
 
 __all__ = [
@@ -82,9 +82,9 @@ def lattice_dimension(n: int) -> int:
 
 
 class Poly3:
-    """Sparse homogeneous polynomial in three variables."""
+    """Sparse homogeneous polynomial: int ``nums`` over ``den`` > 0, coprime."""
 
-    __slots__ = ("coeffs", "degree")
+    __slots__ = ("nums", "den", "degree")
 
     def __init__(self, coeffs: dict):
         clean = {}
@@ -100,20 +100,29 @@ class Poly3:
             clean[key] = value
         if len(degrees) > 1:
             raise NotHomogeneous(f"mixed degrees {sorted(degrees)}")
-        self.coeffs = clean
+        self.den = den = lcm(*(value.denominator for value in clean.values()))
+        self.nums = {key: v.numerator * (den // v.denominator) for key, v in clean.items()}
         self.degree = degrees.pop() if degrees else None
 
     @classmethod
-    def _of(cls, coeffs: dict, degree) -> "Poly3":
-        """Trusted constructor for arithmetic results.
-
-        ``coeffs`` maps exponent triples of total degree ``degree`` to
-        Fractions; zeros are dropped, and nothing else is checked.
-        """
+    def _over(cls, nums: dict, den: int, degree) -> "Poly3":
+        """Trusted: int nums (exponent triples of total degree ``degree``) over
+        den != 0, made canonical by dropping zeros, the sign and one gcd."""
+        if den < 0:
+            nums, den = {key: -value for key, value in nums.items()}, -den
+        if 0 in nums.values():
+            nums = {key: value for key, value in nums.items() if value}
+        if not nums:
+            den, degree = 1, None
+        elif den != 1 and (g := gcd(den, *nums.values())) != 1:
+            nums, den = {key: value // g for key, value in nums.items()}, den // g
         result = object.__new__(cls)
-        result.coeffs = {key: value for key, value in coeffs.items() if value}
-        result.degree = degree if result.coeffs else None
+        result.nums, result.den, result.degree = nums, den, degree
         return result
+
+    @property
+    def coeffs(self) -> dict:
+        return {key: Fraction(value, self.den) for key, value in self.nums.items()}
 
     @classmethod
     def monomial(cls, r: int, s: int, t: int, coeff=1) -> "Poly3":
@@ -124,20 +133,21 @@ class Poly3:
         return cls({})
 
     def __getitem__(self, key) -> Fraction:
-        return self.coeffs.get(tuple(key), Fraction(0))
+        return Fraction(self.nums.get(tuple(key), 0), self.den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly3) and self.coeffs == other.coeffs
+        return isinstance(other, Poly3) and self.den == other.den and self.nums == other.nums
 
     def _merge(self, other: "Poly3", sign: int) -> "Poly3":
         """self + sign * other, for sign = 1 or -1."""
-        if self.coeffs and other.coeffs and self.degree != other.degree:
+        if self.nums and other.nums and self.degree != other.degree:
             raise NotHomogeneous(f"mixed degrees {sorted([self.degree, other.degree])}")
-        merged = dict(self.coeffs)
-        for key, value in other.coeffs.items():
-            value = value if sign > 0 else -value
-            merged[key] = merged[key] + value if key in merged else value
-        return Poly3._of(merged, self.degree if self.coeffs else other.degree)
+        g = gcd(self.den, other.den)
+        a, b = other.den // g, sign * (self.den // g)
+        merged = {key: value * a for key, value in self.nums.items()}
+        for key, value in other.nums.items():
+            merged[key] = merged.get(key, 0) + value * b
+        return Poly3._over(merged, self.den * a, self.degree if self.nums else other.degree)
 
     def __add__(self, other: "Poly3") -> "Poly3":
         return self._merge(other, 1)
@@ -147,15 +157,16 @@ class Poly3:
 
     def scale(self, c) -> "Poly3":
         c = exact_rational(c, "factor")
-        return Poly3._of({key: c * value for key, value in self.coeffs.items()}, self.degree)
+        nums = {key: c.numerator * value for key, value in self.nums.items()}
+        return Poly3._over(nums, self.den * c.denominator, self.degree)
 
     def __mul__(self, other: "Poly3") -> "Poly3":
         product: dict = {}
-        for (a, b, c), u in self.coeffs.items():
-            for (x, y, z), v in other.coeffs.items():
+        for (a, b, c), u in self.nums.items():
+            for (x, y, z), v in other.nums.items():
                 key = (a + x, b + y, c + z)
-                product[key] = product.get(key, Fraction(0)) + u * v
-        return Poly3._of(product, (self.degree or 0) + (other.degree or 0))
+                product[key] = product.get(key, 0) + u * v
+        return Poly3._over(product, self.den * other.den, (self.degree or 0) + (other.degree or 0))
 
     def power(self, n: int) -> "Poly3":
         result = Poly3({(0, 0, 0): 1})
@@ -165,15 +176,15 @@ class Poly3:
 
     def to_vector(self, n: int) -> list:
         """Coefficients in lattice order for degree n."""
-        if self.coeffs and self.degree != n:
+        if self.nums and self.degree != n:
             raise DegreeMismatch(f"degree {self.degree}, expected {n}")
         return [self[key] for key in lattice(n)]
 
     def to_json(self) -> list:
         """Deterministic JSON form: list of {"index", "coeff"} in lattice order."""
-        keys = sorted(self.coeffs, key=lambda k: (-k[0], -k[1]))
+        keys = sorted(self.nums, key=lambda k: (-k[0], -k[1]))
         return [
-            {"index": list(key), "coeff": format_rational(self.coeffs[key])}
+            {"index": list(key), "coeff": format_over(self.nums[key], self.den)}
             for key in keys
         ]
 
@@ -208,8 +219,8 @@ def _tilde_action(beta: Mat, s: StructureSet):
 def _derivation(matrix: Mat):
     """``action`` without the trace check, which each caller makes first.
 
-    Each image coefficient is an int sum over L * ``matrix.den``, L the lcm
-    of xi's denominators, made a Fraction once; keys keep first-term order.
+    Each image numerator is an int sum over xi.den * matrix.den, reduced
+    by one gcd; keys keep first-term order.
     """
     # For each variable j: (shift of the exponent triple, numerator of
     # m[i][j]) for the nonzero entries of column j, in row order.
@@ -223,10 +234,8 @@ def _derivation(matrix: Mat):
     ]
 
     def apply(xi: Poly3) -> Poly3:
-        scale = lcm(*(coeff.denominator for coeff in xi.coeffs.values()))
         out: dict = {}
-        for exps, coeff in xi.coeffs.items():
-            numerator = coeff.numerator * (scale // coeff.denominator)
+        for exps, numerator in xi.nums.items():
             for j, entries in enumerate(columns):
                 if exps[j] == 0:
                     continue
@@ -234,8 +243,7 @@ def _derivation(matrix: Mat):
                 for (da, db, dc), entry in entries:
                     key = (exps[0] + da, exps[1] + db, exps[2] + dc)
                     out[key] = out.get(key, 0) + weight * entry
-        den = scale * matrix.den
-        return Poly3._of({key: Fraction(v, den) for key, v in out.items() if v}, xi.degree)
+        return Poly3._over(out, xi.den * matrix.den, xi.degree)
 
     return apply
 
@@ -285,8 +293,8 @@ def verify_block_structure(s: StructureSet, n: int) -> Report:
                     if mu in band:
                         continue
                     rec.check(
-                        image[mu] == 0,
-                        f"{label}: nonzero entry at row {mu}, column {lam}",
+                        mu not in image.nums,
+                        lambda: f"{label}: nonzero entry at row {mu}, column {lam}",
                     )
     return rec.report()
 
@@ -323,7 +331,7 @@ def verify_action_tables(s: StructureSet, n: int) -> Report:
                     rec.equal(
                         actions[label](Poly3.monomial(*point)),
                         Poly3(image),
-                        f"{kind} table {label} at {point}",
+                        lambda: f"{kind} table {label} at {point}",
                     )
     return rec.report()
 
@@ -349,14 +357,14 @@ def verify_representation_law(s: StructureSet, n: int) -> Report:
                 rec.equal(
                     [on_bracket(m) for m in monomials],
                     [on_beta(on_gamma(m)) - on_gamma(on_beta(m)) for m in monomials],
-                    f"bracket pair ({name_b}, {name_g})",
+                    lambda: f"bracket pair ({name_b}, {name_g})",
                 )
         for name, conjugated in zip(names, s.tilde_basis().values()):
             on_conjugated = _tilde_action(conjugated, s)
             rec.equal(
                 [on_conjugated(m).coeffs for m in monomials],
                 [actions[name](m).coeffs for m in monomials],
-                f"tilde compatibility for {name}",
+                lambda: f"tilde compatibility for {name}",
             )
     return rec.report()
 
@@ -410,7 +418,7 @@ def irreducibility_probe(s: StructureSet, n: int) -> Report:
                 for label, images in _cross_cartan_images(s, n)
                 for lam, image in zip(points, images)
                 for mu in _neighbours(lam)
-                if image[mu] == 0
+                if mu not in image.nums
             ),
             None,
         )

@@ -26,18 +26,18 @@ x_n^q x_d^(top-q) top!/q! over x_d^top top!, and 1/(-N)_m as
 (-N)_M/(-N)_m over (-N)_M.  So each term is an integer product, the
 table A_pq is integers over the product of those denominators, and each
 evaluation divides by it once: ``eval_P`` builds one Fraction per value,
-and ``eval_P_operator`` one per coefficient of each image.
+and ``eval_P_operator`` reduces each image by one gcd.  The denominator
+has the sign of (-N)_M, negative for odd M.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from operator import mul
 
 from .params import DerivedParams
 from .polymodule import Poly3, _require_degree, lattice
-from .scalars import over_common_denominator
 
 __all__ = [
     "NonCommutingOperators",
@@ -168,7 +168,8 @@ def eval_P_operator(
     once, on every monomial.  Each (-C)_p (-D)_q v with p+q <= max(s+t)
     is built once, and all of them are scaled to integers over one common
     denominator.  Each pair's image weights them by its integer table
-    A_pq and divides by the two denominators once per coefficient.
+    A_pq over the product of the two denominators, which ``Poly3._over``
+    makes positive and reduces by one gcd.
     P(C, D | s, t) is this value on ``derived.dual()``.  Raises ValueError like
     ``eval_P``, and NonCommutingOperators unless CD = DC.
     """
@@ -184,13 +185,11 @@ def eval_P_operator(
     powers = {}
     for q, d_power in enumerate(_falling_powers(d_op, vector, top)):
         for p, both in enumerate(_falling_powers(c_op, d_power, top - q)):
-            powers[p, q] = both.coeffs
-    numerators, power_den = over_common_denominator(
-        value for coeffs in powers.values() for value in coeffs.values()
-    )
-    numerators = iter(numerators)
+            powers[p, q] = both
+    power_den = lcm(*(both.den for both in powers.values()))
     powers = {
-        pq: [(key, next(numerators)) for key in coeffs] for pq, coeffs in powers.items()
+        pq: [(key, x * (power_den // both.den)) for key, x in both.nums.items()]
+        for pq, both in powers.items()
     }
     images = []
     for s_arg, t_arg in int_pairs:
@@ -201,6 +200,5 @@ def eval_P_operator(
                 if value:
                     for key, x in powers[p, q]:
                         total[key] = total.get(key, 0) + value * x
-        den *= power_den
-        images.append(Poly3({key: Fraction(x, den) for key, x in total.items()}))
+        images.append(Poly3._over(total, den * power_den, vector.degree))
     return images

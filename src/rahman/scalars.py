@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 Rational = Fraction
 
@@ -20,6 +20,7 @@ __all__ = [
     "exact_rational",
     "parse_rational",
     "format_rational",
+    "format_over",
     "over_common_denominator",
     "multinomial",
 ]
@@ -66,12 +67,17 @@ def format_rational(value: Rational) -> str:
     digits than ``sys.get_int_max_str_digits()`` lets ``str`` print.
     """
     value = exact_rational(value, "value")
+    return format_over(value.numerator, value.denominator)
+
+
+def format_over(num: int, den: int) -> str:
+    """``format_rational(Fraction(num, den))`` for a den > 0, with no Fraction."""
+    if den != 1 and (g := gcd(num, den)) != 1:
+        num, den = num // g, den // g
     try:
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:  # past that limit; Decimal(k) prints the same digits
-        num, den = (str(Decimal(k)) for k in (value.numerator, value.denominator))
+        num, den = (str(Decimal(k)) for k in (num, den))
         return num if den == "1" else f"{num}/{den}"
 
 

@@ -268,20 +268,20 @@ def verify_dagger(s: StructureSet) -> Report:
         images = {}
         for name, beta in everything.items():
             images[name] = dagger(beta, s)
-            rec.equal(dagger(images[name], s), beta, f"involution on {name}")
-            rec.check(images[name].trace() == 0, f"trace preserved on {name}")
+            rec.equal(dagger(images[name], s), beta, lambda: f"involution on {name}")
+            rec.check(images[name].trace() == 0, lambda: f"trace preserved on {name}")
 
         # Plain table: e_ij -> e_ji * eta~_j / eta~_i; fixes varphi, phi.
         for (i, j) in OFF_DIAGONAL:
             expected = s.e[j, i].scale(eta_t[j] / eta_t[i])
-            rec.equal(images[f"e{i}{j}"], expected, f"table1 e{i}{j}")
+            rec.equal(images[f"e{i}{j}"], expected, lambda: f"table1 e{i}{j}")
         rec.equal(images["varphi"], s.varphi, "table1 varphi")
         rec.equal(images["phi"], s.phi, "table1 phi")
 
         # Tilde table: e~_ij -> e~_ji * eta_j / eta_i; fixes varphi~, phi~.
         for (i, j) in OFF_DIAGONAL:
             expected = s.e_t[j, i].scale(eta[j] / eta[i])
-            rec.equal(images[f"e~{i}{j}"], expected, f"table2 e~{i}{j}")
+            rec.equal(images[f"e~{i}{j}"], expected, lambda: f"table2 e~{i}{j}")
         rec.equal(images["varphi~"], s.varphi_t, "table2 varphi~")
         rec.equal(images["phi~"], s.phi_t, "table2 phi~")
 
@@ -291,7 +291,7 @@ def verify_dagger(s: StructureSet) -> Report:
                 rec.equal(
                     dagger(beta.bracket(gamma), s),
                     -(images[name_b].bracket(images[name_g])),
-                    f"bracket law [{name_b},{name_g}]",
+                    lambda: f"bracket law [{name_b},{name_g}]",
                 )
 
         rec.equal(s.varphi_t.bracket(s.phi_t), Mat.zero(), "[varphi~, phi~]")
@@ -313,7 +313,7 @@ def verify_expansions(s: StructureSet) -> Report:
     with Recorder("structure.expansions") as rec:
         tables = expansion_coefficients(s.p) + expansion_coefficients(s.p.dual())
         for (label, target, units, h1, h2), coeffs in zip(cases, tables):
-            rec.equal(target, _combine(coeffs, units, h1, h2), f"{label} expansion")
+            rec.equal(target, _combine(coeffs, units, h1, h2), lambda: f"{label} expansion")
     return rec.report()
 
 

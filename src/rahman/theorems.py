@@ -155,9 +155,10 @@ def verify_orthogonality(d: DerivedParams, n: int) -> Report:
     Relation 1 sums products of two columns of P; relation 2 is relation
     1 of the dual parameters, whose P is the transpose, so it sums
     products of two rows.  The weight eta~_0^i eta~_1^j eta~_2^k
-    multinomial(N; i, j, k) of each lattice point is computed once per
-    relation.  Each column and the weights are scaled to integers over
-    one denominator once, so each sum is one integer dot product.
+    multinomial(N; i, j, k) of each lattice point and the diagonal right
+    sides are computed once per relation.  Each column and the weights are
+    scaled to integers over one denominator once, so each sum is one
+    integer dot product, compared with its right side as integers.
     """
     points = lattice(n)
     with Recorder(f"orthogonality.N{n}") as rec:
@@ -177,17 +178,18 @@ def verify_orthogonality(d: DerivedParams, n: int) -> Report:
                 (list(map(mul, weights, numerators)), weight_den * den)
                 for numerators, den in scaled
             ]
-            relations.append((label, side, scaled, weighted))
-        for a, (r_idx, s_idx, t_idx) in enumerate(points):
-            rhs_base = 1 / multinomial(n, [r_idx, s_idx, t_idx])
+            k_t = side.k_t
+            diagonal = [(1 / (k_t[1] ** j * k_t[2] ** k * multinomial(n, [i, j, k])))
+                        .as_integer_ratio() for (i, j, k) in points]
+            relations.append((label, scaled, weighted, diagonal))
+        for a, (_, s_idx, t_idx) in enumerate(points):
             for b, (_, sigma, tau) in enumerate(points):
-                delta = Fraction(int(a == b))
-                for label, side, scaled, weighted in relations:
-                    left, left_den = weighted[a]
-                    right, right_den = scaled[b]
-                    lhs = Fraction(sum(map(mul, left, right)), left_den * right_den)
-                    rhs = delta / (side.k_t[1] ** s_idx * side.k_t[2] ** t_idx) * rhs_base
-                    rec.equal(lhs, rhs, lambda: f"{label} at {(s_idx, t_idx, sigma, tau)}")
+                for label, scaled, weighted, diagonal in relations:
+                    (left, left_den), (right, right_den) = weighted[a], scaled[b]
+                    top, bottom = diagonal[a] if a == b else (0, 1)
+                    den = left_den * right_den
+                    rec.equal_over(sum(map(mul, left, right)) * bottom, top * den, den * bottom,
+                                   lambda: f"{label} at {(s_idx, t_idx, sigma, tau)}")
     return rec.report()
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from rahman.params import ParameterSet, derive
 from rahman.polymodule import DegreeMismatch, Poly3
+from rahman.scalars import format_rational
 from rahman.sl3 import StructureSet, build
 
 PARAM_MATRIX = [
@@ -111,11 +112,65 @@ class Dense:
         return Dense([row[n:] for row in work])
 
 
+class FractionPoly:
+    """A homogeneous polynomial as a dict of Fraction coefficients, zeros
+    dropped and keys in first-term order, with every operation done
+    Fraction by Fraction: the oracle for the integer ``Poly3``.  Its repr
+    is the one a Poly3 with the same coefficients must print."""
+
+    def __init__(self, coeffs: dict, degree):
+        self.coeffs = {key: Fraction(value) for key, value in coeffs.items() if value}
+        self.degree = degree if self.coeffs else None
+
+    def __getitem__(self, key) -> Fraction:
+        return self.coeffs.get(tuple(key), Fraction(0))
+
+    def __eq__(self, other) -> bool:
+        return self.coeffs == other.coeffs
+
+    def _merge(self, other: "FractionPoly", sign: int) -> "FractionPoly":
+        merged = dict(self.coeffs)
+        for key, value in other.coeffs.items():
+            value = value if sign > 0 else -value
+            merged[key] = merged[key] + value if key in merged else value
+        return FractionPoly(merged, self.degree if self.coeffs else other.degree)
+
+    def __add__(self, other):
+        return self._merge(other, 1)
+
+    def __sub__(self, other):
+        return self._merge(other, -1)
+
+    def scale(self, c) -> "FractionPoly":
+        return FractionPoly({key: c * value for key, value in self.coeffs.items()}, self.degree)
+
+    def __mul__(self, other: "FractionPoly") -> "FractionPoly":
+        product: dict = {}
+        for (a, b, c), u in self.coeffs.items():
+            for (x, y, z), v in other.coeffs.items():
+                key = (a + x, b + y, c + z)
+                product[key] = product.get(key, Fraction(0)) + u * v
+        return FractionPoly(product, (self.degree or 0) + (other.degree or 0))
+
+    def power(self, n: int) -> "FractionPoly":
+        result = FractionPoly({(0, 0, 0): 1}, 0)
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def to_json(self) -> list:
+        keys = sorted(self.coeffs, key=lambda k: (-k[0], -k[1]))
+        return [{"index": list(key), "coeff": format_rational(self.coeffs[key])} for key in keys]
+
+    def __repr__(self):
+        return f"Poly3({self.coeffs})"
+
+
 def fraction_derivation(matrix):
     """The derivation by which a 3x3 matrix acts on polynomials, summed
     Fraction by Fraction (every term its own Fraction): the oracle for
     the integer sums of ``polymodule._derivation``, keys included in
-    their order."""
+    their order.  It maps a Poly3 or a FractionPoly to a FractionPoly."""
     columns = [
         [
             (tuple(int(k == i) - int(k == j) for k in range(3)), matrix[i, j])
@@ -136,7 +191,7 @@ def fraction_derivation(matrix):
                     key = (exps[0] + da, exps[1] + db, exps[2] + dc)
                     term = weight * entry
                     out[key] = out[key] + term if key in out else term
-        return Poly3._of(out, xi.degree)
+        return FractionPoly(out, xi.degree)
 
     return apply
 

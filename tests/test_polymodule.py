@@ -1,8 +1,10 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rahman.form import BilinearForm, inner
 from rahman.matrices import Mat
 from rahman.polymodule import (
     DegreeMismatch,
@@ -18,11 +20,13 @@ from rahman.polymodule import (
     verify_weight_diagonality,
 )
 from rahman.polymodule import _neighbours, _tilde_action
+from rahman.polynomials import _falling_coefficients, eval_P_operator
 from rahman.sl3 import NotTraceless, build
 
 from conftest import (
     PARAM_MATRIX,
     Dense,
+    FractionPoly,
     adjacent,
     dense_product,
     expand_tilde_monomial_direct,
@@ -145,6 +149,128 @@ def test_the_derivation_matches_the_fraction_oracle_on_the_structure(structures)
                 oracle = fraction_derivation(matrix)
                 for xi in xis:
                     assert repr(apply(xi)) == repr(oracle(xi))
+
+
+@st.composite
+def same_degree_pairs(draw):
+    """(n, a, b): two coefficient dicts on random subsets of the degree-n
+    lattice, n <= 4, either possibly empty, with zeros and coefficients of
+    mixed denominators."""
+    n = draw(st.integers(0, 4))
+    points = st.lists(st.sampled_from(lattice(n)), max_size=6, unique=True)
+    a, b = ({point: draw(half_zero_entries) for point in draw(points)} for _ in range(2))
+    return n, a, b
+
+
+def _assert_matches(poly, ref):
+    """poly has ref's coefficients, keys in ref's order and ref's degree,
+    in canonical form: nonzero int numerators over one positive den,
+    coprime to them, and the zero polynomial over 1 with no degree."""
+    assert repr(poly) == repr(ref)
+    assert list(poly.nums) == list(ref.coeffs) and poly.coeffs == ref.coeffs
+    assert poly.degree == ref.degree
+    assert all(type(value) is int and value for value in poly.nums.values())
+    assert type(poly.den) is int and poly.den > 0
+    assert gcd(poly.den, *poly.nums.values()) == 1
+    assert poly.nums or (poly.den, poly.degree) == (1, None)
+    assert poly.to_json() == ref.to_json()
+
+
+@given(same_degree_pairs(), half_zero_entries, st.integers(0, 3))
+@settings(max_examples=300, deadline=None)
+def test_poly3_matches_the_fraction_oracle(pair, c, k):
+    """Every Poly3 operation gives the coefficients, key order, degree,
+    JSON form and repr that Fraction-by-Fraction arithmetic gives."""
+    n, a, b = pair
+    xi, zeta = Poly3(a), Poly3(b)
+    xi_ref, zeta_ref = FractionPoly(a, n), FractionPoly(b, n)
+    _assert_matches(xi, xi_ref)
+    _assert_matches(xi + zeta, xi_ref + zeta_ref)
+    _assert_matches(xi - zeta, xi_ref - zeta_ref)
+    _assert_matches(xi - xi, FractionPoly({}, n))
+    _assert_matches(xi.scale(c), xi_ref.scale(c))
+    _assert_matches(xi * zeta, xi_ref * zeta_ref)
+    _assert_matches(xi.power(k), xi_ref.power(k))
+    assert (xi == zeta) == (xi_ref == zeta_ref)
+    assert xi == Poly3(dict(reversed(a.items()))) and xi + zeta - zeta == xi
+    assert [xi[key] for key in lattice(n)] == [xi_ref[key] for key in lattice(n)]
+    assert xi.to_vector(n) == [xi_ref[key] for key in lattice(n)]
+
+
+def _fraction_expand(f, ref):
+    """``f.expand`` Fraction by Fraction, on the same integer columns."""
+    out: dict = {}
+    for key, coeff in ref.coeffs.items():
+        numerators, den = f.tilde_columns[key]
+        for point, value in zip(lattice(f.n), numerators):
+            if value:
+                term = coeff * Fraction(value, den)
+                out[point] = out[point] + term if point in out else term
+    return FractionPoly(out, f.n)
+
+
+@given(st.sampled_from(PARAM_MATRIX), st.integers(0, 7), st.booleans(), same_degree_pairs())
+@settings(max_examples=200, deadline=None)
+def test_action_expand_and_inner_match_the_fraction_oracle(structures, p, index, tilde, pair):
+    """The action images of a plain or tilde generator, ``f.expand`` and
+    ``inner`` on integer Poly3s give what the Fraction oracles give."""
+    s = structures[p]
+    n, a, b = pair
+    xi, zeta = Poly3(a), Poly3(b)
+    xi_ref, zeta_ref = FractionPoly(a, n), FractionPoly(b, n)
+    beta = list((s.tilde_basis() if tilde else s.cartan_basis()).values())[index]
+    for apply, matrix in ((action(beta), beta), (_tilde_action(beta, s), s.Rinv @ beta @ s.R)):
+        _assert_matches(apply(xi), fraction_derivation(matrix)(xi_ref))
+    f = BilinearForm(s, n)
+    _assert_matches(f.expand(xi), _fraction_expand(f, xi_ref))
+    keys = xi_ref.coeffs.keys() & zeta_ref.coeffs.keys()
+    expected = sum((f.gram[key] * xi_ref[key] * zeta_ref[key] for key in keys), Fraction(0))
+    value = inner(xi, zeta, f)
+    assert type(value) is Fraction and value == expected
+
+
+def test_an_operator_image_over_a_negative_kernel_denominator(reference_structure):
+    """P(s, t | C, D) v for odd s + t: the kernel table's denominator holds
+    (-N)_(s+t) < 0, and the image is still canonical, with the value that
+    sum A_pq (-C)_p (-D)_q v gives over Fractions, entry by entry."""
+    s, n = reference_structure, 3
+    d = s.d
+    coeffs = {(3, 0, 0): Fraction(2, 3), (1, 1, 1): Fraction(-5, 4), (0, 0, 3): 7}
+    vector = Poly3(coeffs)
+    pairs = [(1, 0), (0, 1), (2, 1), (1, 2), (3, 0)]
+    for s_arg, t_arg in pairs:
+        assert _falling_coefficients(s_arg, t_arg, d, n, n, n)[1] < 0
+
+    def shifted(beta):
+        apply = action(beta)
+        return lambda m: apply(m) + m.scale(Fraction(n, 3))
+
+    def shifted_ref(beta):
+        apply = fraction_derivation(beta)
+        return lambda m: apply(m) + m.scale(Fraction(n, 3))
+
+    def falling(op, w, top):
+        yield w
+        for q in range(top):
+            w = w.scale(q) - op(w)
+            yield w
+
+    images = eval_P_operator(pairs, (shifted(s.varphi_t), shifted(s.phi_t)), vector, d, n)
+    c_ref, d_ref = shifted_ref(s.varphi_t), shifted_ref(s.phi_t)
+    powers = {
+        (p, q): both
+        for q, d_power in enumerate(falling(d_ref, FractionPoly(coeffs, n), n))
+        for p, both in enumerate(falling(c_ref, d_power, n - q))
+    }
+    for (s_arg, t_arg), image in zip(pairs, images):
+        table, den = _falling_coefficients(s_arg, t_arg, d, n, n, n)
+        expected = FractionPoly({}, n)
+        for p, row in enumerate(table):
+            for q, value in enumerate(row):
+                expected = expected + powers[p, q].scale(Fraction(value, den))
+        assert image.den > 0 and gcd(image.den, *image.nums.values()) == 1
+        assert [image[key] for key in lattice(n)] == [expected[key] for key in lattice(n)]
+        assert image.nums
 
 
 def test_action_checks_the_trace(reference_structure):
