@@ -196,8 +196,9 @@ def dual_basis(f: BilinearForm) -> list:
 
     The tilde dual basis, in tilde coordinates, is ``dual_basis(f.dual)``.
     """
-    return [Poly3._over({point: norm.denominator}, norm.numerator, f.n)
-            for point, norm in f.gram.items()]
+    gram = f.gram
+    return [Poly3._over({point: gram[point].denominator}, gram[point].numerator, f.n)
+            for point in lattice(f.n)]
 
 
 def p_table(f: BilinearForm) -> list:

@@ -178,15 +178,14 @@ def verify_orthogonality(d: DerivedParams, n: int) -> Report:
                 (list(map(mul, weights, numerators)), weight_den * den)
                 for numerators, den in scaled
             ]
-            k_t = side.k_t
-            diagonal = [(1 / (k_t[1] ** j * k_t[2] ** k * multinomial(n, [i, j, k])))
-                        .as_integer_ratio() for (i, j, k) in points]
+            diagonal = [1 / (side.k_t[1] ** j * side.k_t[2] ** k * multinomial(n, [i, j, k]))
+                        for (i, j, k) in points]
             relations.append((label, scaled, weighted, diagonal))
         for a, (_, s_idx, t_idx) in enumerate(points):
             for b, (_, sigma, tau) in enumerate(points):
                 for label, scaled, weighted, diagonal in relations:
                     (left, left_den), (right, right_den) = weighted[a], scaled[b]
-                    top, bottom = diagonal[a] if a == b else (0, 1)
+                    top, bottom = diagonal[a].as_integer_ratio() if a == b else (0, 1)
                     den = left_den * right_den
                     rec.equal_over(sum(map(mul, left, right)) * bottom, top * den, den * bottom,
                                    lambda: f"{label} at {(s_idx, t_idx, sigma, tau)}")
