@@ -78,17 +78,26 @@ class BilinearForm:
     def gram(self) -> dict:
         """||x^r y^s z^t||^2 = r! s! t! theta^N / (eta~_0^r eta~_1^s eta~_2^t).
 
-        Keyed by lattice point, and built on first use: a zero eta~
-        weight fails the verifier reading it.
+        Keyed by lattice point, and built on first use from the fields of
+        ``s.d``, each as one Fraction of integer power tables (every factor
+        is homogeneous of degree 0 in p1..p4, as in ``derive``).  A zero
+        eta~ weight raises Fraction's ZeroDivisionError at the first point
+        that reads it, so the verifier reading the Gram fails.
         """
-        eta_t = self.s.d.eta_t
-        theta_n = self.s.d.theta**self.n
-        return {
-            (r, st, t): Fraction(factorial(r) * factorial(st) * factorial(t))
-            * theta_n
-            / (eta_t[0] ** r * eta_t[1] ** st * eta_t[2] ** t)
-            for (r, st, t) in lattice(self.n)
-        }
+        n, eta_t, theta = self.n, self.s.d.eta_t, self.s.d.theta
+        # k! / eta~_i^k is tops[i][k] / bottoms[i][k].
+        tops = [[factorial(k) * e.denominator**k for k in range(n + 1)] for e in eta_t]
+        bottoms = [[e.numerator**k for k in range(n + 1)] for e in eta_t]
+        theta_top, theta_bottom = theta.numerator**n, theta.denominator**n
+        gram = {}
+        for r, st, t in lattice(n):
+            bottom = bottoms[0][r] * bottoms[1][st] * bottoms[2][t]
+            if not bottom:  # a zero eta~ weight: the Fraction formula raises
+                Fraction(factorial(r) * factorial(st) * factorial(t)) * theta**n / (
+                    eta_t[0] ** r * eta_t[1] ** st * eta_t[2] ** t)
+            gram[r, st, t] = Fraction(
+                theta_top * tops[0][r] * tops[1][st] * tops[2][t], theta_bottom * bottom)
+        return gram
 
     @cached_property
     def dual(self) -> "BilinearForm":

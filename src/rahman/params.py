@@ -4,14 +4,19 @@ Four nonzero rationals p1..p4 drive the whole construction.  A handful
 of their combinations occur as denominators throughout the formulas, so
 those combinations are forbidden; ``validate`` enumerates exactly that
 list and names the first offender.
+
+Every derived constant is homogeneous of degree 0 in p1..p4, so both
+work on the cleared integers P_i = p_i * L (L > 0 the lcm of the
+denominators), and ``derive`` builds each constant as one Fraction.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
-from .scalars import Rational, exact_rational, parse_rational
+from .scalars import Rational, exact_rational, over_common_denominator, parse_rational
 
 __all__ = [
     "ParameterSet",
@@ -102,6 +107,28 @@ class DerivedParams:
         )
 
 
+def _cleared(p: ParameterSet) -> tuple:
+    """(P1, P2, P3, P4); raise ValidationError on the first vanishing
+    combination (L > 0, so it vanishes where that of the p_i does)."""
+    (P1, P2, P3, P4), _ = over_common_denominator(p.as_tuple())
+    checks = [
+        (P1, "p1"),
+        (P2, "p2"),
+        (P3, "p3"),
+        (P4, "p4"),
+        (P1 + P2, "p1+p2"),
+        (P1 + P3, "p1+p3"),
+        (P2 + P4, "p2+p4"),
+        (P3 + P4, "p3+p4"),
+        (P1 + P2 + P3 + P4, "p1+p2+p3+p4"),
+        (P1 * P4 - P2 * P3, "p1p4-p2p3"),
+    ]
+    for value, name in checks:
+        if value == 0:
+            raise ValidationError(name)
+    return P1, P2, P3, P4
+
+
 def validate(p: ParameterSet):
     """Raise ValidationError on the first vanishing denominator, else return p.
 
@@ -109,63 +136,31 @@ def validate(p: ParameterSet):
     p1+p3, p2+p4, p3+p4; the total p1+p2+p3+p4; and the determinant
     p1*p4 - p2*p3.
     """
-    p1, p2, p3, p4 = p.as_tuple()
-    checks = [
-        (p1, "p1"),
-        (p2, "p2"),
-        (p3, "p3"),
-        (p4, "p4"),
-        (p1 + p2, "p1+p2"),
-        (p1 + p3, "p1+p3"),
-        (p2 + p4, "p2+p4"),
-        (p3 + p4, "p3+p4"),
-        (p1 + p2 + p3 + p4, "p1+p2+p3+p4"),
-        (p1 * p4 - p2 * p3, "p1p4-p2p3"),
-    ]
-    for value, name in checks:
-        if value == 0:
-            raise ValidationError(name)
+    _cleared(p)
     return p
 
 
 def derive(p: ParameterSet) -> DerivedParams:
     """Compute every derived constant from a validated parameter set."""
-    validate(p)
-    p1, p2, p3, p4 = p.as_tuple()
-    total = p1 + p2 + p3 + p4
-    det = p2 * p3 - p1 * p4  # nonzero by validation
-
-    t = (p1 + p2) * (p1 + p3) / (p1 * total)
-    u = (p1 + p3) * (p3 + p4) / (p3 * total)
-    v = (p1 + p2) * (p2 + p4) / (p2 * total)
-    w = (p2 + p4) * (p3 + p4) / (p4 * total)
-
-    nu = (p1 + p2) * (p1 + p3) * (p2 + p4) * (p3 + p4) / det**2
-
-    eta0 = 1 / nu
-    eta1 = p1 * p2 * total / ((p1 + p2) * (p1 + p3) * (p2 + p4))
-    eta2 = p3 * p4 * total / ((p1 + p3) * (p2 + p4) * (p3 + p4))
-    eta_t1 = p1 * p3 * total / ((p1 + p2) * (p1 + p3) * (p3 + p4))
-    eta_t2 = p2 * p4 * total / ((p1 + p2) * (p2 + p4) * (p3 + p4))
-
-    eta = (eta0, eta1, eta2)
-    eta_t = (eta0, eta_t1, eta_t2)
-
-    theta = (p1 + p3) * (p2 + p4) / det
-    theta_t = (p1 + p2) * (p3 + p4) / det
-
+    P1, P2, P3, P4 = _cleared(p)
+    total = P1 + P2 + P3 + P4
+    det = P2 * P3 - P1 * P4  # nonzero by validation
+    a, b, c, dd = P1 + P2, P1 + P3, P2 + P4, P3 + P4
+    det2 = det * det
+    nu = Fraction(a * b * c * dd, det2)
+    eta0, one = 1 / nu, Fraction(1)
     return DerivedParams(
-        t=t,
-        u=u,
-        v=v,
-        w=w,
+        t=Fraction(a * b, P1 * total),
+        u=Fraction(b * dd, P3 * total),
+        v=Fraction(a * c, P2 * total),
+        w=Fraction(c * dd, P4 * total),
         nu=nu,
-        eta=eta,
-        eta_t=eta_t,
-        k=tuple(nu * e for e in eta_t),
-        k_t=tuple(nu * e for e in eta),
-        theta=theta,
-        theta_t=theta_t,
+        eta=(eta0, Fraction(P1 * P2 * total, a * b * c), Fraction(P3 * P4 * total, b * c * dd)),
+        eta_t=(eta0, Fraction(P1 * P3 * total, a * b * dd), Fraction(P2 * P4 * total, a * c * dd)),
+        k=(one, Fraction(c * P1 * P3 * total, det2), Fraction(b * P2 * P4 * total, det2)),
+        k_t=(one, Fraction(dd * P1 * P2 * total, det2), Fraction(a * P3 * P4 * total, det2)),
+        theta=Fraction(b * c, det),
+        theta_t=Fraction(a * dd, det),
     )
 
 

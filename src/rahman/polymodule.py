@@ -126,7 +126,13 @@ class Poly3:
 
     @classmethod
     def monomial(cls, r: int, s: int, t: int, coeff=1) -> "Poly3":
-        return cls({(r, s, t): coeff})
+        """``Poly3({(r, s, t): coeff})``, with its checks, built directly."""
+        value = exact_rational(coeff, "coefficient")
+        if value == 0:
+            return cls.zero()
+        if any(type(x) is not int or x < 0 for x in (r, s, t)):
+            raise ValueError(f"bad exponent triple {(r, s, t)!r}")
+        return cls._over({(r, s, t): value.numerator}, value.denominator, r + s + t)
 
     @classmethod
     def zero(cls) -> "Poly3":

@@ -1,9 +1,10 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from rahman.params import ParameterSet, derive
-from rahman.polymodule import DegreeMismatch, Poly3
+from rahman.params import DerivedParams, ParameterSet, ValidationError, derive
+from rahman.polymodule import DegreeMismatch, Poly3, lattice
 from rahman.scalars import format_rational
 from rahman.sl3 import StructureSet, build
 
@@ -214,3 +215,75 @@ def expand_tilde_monomial_direct(rho: int, sigma: int, tau: int, s: StructureSet
     """
     xt, yt, zt = tilde_variables(s)
     return xt.power(rho) * yt.power(sigma) * zt.power(tau)
+
+
+def fraction_validate(p: ParameterSet) -> ParameterSet:
+    """``params.validate`` Fraction by Fraction on the parameters as given:
+    the oracle for the check on the cleared integers."""
+    p1, p2, p3, p4 = p.as_tuple()
+    checks = [
+        (p1, "p1"),
+        (p2, "p2"),
+        (p3, "p3"),
+        (p4, "p4"),
+        (p1 + p2, "p1+p2"),
+        (p1 + p3, "p1+p3"),
+        (p2 + p4, "p2+p4"),
+        (p3 + p4, "p3+p4"),
+        (p1 + p2 + p3 + p4, "p1+p2+p3+p4"),
+        (p1 * p4 - p2 * p3, "p1p4-p2p3"),
+    ]
+    for value, name in checks:
+        if value == 0:
+            raise ValidationError(name)
+    return p
+
+
+def fraction_derive(p: ParameterSet) -> DerivedParams:
+    """Every derived constant by the chain of Fraction operations the paper
+    writes: the oracle for ``params.derive``, which reads one Fraction per
+    constant off the cleared integers."""
+    fraction_validate(p)
+    p1, p2, p3, p4 = p.as_tuple()
+    total = p1 + p2 + p3 + p4
+    det = p2 * p3 - p1 * p4
+
+    nu = (p1 + p2) * (p1 + p3) * (p2 + p4) * (p3 + p4) / det**2
+    eta0 = 1 / nu
+    eta = (
+        eta0,
+        p1 * p2 * total / ((p1 + p2) * (p1 + p3) * (p2 + p4)),
+        p3 * p4 * total / ((p1 + p3) * (p2 + p4) * (p3 + p4)),
+    )
+    eta_t = (
+        eta0,
+        p1 * p3 * total / ((p1 + p2) * (p1 + p3) * (p3 + p4)),
+        p2 * p4 * total / ((p1 + p2) * (p2 + p4) * (p3 + p4)),
+    )
+    return DerivedParams(
+        t=(p1 + p2) * (p1 + p3) / (p1 * total),
+        u=(p1 + p3) * (p3 + p4) / (p3 * total),
+        v=(p1 + p2) * (p2 + p4) / (p2 * total),
+        w=(p2 + p4) * (p3 + p4) / (p4 * total),
+        nu=nu,
+        eta=eta,
+        eta_t=eta_t,
+        k=tuple(nu * e for e in eta_t),
+        k_t=tuple(nu * e for e in eta),
+        theta=(p1 + p3) * (p2 + p4) / det,
+        theta_t=(p1 + p2) * (p3 + p4) / det,
+    )
+
+
+def fraction_gram(d: DerivedParams, n: int) -> dict:
+    """||x^r y^s z^t||^2 = r! s! t! theta^N / (eta~_0^r eta~_1^s eta~_2^t),
+    Fraction by Fraction in lattice order: the oracle for
+    ``BilinearForm.gram``.  A zero eta~ weight raises ZeroDivisionError."""
+    eta_t = d.eta_t
+    theta_n = d.theta**n
+    return {
+        (r, s, t): Fraction(factorial(r) * factorial(s) * factorial(t))
+        * theta_n
+        / (eta_t[0] ** r * eta_t[1] ** s * eta_t[2] ** t)
+        for (r, s, t) in lattice(n)
+    }

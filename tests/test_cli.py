@@ -144,14 +144,26 @@ GOLDEN = Path(__file__).parent / "data"
         (["export", "structure"], "structure_{tag}.json"),
         (["export", "dual-bases", "--N", "3"], "dual_bases_N3_{tag}.json"),
         (["verify", "all", "--N", "2"], "verify_all_N2_{tag}.json"),
+        (["export", "gram", "--N", "12", "--format", "csv"], "gram_N12_{tag}.csv"),
+        (["eval", "3", "4", "5", "2", "--N", "12"], "eval_N12_3_4_5_2_{tag}.txt"),
     ],
-    ids=["table-json", "table-csv", "export-structure", "export-dual-bases", "verify-all"],
+    ids=[
+        "table-json",
+        "table-csv",
+        "export-structure",
+        "export-dual-bases",
+        "verify-all",
+        "export-gram-N12",
+        "eval-N12",
+    ],
 )
 def test_output_matches_golden_bytes(runner, argv, name, p, tag):
     """stdout equals the files under tests/data, which were written by the
     CLI before ``p_table`` read integer columns, before ``build`` left the
     conjugated generators to first use, and before the tilde norms were
-    read off the dual form."""
+    read off the dual form.  The N = 12 Gram and ``eval`` files were
+    written before ``derive`` and ``gram`` cleared the parameters to
+    integers."""
     result = runner.invoke(main, argv + [f"--p={p}"])
     assert result.exit_code == 0
     assert result.stdout == (GOLDEN / name.format(tag=tag)).read_text()

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from math import factorial
 
@@ -18,8 +19,8 @@ from rahman.polymodule import DegreeMismatch, Poly3, lattice
 from rahman.polynomials import eval_P
 from rahman.sl3 import build
 
-from conftest import PARAM_MATRIX, expand_tilde_monomial_direct
-from test_params import valid_parameter_sets
+from conftest import PARAM_MATRIX, expand_tilde_monomial_direct, fraction_gram
+from test_params import valid_parameter_sets, wide_parameter_sets, wide_rationals
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +214,57 @@ def test_gram_values_off_the_axis(reference_structure):
     assert f.gram[(0, 2, 1)] == Fraction(3776446464, 6655)
     xyz_t = f.expand(Poly3.monomial(1, 1, 1))
     assert inner(xyz_t, xyz_t, f) == Fraction(29132587008, 605)
+
+
+def _with_constants(s, **fields):
+    """s carrying its constants with ``fields`` replaced: the Gram reads
+    ``s.d``, never the parameters."""
+    return dataclasses.replace(s, d=dataclasses.replace(s.d, **fields))
+
+
+def _assert_gram_is_the_oracle(s, n):
+    gram, expected = BilinearForm(s, n).gram, fraction_gram(s.d, n)
+    assert list(gram.items()) == list(expected.items())
+    assert all(type(value) is Fraction for value in gram.values())
+
+
+@given(wide_parameter_sets(), st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+def test_gram_matches_the_fraction_formula(p, n):
+    """One Fraction per lattice point off integer power tables gives the
+    Fraction formula's values, keys in lattice order, on both forms."""
+    s = build(p)
+    _assert_gram_is_the_oracle(s, n)
+    _assert_gram_is_the_oracle(s.dual(), n)
+
+
+@given(st.integers(0, 2), wide_rationals, wide_rationals, st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+def test_gram_reads_corrupted_constants(index, delta, theta, n):
+    """A changed eta~ weight or theta reaches the Gram through ``s.d``."""
+    s = build(PARAM_MATRIX[0])
+    eta_t = list(s.d.eta_t)
+    eta_t[index] += delta
+    if eta_t[index] == 0:
+        eta_t[index] = delta
+    _assert_gram_is_the_oracle(_with_constants(s, eta_t=tuple(eta_t), theta=theta), n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("index", range(3))
+def test_gram_on_a_zeroed_eta_t_raises_as_the_fraction_formula(reference_structure, index, n):
+    """eta~_index = 0 raises Fraction's ZeroDivisionError, with the same
+    text, at the first lattice point with a positive power of it."""
+    s = reference_structure
+    eta_t = list(s.d.eta_t)
+    eta_t[index] = Fraction(0)
+    s = _with_constants(s, eta_t=tuple(eta_t))
+    with pytest.raises(ZeroDivisionError) as expected:
+        fraction_gram(s.d, n)
+    with pytest.raises(ZeroDivisionError) as err:
+        BilinearForm(s, n).gram
+    assert type(err.value) is ZeroDivisionError
+    assert str(err.value) == str(expected.value) and str(err.value).endswith(", 0)")
 
 
 def test_tilde_base_norm(reference_structure):

@@ -13,6 +13,8 @@ from rahman.params import (
     validate,
 )
 
+from conftest import fraction_derive, fraction_validate
+
 nonzero_rationals = st.fractions(
     min_value=-30, max_value=30, max_denominator=6
 ).filter(lambda q: q != 0)
@@ -29,6 +31,37 @@ def valid_parameter_sets():
     return st.tuples(
         nonzero_rationals, nonzero_rationals, nonzero_rationals, nonzero_rationals
     ).filter(accept).map(lambda v: ParameterSet(*v))
+
+
+# Negative and non-integer, numerators up to 10^6, denominators up to 10^4.
+wide_rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4))
+
+
+def wide_parameter_sets():
+    """Valid parameter sets of ``wide_rationals``."""
+    def accept(values):
+        try:
+            fraction_validate(ParameterSet(*values))
+            return True
+        except ValidationError:
+            return False
+
+    return st.tuples(*[wide_rationals] * 4).filter(accept).map(lambda v: ParameterSet(*v))
+
+
+# One forbidden combination made to vanish by solving for one parameter.
+VANISHING = [
+    lambda p1, p2, p3, p4: (0, p2, p3, p4),
+    lambda p1, p2, p3, p4: (p1, 0, p3, p4),
+    lambda p1, p2, p3, p4: (p1, p2, 0, p4),
+    lambda p1, p2, p3, p4: (p1, p2, p3, 0),
+    lambda p1, p2, p3, p4: (p1, -p1, p3, p4),
+    lambda p1, p2, p3, p4: (p1, p2, -p1, p4),
+    lambda p1, p2, p3, p4: (p1, p2, p3, -p2),
+    lambda p1, p2, p3, p4: (p1, p2, p3, -p3),
+    lambda p1, p2, p3, p4: (p1, p2, p3, -p1 - p2 - p3),
+    lambda p1, p2, p3, p4: (p1, p2, p3, p2 * p3 / p1 if p1 else p4),
+]
 
 
 def test_validate_accepts_reference_set():
@@ -98,6 +131,37 @@ def test_derived_invariants(p):
     assert d.k_t == tuple(d.nu * e for e in d.eta)
     for group in (d.eta, d.eta_t, d.k, d.k_t, (d.t, d.u, d.v, d.w, d.nu, d.theta, d.theta_t)):
         assert all(x != 0 for x in group)
+
+
+@given(wide_parameter_sets())
+def test_derive_matches_the_fraction_chain(p):
+    """One Fraction per constant off the cleared integers gives every field
+    of the Fraction chain, by value and by repr (``export structure``
+    prints them)."""
+    d, expected = derive(p), fraction_derive(p)
+    assert d == expected and repr(d) == repr(expected)
+    for group in (d.eta, d.eta_t, d.k, d.k_t, (d.t, d.u, d.v, d.w, d.nu, d.theta, d.theta_t)):
+        assert all(type(x) is Fraction for x in group)
+
+
+@given(st.tuples(*[wide_rationals] * 4), st.sampled_from(VANISHING))
+def test_validate_names_the_first_vanishing_combination(values, vanish):
+    """On the cleared integers validate refuses exactly what the Fraction
+    check refuses, naming the same first combination; derive refuses it
+    too."""
+    p = ParameterSet(*vanish(*values))
+    try:
+        fraction_validate(p)
+        expected = None
+    except ValidationError as err:
+        expected = err.expression
+    if expected is None:
+        assert validate(p) is p
+        return
+    for check in (validate, derive):
+        with pytest.raises(ValidationError) as err:
+            check(p)
+        assert err.value.expression == expected
 
 
 def test_load_params_file(tmp_path):

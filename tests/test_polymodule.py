@@ -332,6 +332,36 @@ def test_poly3_refuses_non_integral_exponents(key):
         Poly3({(0, 1, 0): 1, key: 1})
 
 
+def _built(make):
+    """(nums, den, degree) of ``make()``, or the type and text it raises."""
+    try:
+        xi = make()
+    except ValueError as err:
+        return type(err), str(err)
+    return xi.nums, xi.den, xi.degree
+
+
+exponents = st.one_of(
+    st.integers(-2, 6), st.booleans(), st.just(1.0), st.just(Fraction(3, 2))
+)
+
+
+@given(
+    exponents,
+    exponents,
+    exponents,
+    st.one_of(st.integers(-9, 9), st.fractions(max_denominator=12), st.booleans(),
+              st.just(0.5), st.just(Fraction(0))),
+)
+def test_monomial_is_the_validating_constructor(r, s, t, coeff):
+    """``Poly3.monomial`` skips the dict walk of ``Poly3(...)`` but builds
+    the same polynomial, and refuses the same inputs with the same text; a
+    zero coefficient gives the zero polynomial, whatever the exponents."""
+    assert _built(lambda: Poly3.monomial(r, s, t, coeff)) == _built(
+        lambda: Poly3({(r, s, t): coeff})
+    )
+
+
 @pytest.mark.parametrize("bad", [0.1, 2.0, True, False])
 def test_poly3_scale_refuses_float_and_bool_factors(bad):
     p = Poly3({(2, 0, 0): Fraction(1, 3), (1, 1, 0): -2})

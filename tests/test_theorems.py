@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from rahman.form import (
     verify_tilde_norms,
 )
 from rahman.matrices import Mat
-from rahman.params import ParameterSet, derive
+from rahman.params import ParameterSet, ValidationError, derive, validate
 from rahman.polymodule import (
     _MOVES,
     action,
@@ -645,6 +646,32 @@ def test_integer_sum_suites_on_random_parameters_at_degree_5(p):
         p, 5, ["form", "transitions", "orthogonality", "recurrence", "operators"]
     )
     assert len(reports) == 9
+    assert [r.name for r in reports if not r.ok] == []
+
+
+def _seeded_parameter_set(seed: int) -> ParameterSet:
+    """A valid parameter set with a negative and a non-integer entry,
+    numerators up to 30 and denominators up to 6, drawn from ``seed``."""
+    rng = random.Random(seed)
+    while True:
+        values = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 6))
+                  for _ in range(4)]
+        if min(values) > 0 or all(x.denominator == 1 for x in values):
+            continue
+        try:
+            return validate(ParameterSet(*values))
+        except ValidationError:
+            continue
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_every_suite_on_seeded_parameters_at_degree_7(seed):
+    """All 18 Reports pass at N = 7 on seeded random rationals.  At fixed N
+    each identity is one of rational functions in p1..p4, so agreement at
+    random points off the forbidden set is strong evidence for it
+    (Schwartz-Zippel)."""
+    reports = run_suites(_seeded_parameter_set(seed), 7)
+    assert len(reports) == 18
     assert [r.name for r in reports if not r.ok] == []
 
 
