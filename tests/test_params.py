@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -144,24 +145,28 @@ def test_derive_matches_the_fraction_chain(p):
         assert all(type(x) is Fraction for x in group)
 
 
-@given(st.tuples(*[wide_rationals] * 4), st.sampled_from(VANISHING))
-def test_validate_names_the_first_vanishing_combination(values, vanish):
-    """On the cleared integers validate refuses exactly what the Fraction
-    check refuses, naming the same first combination; derive refuses it
-    too."""
-    p = ParameterSet(*vanish(*values))
+def _first_vanishing(check, p):
     try:
-        fraction_validate(p)
-        expected = None
+        check(p)
     except ValidationError as err:
-        expected = err.expression
-    if expected is None:
-        assert validate(p) is p
-        return
-    for check in (validate, derive):
-        with pytest.raises(ValidationError) as err:
-            check(p)
-        assert err.value.expression == expected
+        return err.expression
+    return None
+
+
+@given(st.tuples(*[wide_rationals] * 4))
+def test_validate_names_the_first_vanishing_combination(values):
+    """On the cleared integers validate refuses exactly what the Fraction
+    check refuses, naming the same first combination, also when two
+    vanish at once; derive refuses the same."""
+    for pair in itertools.product([None, *VANISHING], repeat=2):
+        changed = values
+        for vanish in filter(None, pair):
+            changed = vanish(*changed)
+        p = ParameterSet(*changed)
+        expected = _first_vanishing(fraction_validate, p)
+        assert _first_vanishing(validate, p) == expected
+        if expected is not None:
+            assert _first_vanishing(derive, p) == expected
 
 
 def test_load_params_file(tmp_path):
