@@ -272,55 +272,50 @@ def verify_tilde_norms(f: BilinearForm) -> Report:
 
 
 def verify_dual_sum_identities(f: BilinearForm) -> Report:
-    """Both uniform dual-sum identities, at scale N! nu^N.
+    """Both uniform dual-sum identities, at scale N! nu^N, and both dualities.
 
     The sum of the plain dual basis reconstructs x~^N, and symmetrically
     the sum of the tilde dual basis reconstructs x^N: pairing x^N with
     any tilde monomial gives the same value N! nu^N, so its tilde-dual
     coordinates are constant (and the mirror argument on the plain side).
+    The tilde side is the plain side of ``f.dual``, the form of the
+    swapped structure; each duality check reads its side's Gram matrix.
     """
     n = f.n
     scale = pairing_scale(f.s.d, n)
+    points = lattice(n)
     with Recorder(f"form.dual_sums.N{n}") as rec:
         plain_duals = dual_basis(f)
-        plain_sum = Poly3.zero()
-        for vector in plain_duals:
-            plain_sum = plain_sum + vector
         rec.equal(
             f.expand(Poly3.monomial(n, 0, 0)),
-            plain_sum.scale(scale),
+            sum(plain_duals, Poly3.zero()).scale(scale),
             "plain dual sum vs x~^N",
         )
-
         tilde_duals = dual_basis(f.dual)
-        tilde_sum = Poly3.zero()
-        for vector in tilde_duals:
-            tilde_sum = tilde_sum + vector
         rec.equal(
             Poly3.monomial(n, 0, 0),
-            f.expand(tilde_sum.scale(scale)),
+            f.expand(sum(tilde_duals, Poly3.zero()).scale(scale)),
             "tilde dual sum vs x^N",
         )
 
         # Duality itself: pairing each basis with its claimed dual is the
-        # identity matrix.  A tilde pairing is linear in the dual vector's
-        # coefficient, so it reads the tilde Gram matrix.
-        for i, point in enumerate(lattice(n)):
-            xi = Poly3.monomial(*point)
-            for j, eta_vec in enumerate(plain_duals):
-                rec.equal(
-                    inner(xi, eta_vec, f),
-                    Fraction(int(i == j)),
-                    lambda: f"plain duality entry ({i},{j})",
-                )
-        for i, row in enumerate(f.tilde_gram):
-            for j, (value, eta_vec) in enumerate(zip(row, tilde_duals)):
-                (coefficient,) = eta_vec.nums.values()
-                den = value.denominator * eta_vec.den
-                rec.equal_over(
-                    value.numerator * coefficient,
-                    int(i == j) * den,
-                    den,
-                    lambda: f"tilde duality entry ({i},{j})",
-                )
+        # identity matrix.  A dual vector is one monomial times one
+        # coefficient, so each pairing is a Gram entry times it: the plain
+        # Gram diagonal, or the tilde Gram matrix.
+        zero = Fraction(0)
+        plain_gram = [[f.gram[lam] if lam == mu else zero for mu in points] for lam in points]
+        for side, gram, duals in (
+            ("plain", plain_gram, plain_duals),
+            ("tilde", f.tilde_gram, tilde_duals),
+        ):
+            for i, row in enumerate(gram):
+                for j, (value, dual) in enumerate(zip(row, duals)):
+                    (coefficient,) = dual.nums.values()
+                    den = value.denominator * dual.den
+                    rec.equal_over(
+                        value.numerator * coefficient,
+                        int(i == j) * den,
+                        den,
+                        lambda: f"{side} duality entry ({i},{j})",
+                    )
     return rec.report()

@@ -9,6 +9,11 @@ from the structure's own R and R^-1, so a structure that only feeds
 ``rahman table`` never forms them.  The verifiers in this module check
 the identities that tie these objects together, always comparing an
 independently computed left side against a closed form.
+
+Duality is one rule at every layer: ``dual()`` swaps, and nothing is
+rebuilt.  ``StructureSet.dual()`` swaps p2 and p3, the plain and tilde
+constants, W and W~, and R and R^-1, and transposes U, so whatever a
+structure holds, corrupted or not, its dual holds on the other side.
 """
 
 from __future__ import annotations
@@ -114,15 +119,18 @@ class StructureSet:
         return build(self.p, corrupted)
 
     def dual(self) -> "StructureSet":
-        """The structure of ``p.dual()``, built on ``d.dual()``.
+        """The structure of ``p.dual()``: every field swapped, nothing rebuilt.
 
         Read in this structure's tilde coordinates, it is this structure
-        with the plain and tilde sides exchanged.  The constants are
-        swapped, not derived again, so a corrupted constant carries over.
-        R and R^-1 are rebuilt from them, so the dual's R is this R^-1 as
-        ``build`` forms it: a replaced R or R^-1 does not carry over.
+        with the plain and tilde sides exchanged: the constants swap (as
+        ``DerivedParams.dual``), U is transposed, W and W~ swap, and R and
+        R^-1 swap.  On a built structure this is ``build(p.dual(),
+        d.dual())``; a replaced or corrupted field carries over, and
+        ``s.dual().dual() == s``.
         """
-        return build(self.p.dual(), self.d.dual())
+        return StructureSet(
+            self.p.dual(), self.d.dual(), self.U.transpose(), self.Wt, self.W, self.Rinv, self.R
+        )
 
 
 def build(p: ParameterSet, d: DerivedParams | None = None) -> StructureSet:
@@ -131,9 +139,10 @@ def build(p: ParameterSet, d: DerivedParams | None = None) -> StructureSet:
     Passing an inconsistent ``d`` is allowed on purpose: the verifiers
     must be able to catch a corrupted constant.
     """
-    validate(p)
     if d is None:
-        d = derive(p)
+        d = derive(p)  # validates p
+    else:
+        validate(p)
 
     one = Fraction(1)
     U = Mat([
@@ -256,9 +265,6 @@ def verify_matrices(s: StructureSet) -> Report:
 
 def verify_dagger(s: StructureSet) -> Report:
     """Involution, both transformation tables, and the bracket law."""
-    eta = s.d.eta
-    eta_t = s.d.eta_t
-
     plain = s.cartan_basis()
     tilde = s.tilde_basis()
     everything = {**plain, **tilde}
@@ -271,19 +277,17 @@ def verify_dagger(s: StructureSet) -> Report:
             rec.equal(dagger(images[name], s), beta, lambda: f"involution on {name}")
             rec.check(images[name].trace() == 0, lambda: f"trace preserved on {name}")
 
-        # Plain table: e_ij -> e_ji * eta~_j / eta~_i; fixes varphi, phi.
-        for (i, j) in OFF_DIAGONAL:
-            expected = s.e[j, i].scale(eta_t[j] / eta_t[i])
-            rec.equal(images[f"e{i}{j}"], expected, lambda: f"table1 e{i}{j}")
-        rec.equal(images["varphi"], s.varphi, "table1 varphi")
-        rec.equal(images["phi"], s.phi, "table1 phi")
-
-        # Tilde table: e~_ij -> e~_ji * eta_j / eta_i; fixes varphi~, phi~.
-        for (i, j) in OFF_DIAGONAL:
-            expected = s.e_t[j, i].scale(eta[j] / eta[i])
-            rec.equal(images[f"e~{i}{j}"], expected, lambda: f"table2 e~{i}{j}")
-        rec.equal(images["varphi~"], s.varphi_t, "table2 varphi~")
-        rec.equal(images["phi~"], s.phi_t, "table2 phi~")
+        # Table 1: e_ij -> e_ji * eta~_j / eta~_i, fixing varphi and phi.
+        # Table 2, its tilde mirror: e~_ij -> e~_ji * eta_j / eta_i.
+        for table, mark, units, weights in (
+            ("table1", "", s.e, s.d.eta_t),
+            ("table2", "~", s.e_t, s.d.eta),
+        ):
+            for (i, j) in OFF_DIAGONAL:
+                expected = units[j, i].scale(weights[j] / weights[i])
+                rec.equal(images[f"e{mark}{i}{j}"], expected, lambda: f"{table} e{mark}{i}{j}")
+            for name in ("varphi" + mark, "phi" + mark):
+                rec.equal(images[name], everything[name], f"{table} {name}")
 
         # Antiautomorphism law over all 64 ordered pairs of the plain basis.
         for name_b, beta in plain.items():

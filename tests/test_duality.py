@@ -4,14 +4,18 @@ The tilde-side verifiers run their plain-side twin on the dual, so these
 identities are what makes that sound.
 """
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 
+from rahman import sl3
 from rahman.form import (
     BilinearForm,
     verify_adjointness,
     verify_dual_sum_identities,
     verify_tilde_norms,
 )
+from rahman.matrices import Mat
 from rahman.params import ParameterSet, derive
 from rahman.polymodule import (
     irreducibility_probe,
@@ -72,6 +76,44 @@ def test_dual_swaps_argument_pairs_of_P(p):
         for a, b in pairs:
             for c, dd in pairs:
                 assert eval_P(a, b, c, dd, d, n) == eval_P(c, dd, a, b, d_dual, n)
+
+
+def _structures_of(p):
+    """The structure of p and its with_corrupted_eta_t(i, delta) for
+    delta in {1, -eta~_i / 2, -eta~_i}."""
+    s = build(p)
+    yield s
+    for i in range(3):
+        for delta in (1, -s.d.eta_t[i] / 2, -s.d.eta_t[i]):
+            yield s.with_corrupted_eta_t(i, delta)
+
+
+@given(valid_parameter_sets())
+@settings(max_examples=30, deadline=None)
+def test_the_structure_dual_equals_the_build_of_the_swapped_constants(p):
+    for s in _structures_of(p):
+        assert s.dual() == build(s.p.dual(), s.d.dual())
+
+
+@given(valid_parameter_sets())
+@settings(max_examples=30, deadline=None)
+def test_the_structure_dual_is_an_involution_that_swaps_R(p):
+    """A replaced R or R^-1 carries over to the dual, on the other side."""
+    shift = Mat.identity()
+    for s in _structures_of(p):
+        for t in (s, replace(s, R=s.R + shift), replace(s, Rinv=s.Rinv + shift)):
+            assert t.dual().dual() == t
+            assert (t.dual().R, t.dual().Rinv) == (t.Rinv, t.R)
+
+
+def test_the_structure_dual_builds_nothing(monkeypatch):
+    s = build(ParameterSet.of(1, 2, 3, 5))
+
+    def refuse(*args):
+        raise AssertionError("dual() called build")
+
+    monkeypatch.setattr(sl3, "build", refuse)
+    assert s.dual().p == s.p.dual()
 
 
 def test_dual_keeps_a_corrupted_constant():

@@ -4,8 +4,9 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rahman import params
 from rahman.matrices import Mat
-from rahman.params import ParameterSet
+from rahman.params import ParameterSet, ValidationError, derive
 from rahman.scalars import format_rational
 from rahman.sl3 import (
     NotTraceless,
@@ -126,6 +127,32 @@ def test_conjugates_are_built_from_the_structures_own_r(reference_params):
     for key, unit in s.e.items():
         assert corrupted.e_t[key] == bad_r @ unit @ s.Rinv
     assert s.varphi_t == s.R @ s.varphi @ s.Rinv
+
+
+def test_build_validates_once(monkeypatch, reference_params):
+    """With no preset constants, ``derive`` is the one validation."""
+    calls = []
+    cleared = params._cleared
+    monkeypatch.setattr(params, "_cleared", lambda p: calls.append(p) or cleared(p))
+    build(reference_params)
+    assert calls == [reference_params]
+
+
+@pytest.mark.parametrize("preset", [False, True], ids=["derived", "preset"])
+@pytest.mark.parametrize(
+    "values, expression",
+    [
+        ((0, 2, 3, 5), "p1"),
+        ((1, -1, 3, 5), "p1+p2"),
+        ((1, 2, 3, -6), "p1+p2+p3+p4"),
+        ((2, 3, 4, 6), "p1p4-p2p3"),
+    ],
+)
+def test_build_refuses_an_invalid_p_with_or_without_preset_constants(values, expression, preset):
+    d = derive(ParameterSet.of(1, 2, 3, 5)) if preset else None
+    with pytest.raises(ValidationError) as err:
+        build(ParameterSet.of(*values), d)
+    assert err.value.expression == expression
 
 
 def test_closed_form_matches_factored_form():

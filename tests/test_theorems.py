@@ -176,12 +176,16 @@ def test_a_wrong_tilde_column_trips_trans2_but_not_pcosines(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_a_wrong_entry_of_R_inverse_trips_pcosines_but_not_trans2(n):
     """R^-1[0][1] + 1: the lowering operators R e_i0 R^-1 lose their zero
-    trace, and trans2, which never reads R^-1, still passes."""
+    trace, and trans2, which never reads R^-1, still passes.  trans1 fails
+    by value: the dual's R is this R^-1, the mirror of R[0][1] + 1 on trans2."""
     s = _reference_with()
     f = BilinearForm(dataclasses.replace(s, Rinv=_shifted_entry(s.Rinv)), n)
     report = verify_pcosines(f)
     assert report.first_failure.startswith("raised NotTraceless: ")
     assert verify_trans2(f).ok
+    report = verify_trans1(f)
+    assert report.status == "fail"
+    assert not report.first_failure.startswith("raised"), report.first_failure
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -584,6 +588,43 @@ def test_each_verifier_is_tripped_by_its_corruption(monkeypatch, name):
     report = VERIFIERS[name](s, f, 2)
     assert report.status == "fail", label
     assert report.first_failure.startswith("raised ") == by_raise, (label, report.first_failure)
+
+
+# corruption: the verifiers that read what it changes, so the exact set
+# that fails on it at N = 2.  Every other verifier passes.
+TRIPPED_BY = {
+    "eta~_1 + 1": {
+        "matrices", "dagger", "expansions", "action_tables", "representation", "weights",
+        "block_structure", "irreducibility", "tilde_norms", "dual_sums", "pcosines",
+        "orthogonality", "operators",
+    },
+    "R = R^-1 = I": {
+        "matrices", "dagger", "expansions", "generation", "irreducibility", "tilde_norms",
+        "dual_sums", "trans1", "trans2", "pcosines", "operators",
+    },
+    "R[0][1] + 1": {
+        "matrices", "dagger", "expansions", "generation", "action_tables", "representation",
+        "weights", "block_structure", "irreducibility", "tilde_norms", "dual_sums", "trans2",
+        "pcosines", "operators",
+    },
+    "R^-1[0][1] + 1": {
+        "matrices", "dagger", "expansions", "generation", "action_tables", "representation",
+        "weights", "block_structure", "irreducibility", "trans1", "pcosines", "operators",
+    },
+    "kernel t + 1": {"trans1", "trans2", "pcosines", "orthogonality", "recurrences", "operators"},
+    "plain norm doubled": {"adjointness", "tilde_norms", "dual_sums", "trans2", "pcosines"},
+    "tilde norm doubled": {"tilde_norms", "dual_sums", "trans1"},
+    "tilde column + x^N": {"tilde_norms", "dual_sums", "trans2"},
+}
+
+
+@pytest.mark.parametrize("label", list(CORRUPTIONS))
+def test_each_corruption_trips_only_the_verifiers_that_read_it(monkeypatch, label):
+    """At N = 2 each corruption fails exactly the verifiers in TRIPPED_BY."""
+    assert list(TRIPPED_BY) == list(CORRUPTIONS)
+    s, f = CORRUPTIONS[label](monkeypatch.setattr)
+    failing = {name for name, verifier in VERIFIERS.items() if not verifier(s, f, 2).ok}
+    assert failing == TRIPPED_BY[label]
 
 
 # Each verifier and form helper takes one carrier and nothing that carrier
