@@ -13,13 +13,16 @@ __all__ = ["Report", "Recorder"]
 @dataclass
 class Report:
     name: str
-    status: str  # "pass" | "fail"
     checked: int
     first_failure: str | None = None
 
     @property
     def ok(self) -> bool:
-        return self.status == "pass"
+        return self.first_failure is None
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.ok else "fail"
 
     def to_json(self) -> dict:
         data = {"name": self.name, "status": self.status, "checked": self.checked}
@@ -69,8 +72,7 @@ class Recorder:
         )
 
     def report(self) -> Report:
-        status = "pass" if self.first_failure is None else "fail"
-        return Report(self.name, status, self.checked, self.first_failure)
+        return Report(self.name, self.checked, self.first_failure)
 
 
 def _mismatch(context, left, right) -> str:

@@ -1,24 +1,24 @@
 """The 3x3 structural layer: both Cartan subalgebras and the dagger map.
 
-``build`` forms the matrices that depend on the parameters: U, the two
-weight matrices W, W~, the transition matrix R between the plain and
-tilde coordinates, and R^-1.  The plain Cartan basis elements and the
-matrix units are module constants (``VARPHI``, ``PHI``, ``PSI``,
-``UNITS``).  Their tilde conjugates R m R^-1 are built on first read
-from the structure's own R and R^-1, so a structure that only feeds
+A structure is p, its constants d, the transition matrix R between the
+plain and tilde coordinates, and R^-1; U and the weight matrices W, W~
+follow from d and are formed on first read.  The plain Cartan basis
+elements and the matrix units are module constants (``VARPHI``, ``PHI``,
+``PSI``, ``UNITS``).  Their tilde conjugates R m R^-1 are built on first
+read from the structure's own R and R^-1, so a structure that only feeds
 ``rahman table`` never forms them.  The verifiers in this module check
 the identities that tie these objects together, always comparing an
 independently computed left side against a closed form.
 
 Duality is one rule at every layer: ``dual()`` swaps, and nothing is
 rebuilt.  ``StructureSet.dual()`` swaps p2 and p3, the plain and tilde
-constants, W and W~, and R and R^-1, and transposes U, so whatever a
-structure holds, corrupted or not, its dual holds on the other side.
+constants, and R and R^-1, so whatever a structure holds, corrupted or
+not, its dual holds on the other side, U, W and W~ included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -66,9 +66,6 @@ def _require_traceless(beta: Mat) -> None:
 class StructureSet:
     p: ParameterSet
     d: DerivedParams
-    U: Mat
-    W: Mat
-    Wt: Mat
     R: Mat
     Rinv: Mat
 
@@ -77,6 +74,19 @@ class StructureSet:
     phi = PHI         # diag(-1/3, -1/3, 2/3)
     psi = PSI         # -varphi - phi
     e = UNITS         # (i, j) -> matrix unit e_ij, i != j
+
+    # U, W = diag(eta) and W~ = diag(eta~) follow from the constants alone.
+    @cached_property
+    def U(self) -> Mat:
+        return _u(self.d)
+
+    @cached_property
+    def W(self) -> Mat:
+        return Mat.diag(self.d.eta)
+
+    @cached_property
+    def Wt(self) -> Mat:
+        return Mat.diag(self.d.eta_t)
 
     @cached_property
     def e_t(self) -> dict:
@@ -111,51 +121,39 @@ class StructureSet:
         basis["phi~"] = self.phi_t
         return basis
 
-    def with_corrupted_eta_t(self, index: int, delta) -> "StructureSet":
-        """Rebuild with eta_t[index] shifted by delta (verifier power tests)."""
-        eta_t = list(self.d.eta_t)
-        eta_t[index] += Fraction(delta)
-        corrupted = replace(self.d, eta_t=tuple(eta_t))
-        return build(self.p, corrupted)
-
     def dual(self) -> "StructureSet":
         """The structure of ``p.dual()``: every field swapped, nothing rebuilt.
 
         Read in this structure's tilde coordinates, it is this structure
         with the plain and tilde sides exchanged: the constants swap (as
-        ``DerivedParams.dual``), U is transposed, W and W~ swap, and R and
-        R^-1 swap.  On a built structure this is ``build(p.dual(),
-        d.dual())``; a replaced or corrupted field carries over, and
-        ``s.dual().dual() == s``.
+        ``DerivedParams.dual``) and R and R^-1 swap, so U, W and W~, read
+        off the constants, come out as U^t, W~ and W.  On a built structure
+        this is ``build(p.dual(), d.dual())``; a replaced or corrupted field
+        carries over, and ``s.dual().dual() == s``.
         """
-        return StructureSet(
-            self.p.dual(), self.d.dual(), self.U.transpose(), self.Wt, self.W, self.Rinv, self.R
-        )
+        return StructureSet(self.p.dual(), self.d.dual(), self.Rinv, self.R)
+
+
+def _u(d: DerivedParams) -> Mat:
+    """U, the one source of ``build`` and ``StructureSet.U``."""
+    return Mat([[1, 1, 1], [1, 1 - d.t, 1 - d.v], [1, 1 - d.u, 1 - d.w]])
 
 
 def build(p: ParameterSet, d: DerivedParams | None = None) -> StructureSet:
-    """The structure of p: U, W, W~, R and R^-1 (optionally with preset constants).
+    """The structure of p: d, R = theta~ W~ U^t and R^-1 = theta W U.
 
-    Passing an inconsistent ``d`` is allowed on purpose: the verifiers
-    must be able to catch a corrupted constant.
+    U, W and W~ follow from d, which may be preset: an inconsistent ``d``
+    is allowed on purpose, for the verifiers to catch a corrupted constant.
     """
     if d is None:
         d = derive(p)  # validates p
     else:
         validate(p)
 
-    one = Fraction(1)
-    U = Mat([
-        [one, one, one],
-        [one, 1 - d.t, 1 - d.v],
-        [one, 1 - d.u, 1 - d.w],
-    ])
-    W = Mat.diag(d.eta)
-    Wt = Mat.diag(d.eta_t)
-    R = (Wt @ U.transpose()).scale(d.theta_t)
-    Rinv = (W @ U).scale(d.theta)
-
-    return StructureSet(p=p, d=d, U=U, W=W, Wt=Wt, R=R, Rinv=Rinv)
+    U = _u(d)
+    R = (Mat.diag(d.eta_t) @ U.transpose()).scale(d.theta_t)
+    Rinv = (Mat.diag(d.eta) @ U).scale(d.theta)
+    return StructureSet(p, d, R, Rinv)
 
 
 def dagger(beta: Mat, s: StructureSet) -> Mat:

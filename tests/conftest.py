@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
@@ -29,6 +30,14 @@ def structures():
 @pytest.fixture(scope="session")
 def reference_structure(structures, reference_params):
     return structures[reference_params]
+
+
+def with_corrupted_eta_t(s: StructureSet, index: int, delta) -> StructureSet:
+    """s rebuilt with eta~_index shifted by delta: a corrupted constant
+    that the verifiers must catch."""
+    eta_t = list(s.d.eta_t)
+    eta_t[index] += Fraction(delta)
+    return build(s.p, replace(s.d, eta_t=tuple(eta_t)))
 
 
 def adjacent(a: tuple, b: tuple) -> bool:

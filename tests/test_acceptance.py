@@ -38,6 +38,8 @@ from rahman.theorems import (
     verify_trans2,
 )
 
+from conftest import with_corrupted_eta_t
+
 PARAMS = [
     ParameterSet.of(1, 2, 3, 5),
     ParameterSet.of(2, 1, 7, 3),
@@ -159,7 +161,7 @@ def test_criterion_5_theorem_suite(ctx):
 
 def test_criterion_6_corruption_sensitivity(ctx):
     started = time.monotonic()
-    s = ctx[PARAMS[0]][0].with_corrupted_eta_t(1, 1)
+    s = with_corrupted_eta_t(ctx[PARAMS[0]][0], 1, 1)
     f = BilinearForm(s, 2)
     d = s.d
     checks = [

@@ -34,6 +34,8 @@ from rahman.polymodule import (
 )
 from rahman.sl3 import build, verify_dagger
 
+from conftest import with_corrupted_eta_t
+
 REFERENCE = ParameterSet.of(1, 2, 3, 5)
 NEGATIVE = ParameterSet.of(Fraction(-3, 2), 5, Fraction(1, 2), -3)
 
@@ -82,7 +84,7 @@ def _balanced_tilde_columns(f):
 
 def _zeroed_eta_t_0(p, n):
     s = build(p)
-    return BilinearForm(s.with_corrupted_eta_t(0, -s.d.eta_t[0]), n)
+    return BilinearForm(with_corrupted_eta_t(s, 0, -s.d.eta_t[0]), n)
 
 
 # id: (parameters, patch of the theorems module, corruption of the form,
@@ -302,7 +304,7 @@ def test_the_tilde_side_names_the_trace_of_beta(verifier):
     """On a shifted eta~_0, R^-1 is no inverse of R, so R^-1 beta R need
     not have the trace of beta.  The tilde side checks beta itself:
     varphi~ (trace -48) in the weights, e~01 (trace 176) in the tables."""
-    s = build(REFERENCE).with_corrupted_eta_t(0, 1)
+    s = with_corrupted_eta_t(build(REFERENCE), 0, 1)
     report = verifier(s, 1)
     assert (report.name, report.status, report.checked, report.first_failure) == (
         TRACE_EXPECTED[verifier]
@@ -338,7 +340,7 @@ def test_dagger_on_a_zeroed_eta_t(index, n):
     eta~_i: e01 maps to zero when eta~_1 = 0, so the involution fails by
     value, and only the first raise ends the Report."""
     base = build(REFERENCE)
-    s = base.with_corrupted_eta_t(index, -base.d.eta_t[index])
+    s = with_corrupted_eta_t(base, index, -base.d.eta_t[index])
     report = verify_dagger(s) if n is None else verify_adjointness(BilinearForm(s, n))
     assert (report.name, report.status, report.checked, report.first_failure) == (
         ZERO_ETA_T_EXPECTED[index, n]

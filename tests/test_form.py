@@ -19,7 +19,12 @@ from rahman.polymodule import DegreeMismatch, Poly3, lattice
 from rahman.polynomials import eval_P
 from rahman.sl3 import build
 
-from conftest import PARAM_MATRIX, expand_tilde_monomial_direct, fraction_gram
+from conftest import (
+    PARAM_MATRIX,
+    expand_tilde_monomial_direct,
+    fraction_gram,
+    with_corrupted_eta_t,
+)
 from test_params import valid_parameter_sets, wide_parameter_sets, wide_rationals
 
 
@@ -171,7 +176,7 @@ def test_tilde_columns_match_direct_expansion_on_corrupted_eta_t(
     """A shifted eta~ changes R row by row; a zeroed one empties a row."""
     s = reference_structure
     delta = {"one": 1, "half": -s.d.eta_t[index] / 2, "zero": -s.d.eta_t[index]}[shift]
-    corrupted = s.with_corrupted_eta_t(index, delta)
+    corrupted = with_corrupted_eta_t(s, index, delta)
     for n in range(4):
         _assert_columns_match_direct_expansion(corrupted, n)
 
@@ -200,7 +205,7 @@ def test_tilde_gram_matches_inner(forms, p, n):
 
 @pytest.mark.parametrize("index", range(3))
 def test_tilde_gram_matches_inner_on_a_shifted_eta_t(reference_structure, index):
-    corrupted = reference_structure.with_corrupted_eta_t(index, 1)
+    corrupted = with_corrupted_eta_t(reference_structure, index, 1)
     for n in range(4):
         _assert_tilde_gram_matches_inner(BilinearForm(corrupted, n))
 

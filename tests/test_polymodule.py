@@ -32,6 +32,7 @@ from conftest import (
     expand_tilde_monomial_direct,
     fraction_derivation,
     tilde_variables,
+    with_corrupted_eta_t,
 )
 from test_params import valid_parameter_sets
 from test_sl3 import half_zero_entries
@@ -285,7 +286,7 @@ def test_tilde_action_checks_the_trace_of_beta_not_of_its_conjugate(reference_st
     """On a shifted eta~_0, R^-1 is no inverse of R: varphi is traceless
     and R^-1 varphi R is not, and varphi~ = R varphi R^-1 is not either.
     The tilde action names the trace of the matrix it was given."""
-    s = reference_structure.with_corrupted_eta_t(0, 1)
+    s = with_corrupted_eta_t(reference_structure, 0, 1)
     conjugate = s.Rinv @ s.varphi @ s.R
     assert conjugate.trace() != 0
     with pytest.raises(NotTraceless):

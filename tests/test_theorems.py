@@ -50,7 +50,7 @@ from rahman.theorems import (
     verify_trans2,
 )
 
-from conftest import PARAM_MATRIX
+from conftest import PARAM_MATRIX, with_corrupted_eta_t
 from test_failure_text import _doubled_plain_norm, _doubled_tilde_norm
 from test_params import valid_parameter_sets
 
@@ -196,7 +196,7 @@ def test_a_corrupted_eta_t_trips_pcosines_but_not_trans2(index, half, n):
     Sym^N(R) carry the same powers of eta~, which cancel in p_table;
     pcosines' lowering operators read R^-1, which no longer inverts R."""
     s = _reference_with()
-    s = s.with_corrupted_eta_t(index, -s.d.eta_t[index] / 2 if half else 1)
+    s = with_corrupted_eta_t(s, index, -s.d.eta_t[index] / 2 if half else 1)
     f = BilinearForm(s, n)
     assert not verify_pcosines(f).ok
     assert verify_trans2(f).ok
@@ -364,7 +364,7 @@ def test_suite_determinism():
 def test_corruption_sensitivity(structures):
     """Perturbing one derived constant must break at least one verifier."""
     p = ParameterSet.of(1, 2, 3, 5)
-    corrupted = structures[p].with_corrupted_eta_t(1, 1)
+    corrupted = with_corrupted_eta_t(structures[p], 1, 1)
     assert not verify_matrices(corrupted).ok
 
 
@@ -434,7 +434,7 @@ def test_every_kernel_reader_catches_a_wrong_kernel_constant(monkeypatch, p, fie
 def _with_eta_t(index: int, zeroed: bool):
     """The (1,2,3,5) structure with eta~_index shifted by 1, or set to 0."""
     s = build(ParameterSet.of(1, 2, 3, 5))
-    return s.with_corrupted_eta_t(index, -s.d.eta_t[index] if zeroed else 1)
+    return with_corrupted_eta_t(s, index, -s.d.eta_t[index] if zeroed else 1)
 
 
 # Every verifier, on a structure s and its form f of degree n.
@@ -537,7 +537,7 @@ IDENTITY = Mat.identity()
 
 # label: (patch -> (structure, form)), one targeted corruption each.
 CORRUPTIONS = {
-    "eta~_1 + 1": _corrupted_structure(lambda s: s.with_corrupted_eta_t(1, 1)),
+    "eta~_1 + 1": _corrupted_structure(lambda s: with_corrupted_eta_t(s, 1, 1)),
     "R = R^-1 = I": _corrupted_structure(
         lambda s: dataclasses.replace(s, R=IDENTITY, Rinv=IDENTITY)),
     "R[0][1] + 1": _corrupted_structure(
@@ -593,6 +593,8 @@ def test_each_verifier_is_tripped_by_its_corruption(monkeypatch, name):
 # corruption: the verifiers that read what it changes, so the exact set
 # that fails on it at N = 2.  Every other verifier passes.
 TRIPPED_BY = {
+    # The tilde-side checks read the dual's constants, so the corruption
+    # carries over to them; a dual derived again from p would repair it.
     "eta~_1 + 1": {
         "matrices", "dagger", "expansions", "action_tables", "representation", "weights",
         "block_structure", "irreducibility", "tilde_norms", "dual_sums", "pcosines",
@@ -732,7 +734,7 @@ def test_recorder_keeps_repr_text():
     with Recorder("probe") as rec:
         rec.equal(Fraction(1, 2), 0, "ctx")
         rec.equal_over(3, 4, 6, "later")
-    assert rec.report() == Report("probe", "fail", 2, "ctx: Fraction(1, 2) != 0")
+    assert rec.report() == Report("probe", 2, "ctx: Fraction(1, 2) != 0")
     with Recorder("probe") as rec:
         rec.equal_over(3, 4, 6, "over")
     assert rec.report().first_failure == "over: Fraction(1, 2) != Fraction(2, 3)"
