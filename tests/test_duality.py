@@ -17,10 +17,32 @@ from rahman.form import (
 )
 from rahman.matrices import Mat
 from rahman.params import ParameterSet, derive
-from rahman.polymodule import lattice
+from rahman.polymodule import (
+    irreducibility_probe,
+    lattice,
+    verify_action_tables,
+    verify_block_structure,
+    verify_representation_law,
+    verify_weight_diagonality,
+)
 from rahman.polynomials import eval_P
-from rahman.sl3 import StructureSet, build, r_closed_form
-from rahman.theorems import verify_pcosines, verify_trans1, verify_trans2
+from rahman.sl3 import (
+    StructureSet,
+    build,
+    r_closed_form,
+    verify_dagger,
+    verify_expansions,
+    verify_generation,
+    verify_matrices,
+)
+from rahman.theorems import (
+    verify_operator_identities,
+    verify_orthogonality,
+    verify_pcosines,
+    verify_recurrences,
+    verify_trans1,
+    verify_trans2,
+)
 
 from conftest import with_corrupted_eta_t
 from test_params import valid_parameter_sets
@@ -107,6 +129,40 @@ def test_dual_keeps_a_corrupted_constant():
     corrupted = with_corrupted_eta_t(build(p), 1, 1)
     assert corrupted.d.eta_t[1] == derive(p).eta_t[1] + 1
     assert corrupted.dual().d.eta[1] == corrupted.d.eta_t[1]
+
+
+def test_corruption_trips_the_same_verifiers():
+    """A dual derived again from p would repair the corruption and let
+    the tilde-side checks pass; these 12 fail on it."""
+    s = with_corrupted_eta_t(build(ParameterSet.of(1, 2, 3, 5)), 1, 1)
+    n = 2
+    f = BilinearForm(s, n)
+    verifiers = {
+        "matrices": lambda: verify_matrices(s),
+        "dagger": lambda: verify_dagger(s),
+        "expansions": lambda: verify_expansions(s),
+        "generation": lambda: verify_generation(s),
+        "block_structure": lambda: verify_block_structure(s, n),
+        "action_tables": lambda: verify_action_tables(s, n),
+        "representation": lambda: verify_representation_law(s, n),
+        "weights": lambda: verify_weight_diagonality(s, n),
+        "irreducibility": lambda: irreducibility_probe(s, n),
+        "adjointness": lambda: verify_adjointness(f),
+        "tilde_norms": lambda: verify_tilde_norms(f),
+        "dual_sums": lambda: verify_dual_sum_identities(f),
+        "trans1": lambda: verify_trans1(f),
+        "trans2": lambda: verify_trans2(f),
+        "pcosines": lambda: verify_pcosines(f),
+        "orthogonality": lambda: verify_orthogonality(s.d, n),
+        "recurrences": lambda: verify_recurrences(s, n),
+        "operators": lambda: verify_operator_identities(s, n),
+    }
+    tripped = {name for name, verifier in verifiers.items() if not verifier().ok}
+    assert tripped >= {
+        "matrices", "dagger", "expansions", "block_structure", "action_tables",
+        "representation", "weights", "irreducibility", "tilde_norms", "dual_sums",
+        "orthogonality", "operators",
+    }
 
 
 def test_the_dual_form_is_the_one_source_of_the_tilde_norms():
