@@ -45,7 +45,7 @@ from .polymodule import (
     lattice,
     lattice_dimension,
 )
-from .report import Recorder, Report
+from .report import Report
 from .scalars import format_rational, over_common_denominator
 from .sl3 import StructureSet, dagger
 
@@ -235,7 +235,7 @@ def verify_adjointness(f: BilinearForm) -> Report:
     """<beta xi, zeta> = <xi, beta^dagger zeta> over the whole basis grid."""
     s, n = f.s, f.n
     monomials = [Poly3.monomial(*point) for point in lattice(n)]
-    with Recorder(f"form.adjointness.N{n}") as rec:
+    with Report(f"form.adjointness.N{n}") as rec:
         for name, beta in s.cartan_basis().items():
             on_beta = action(beta)
             on_dagger = action(dagger(beta, s))
@@ -248,7 +248,7 @@ def verify_adjointness(f: BilinearForm) -> Report:
                         inner(xi, zeta_image, f),
                         lambda: f"beta={name}, xi={xi.coeffs}, zeta={zeta.coeffs}",
                     )
-    return rec.report()
+    return rec
 
 
 def verify_tilde_norms(f: BilinearForm) -> Report:
@@ -259,7 +259,7 @@ def verify_tilde_norms(f: BilinearForm) -> Report:
     """
     n = f.n
     points = lattice(n)
-    with Recorder(f"form.tilde_norms.N{n}") as rec:
+    with Report(f"form.tilde_norms.N{n}") as rec:
         norms = f.dual.gram
         table = f.tilde_gram
         for i, lam in enumerate(points):
@@ -268,7 +268,7 @@ def verify_tilde_norms(f: BilinearForm) -> Report:
                     rec.equal(value, norms[lam], lambda: f"norm at {lam}")
                 else:
                     rec.equal(value, Fraction(0), lambda: f"orthogonality at {lam}, {mu}")
-    return rec.report()
+    return rec
 
 
 def verify_dual_sum_identities(f: BilinearForm) -> Report:
@@ -284,7 +284,7 @@ def verify_dual_sum_identities(f: BilinearForm) -> Report:
     n = f.n
     scale = pairing_scale(f.s.d, n)
     points = lattice(n)
-    with Recorder(f"form.dual_sums.N{n}") as rec:
+    with Report(f"form.dual_sums.N{n}") as rec:
         plain_duals = dual_basis(f)
         rec.equal(
             f.expand(Poly3.monomial(n, 0, 0)),
@@ -318,4 +318,4 @@ def verify_dual_sum_identities(f: BilinearForm) -> Report:
                         den,
                         lambda: f"{side} duality entry ({i},{j})",
                     )
-    return rec.report()
+    return rec

@@ -71,7 +71,7 @@ class DerivedParams:
     """All constants derived from a valid ParameterSet.
 
     ``eta`` and ``eta_t`` are the two weight triples (each sums to 1 and
-    starts with 1/nu); ``k`` and ``k_t`` are their nu-rescalings with
+    starts with 1/nu); ``k`` = nu eta_t and ``k_t`` = nu eta, so
     k[0] = k_t[0] = 1; ``theta`` and ``theta_t`` are the two basis
     normalization scalars with theta * theta_t = nu.
     """
@@ -164,22 +164,31 @@ def derive(p: ParameterSet) -> DerivedParams:
     )
 
 
+class _Number(str):
+    """A JSON number with a fraction or an exponent, as written."""
+    __repr__ = str.__str__
+
+
 def load_params_file(path) -> tuple:
     """Read a JSON parameter file: {"p": ["1","2","3","5"], "N": 4}.
 
-    Returns (ParameterSet, N) where N is None if absent.  Any other
-    shape, or an N that is not a nonnegative JSON integer, raises
-    ValueError.
+    Returns (ParameterSet, N), N None if absent.  A "p" entry is a JSON
+    string or a number read from its own text, as ``--p`` reads it; any
+    other shape, or an N that is not a nonnegative JSON integer, raises ValueError.
     """
     with open(path) as handle:
         try:
-            data = json.load(handle)
+            data = json.load(handle, parse_float=_Number)
         except RecursionError:
             raise ValueError("JSON nested too deeply") from None
     if not isinstance(data, dict) or "p" not in data:
         raise ValueError('expected a JSON object with a "p" list')
     if not isinstance(data["p"], list):
         raise ValueError('"p" must be a list of 4 rationals')
+    for x in data["p"]:
+        if isinstance(x, bool) or not isinstance(x, (str, int)):
+            kind = {list: "an array", dict: "an object"}.get(type(x)) or json.dumps(x)
+            raise ValueError(f'"p" entries must be JSON strings or numbers, got {kind}')
     values = [parse_rational(str(x)) for x in data["p"]]
     if len(values) != 4:
         raise ValueError(f"expected 4 parameters, got {len(values)}")

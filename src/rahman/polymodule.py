@@ -31,7 +31,7 @@ from math import gcd, lcm
 from operator import add
 
 from .matrices import Mat
-from .report import Recorder, Report
+from .report import Report
 from .scalars import exact_rational, format_over
 from .sl3 import OFF_DIAGONAL, StructureSet, _require_traceless
 
@@ -271,7 +271,7 @@ def _cross_cartan_images(s: StructureSet, n: int):
     Yields (label, images), images in lattice order, for varphi~ and
     phi~ on plain monomials and varphi and phi on tilde monomials.  Each
     action is built when its turn comes, so a NotTraceless raised there
-    surfaces inside the caller's Recorder.
+    surfaces inside the caller's Report.
     """
     on_tilde = partial(_tilde_action, s=s)
     cases = [
@@ -292,7 +292,7 @@ def verify_block_structure(s: StructureSet, n: int) -> Report:
     fails only by a raise, such as NotTraceless when an action is built."""
     points = lattice(n)
     bands = [{lam, *_neighbours(lam)} for lam in points]
-    with Recorder(f"module.block_structure.N{n}") as rec:
+    with Report(f"module.block_structure.N{n}") as rec:
         for label, images in _cross_cartan_images(s, n):
             for mu in points:
                 for lam, band, image in zip(points, bands, images):
@@ -302,7 +302,7 @@ def verify_block_structure(s: StructureSet, n: int) -> Report:
                         mu not in image.nums,
                         lambda: f"{label}: nonzero entry at row {mu}, column {lam}",
                     )
-    return rec.report()
+    return rec
 
 
 def verify_action_tables(s: StructureSet, n: int) -> Report:
@@ -326,7 +326,7 @@ def verify_action_tables(s: StructureSet, n: int) -> Report:
         ]
 
     basis = s.cartan_basis()
-    with Recorder(f"module.action_tables.N{n}") as rec:
+    with Report(f"module.action_tables.N{n}") as rec:
         for kind, gens, make_action in (
             ("plain", basis, action),
             ("tilde", s.tilde_basis(), partial(_tilde_action, s=s)),
@@ -339,7 +339,7 @@ def verify_action_tables(s: StructureSet, n: int) -> Report:
                         Poly3(image),
                         lambda: f"{kind} table {label} at {point}",
                     )
-    return rec.report()
+    return rec
 
 
 def verify_representation_law(s: StructureSet, n: int) -> Report:
@@ -353,7 +353,7 @@ def verify_representation_law(s: StructureSet, n: int) -> Report:
     basis = s.cartan_basis()
     names = list(basis)
     monomials = [Poly3.monomial(*point) for point in lattice(n)]
-    with Recorder(f"module.representation.N{n}") as rec:
+    with Report(f"module.representation.N{n}") as rec:
         actions = {name: action(beta) for name, beta in basis.items()}
         for a, name_b in enumerate(names):
             beta, on_beta = basis[name_b], actions[name_b]
@@ -372,7 +372,7 @@ def verify_representation_law(s: StructureSet, n: int) -> Report:
                 [actions[name](m).coeffs for m in monomials],
                 lambda: f"tilde compatibility for {name}",
             )
-    return rec.report()
+    return rec
 
 
 def verify_weight_diagonality(s: StructureSet, n: int) -> Report:
@@ -386,7 +386,7 @@ def verify_weight_diagonality(s: StructureSet, n: int) -> Report:
         ("phi~ tilde", on_tilde, s.phi_t, 2),
     ]
     monomials = [Poly3.monomial(*point) for point in points]
-    with Recorder(f"module.weights.N{n}") as rec:
+    with Report(f"module.weights.N{n}") as rec:
         for label, make_action, beta, slot in cases:
             apply = make_action(beta)
             rec.equal(
@@ -397,7 +397,7 @@ def verify_weight_diagonality(s: StructureSet, n: int) -> Report:
                 ],
                 label,
             )
-    return rec.report()
+    return rec
 
 
 def irreducibility_probe(s: StructureSet, n: int) -> Report:
@@ -417,7 +417,7 @@ def irreducibility_probe(s: StructureSet, n: int) -> Report:
     reads the structure's own R and fails only on a corrupted one.
     """
     points = lattice(n)
-    with Recorder(f"module.irreducibility.N{n}") as rec:
+    with Report(f"module.irreducibility.N{n}") as rec:
         zero = next(
             (
                 f"{label}: zero entry at row {mu}, column {lam}"
@@ -429,4 +429,4 @@ def irreducibility_probe(s: StructureSet, n: int) -> Report:
             None,
         )
         rec.check(zero is None, zero)
-    return rec.report()
+    return rec

@@ -2,18 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import format_rational
 
-__all__ = ["Report", "Recorder"]
+__all__ = ["Report"]
 
 
 @dataclass
 class Report:
+    """One verifier's outcome: its name, its checks, its first failure.
+
+    As a context manager it records a ValueError or ArithmeticError raised
+    by the checks (say NotTraceless on corrupted constants) as one failed
+    check, so the verifier returns a failing Report instead of raising.
+    """
+
     name: str
-    checked: int
+    checked: int = 0
     first_failure: str | None = None
 
     @property
@@ -30,21 +37,7 @@ class Report:
             data["first_failure"] = self.first_failure
         return data
 
-
-@dataclass
-class Recorder:
-    """Counts checks and remembers the first failure.
-
-    As a context manager it records a ValueError or ArithmeticError raised
-    by the checks (say NotTraceless on corrupted constants) as one failed
-    check, so the verifier returns a failing Report instead of raising.
-    """
-
-    name: str
-    checked: int = 0
-    first_failure: str | None = field(default=None)
-
-    def __enter__(self) -> "Recorder":
+    def __enter__(self) -> "Report":
         return self
 
     def __exit__(self, kind, error, traceback) -> bool:
@@ -70,9 +63,6 @@ class Recorder:
             left == right,
             lambda: _mismatch(context, Fraction(left, den), Fraction(right, den)),
         )
-
-    def report(self) -> Report:
-        return Report(self.name, self.checked, self.first_failure)
 
 
 def _mismatch(context, left, right) -> str:

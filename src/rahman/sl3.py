@@ -3,12 +3,12 @@
 A structure is p, its constants d, the transition matrix R between the
 plain and tilde coordinates, and R^-1; U and the weight matrices W, W~
 follow from d and are formed on first read.  The plain Cartan basis
-elements and the matrix units are module constants (``VARPHI``, ``PHI``,
-``PSI``, ``UNITS``).  Their tilde conjugates R m R^-1 are built on first
-read from the structure's own R and R^-1, so a structure that only feeds
-``rahman table`` never forms them.  The verifiers in this module check
-the identities that tie these objects together, always comparing an
-independently computed left side against a closed form.
+elements and the matrix units are ``StructureSet`` class constants
+(``varphi``, ``phi``, ``psi``, ``e``).  Their tilde conjugates R m R^-1 are
+built on first read from the structure's own R and R^-1, so a structure
+that only feeds ``rahman table`` never forms them.  The verifiers in this
+module check the identities that tie these objects together, always
+comparing an independently computed left side against a closed form.
 
 Duality is one rule at every layer: ``dual()`` swaps, and nothing is
 rebuilt.  ``StructureSet.dual()`` swaps p2 and p3, the plain and tilde
@@ -26,7 +26,7 @@ from types import MappingProxyType
 
 from .matrices import Mat
 from .params import DerivedParams, ParameterSet, derive, validate
-from .report import Recorder, Report
+from .report import Report
 from .scalars import over_common_denominator
 
 __all__ = [
@@ -45,11 +45,6 @@ __all__ = [
 OFF_DIAGONAL = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
 
 _THIRD = Fraction(1, 3)
-
-VARPHI = Mat.diag([-_THIRD, 2 * _THIRD, -_THIRD])
-PHI = Mat.diag([-_THIRD, -_THIRD, 2 * _THIRD])
-PSI = -VARPHI - PHI
-UNITS = MappingProxyType({(i, j): Mat.unit(i, j) for i, j in OFF_DIAGONAL})
 
 
 class NotTraceless(ValueError):
@@ -70,10 +65,10 @@ class StructureSet:
     Rinv: Mat
 
     # Parameter-free, and shared: a Mat is immutable.
-    varphi = VARPHI   # diag(-1/3, 2/3, -1/3)
-    phi = PHI         # diag(-1/3, -1/3, 2/3)
-    psi = PSI         # -varphi - phi
-    e = UNITS         # (i, j) -> matrix unit e_ij, i != j
+    varphi = Mat.diag([-_THIRD, 2 * _THIRD, -_THIRD])
+    phi = Mat.diag([-_THIRD, -_THIRD, 2 * _THIRD])
+    psi = -varphi - phi
+    e = MappingProxyType({(i, j): Mat.unit(i, j) for i, j in OFF_DIAGONAL})  # e_ij, i != j
 
     # U, W = diag(eta) and W~ = diag(eta~) follow from the constants alone.
     @cached_property
@@ -244,7 +239,7 @@ def _combine(coeffs: dict, units: dict, h1: Mat, h2: Mat) -> Mat:
 def verify_matrices(s: StructureSet) -> Report:
     """Cross-check R and R^-1 against their closed forms and the W identities."""
     identity = Mat.identity()
-    with Recorder("structure.matrices") as rec:
+    with Report("structure.matrices") as rec:
         rec.equal(s.R, r_closed_form(s.p), "R factored vs closed form")
         rec.equal(s.Rinv, r_closed_form(s.p.dual()), "R^-1 factored vs closed form")
         rec.equal(s.R @ s.Rinv, identity, "R R^-1")
@@ -258,7 +253,7 @@ def verify_matrices(s: StructureSet) -> Report:
             s.Wt.scale(s.d.theta_t / s.d.theta),
             "R W R^t vs (theta~/theta) W~",
         )
-    return rec.report()
+    return rec
 
 
 def verify_dagger(s: StructureSet) -> Report:
@@ -267,7 +262,7 @@ def verify_dagger(s: StructureSet) -> Report:
     tilde = s.tilde_basis()
     everything = {**plain, **tilde}
 
-    with Recorder("structure.dagger") as rec:
+    with Report("structure.dagger") as rec:
         # Each basis element's dagger, computed once and read by every check.
         images = {}
         for name, beta in everything.items():
@@ -297,7 +292,7 @@ def verify_dagger(s: StructureSet) -> Report:
                 )
 
         rec.equal(s.varphi_t.bracket(s.phi_t), Mat.zero(), "[varphi~, phi~]")
-    return rec.report()
+    return rec
 
 
 def verify_expansions(s: StructureSet) -> Report:
@@ -312,11 +307,11 @@ def verify_expansions(s: StructureSet) -> Report:
         ("varphi", s.varphi, s.e_t, s.varphi_t, s.phi_t),
         ("phi", s.phi, s.e_t, s.varphi_t, s.phi_t),
     ]
-    with Recorder("structure.expansions") as rec:
+    with Report("structure.expansions") as rec:
         tables = expansion_coefficients(s.p) + expansion_coefficients(s.p.dual())
         for (label, target, units, h1, h2), coeffs in zip(cases, tables):
             rec.equal(target, _combine(coeffs, units, h1, h2), lambda: f"{label} expansion")
-    return rec.report()
+    return rec
 
 
 def verify_generation(s: StructureSet) -> Report:
@@ -334,7 +329,7 @@ def verify_generation(s: StructureSet) -> Report:
         ("e12", (1, 2), -vp.bracket(inner_b) - vp.bracket(vp.bracket(inner_b)), eta_t[1]),
         ("e21", (2, 1), -vp.bracket(inner_b) + vp.bracket(vp.bracket(inner_b)), eta_t[2]),
     ]
-    with Recorder("structure.generation") as rec:
+    with Report("structure.generation") as rec:
         for name, (i, j), numerator, weight in cases:
             rec.equal(numerator.scale(Fraction(1, 2) / weight), s.e[i, j], name)
-    return rec.report()
+    return rec

@@ -49,7 +49,7 @@ from .polymodule import (
     verify_weight_diagonality,
 )
 from .polynomials import eval_P, eval_P_operator
-from .report import Recorder, Report
+from .report import Report
 from .sl3 import (
     StructureSet,
     build,
@@ -90,7 +90,7 @@ def _p_matrix(d: DerivedParams, n: int) -> list:
 def _p_table_against_eval_P(name: str, f: BilinearForm) -> Report:
     """``p_table(f)`` against ``eval_P``, tilde monomial by tilde monomial."""
     points = lattice(f.n)
-    with Recorder(name) as rec:
+    with Report(name) as rec:
         p = _p_matrix(f.s.d, f.n)
         table = p_table(f)
         for column, point in enumerate(points):
@@ -100,7 +100,7 @@ def _p_table_against_eval_P(name: str, f: BilinearForm) -> Report:
                     p[row][column],
                     lambda: f"monomial {point}, coefficient of {key}",
                 )
-    return rec.report()
+    return rec
 
 
 def verify_trans2(f: BilinearForm) -> Report:
@@ -130,7 +130,7 @@ def verify_pcosines(f: BilinearForm) -> Report:
     s, n = f.s, f.n
     scale = pairing_scale(s.d, n)
     points = lattice(n)
-    with Recorder(f"transitions.pcosines.N{n}") as rec:
+    with Report(f"transitions.pcosines.N{n}") as rec:
         p = _p_matrix(s.d, n)
         x0, y0, z0 = (s.R[i, 0] for i in range(3))
         tilde = {(n, 0, 0): Poly3({
@@ -146,7 +146,7 @@ def verify_pcosines(f: BilinearForm) -> Report:
             for column, (key, xi) in enumerate(tilde.items()):
                 lhs = inner(monomial, xi, f)
                 rec.equal(lhs, scale * p[row][column], lambda: f"pair ({point}, {key})")
-    return rec.report()
+    return rec
 
 
 def verify_orthogonality(d: DerivedParams, n: int) -> Report:
@@ -161,7 +161,7 @@ def verify_orthogonality(d: DerivedParams, n: int) -> Report:
     integer dot product, compared with its right side as integers.
     """
     points = lattice(n)
-    with Recorder(f"orthogonality.N{n}") as rec:
+    with Report(f"orthogonality.N{n}") as rec:
         p = _p_matrix(d, n)
         relations = []
         for label, side, columns in (
@@ -189,7 +189,7 @@ def verify_orthogonality(d: DerivedParams, n: int) -> Report:
                     den = left_den * right_den
                     rec.equal_over(sum(map(mul, left, right)) * bottom, top * den, den * bottom,
                                    lambda: f"{label} at {(s_idx, t_idx, sigma, tau)}")
-    return rec.report()
+    return rec
 
 
 def verify_recurrences(s: StructureSet, n: int) -> Report:
@@ -216,7 +216,7 @@ def verify_recurrences(s: StructureSet, n: int) -> Report:
         for mu in points
     ]
 
-    with Recorder(f"recurrences.N{n}") as rec:
+    with Report(f"recurrences.N{n}") as rec:
         p = _p_matrix(s.d, n)
         # (part, scaled coefficient table and its denominator, index of
         # the eigenvalue in (s, t), scaled P rows).  Parts (i) and (ii)
@@ -258,7 +258,7 @@ def verify_recurrences(s: StructureSet, n: int) -> Report:
                         3 * coeff_den * p_den,
                         lambda: f"part ({name}) at {(s_idx, t_idx, sigma, tau)}",
                     )
-    return rec.report()
+    return rec
 
 
 def verify_operator_identities(s: StructureSet, n: int) -> Report:
@@ -278,7 +278,7 @@ def verify_operator_identities(s: StructureSet, n: int) -> Report:
         apply = action(beta)
         return lambda m: apply(m) + m.scale(third)
 
-    with Recorder(f"operators.N{n}") as rec:
+    with Report(f"operators.N{n}") as rec:
         images = []
         for label, side in (("back", s), ("front", s.dual())):
             ops = (shifted(side.varphi_t), shifted(side.phi_t))
@@ -291,7 +291,7 @@ def verify_operator_identities(s: StructureSet, n: int) -> Report:
                     target,
                     lambda: f"{label} identity at (s,t)={(s_idx, t_idx)}",
                 )
-    return rec.report()
+    return rec
 
 
 SUITES = {

@@ -438,3 +438,18 @@ def test_stdout_is_not_retained():
     del out
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize(
+    "entry, named", [("null", "null"), ("true", "true"), ("[1]", "an array")]
+)
+def test_a_parameter_file_entry_that_is_no_string_or_number_exits_2(
+    runner, tmp_path, entry, named
+):
+    path = tmp_path / "p.json"
+    path.write_text(f'{{"p": [{entry}, 2, 3, 5]}}')
+    result = runner.invoke(main, ["check", "--params-file", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines()[-1] == (
+        f'Error: bad parameter file: "p" entries must be JSON strings or numbers, got {named}'
+    )

@@ -131,10 +131,12 @@ def test_dual_keeps_a_corrupted_constant():
     assert corrupted.dual().d.eta[1] == corrupted.d.eta_t[1]
 
 
-def test_corruption_trips_the_same_verifiers():
+def test_the_dual_of_a_corruption_trips_exactly_these_verifiers():
     """A dual derived again from p would repair the corruption and let
-    the tilde-side checks pass; these 12 fail on it."""
-    s = with_corrupted_eta_t(build(ParameterSet.of(1, 2, 3, 5)), 1, 1)
+    these 13 pass.  On the dual the corrupted R sits in the R^-1 slot,
+    its row 1 scaled by the corrupted eta~_1: generation reads that row
+    through psi~, and pcosines reads only row 0."""
+    s = with_corrupted_eta_t(build(ParameterSet.of(1, 2, 3, 5)), 1, 1).dual()
     n = 2
     f = BilinearForm(s, n)
     verifiers = {
@@ -158,10 +160,10 @@ def test_corruption_trips_the_same_verifiers():
         "operators": lambda: verify_operator_identities(s, n),
     }
     tripped = {name for name, verifier in verifiers.items() if not verifier().ok}
-    assert tripped >= {
-        "matrices", "dagger", "expansions", "block_structure", "action_tables",
-        "representation", "weights", "irreducibility", "tilde_norms", "dual_sums",
-        "orthogonality", "operators",
+    assert tripped == {
+        "matrices", "dagger", "expansions", "generation", "block_structure",
+        "action_tables", "representation", "weights", "irreducibility", "tilde_norms",
+        "dual_sums", "orthogonality", "operators",
     }
 
 

@@ -13,6 +13,7 @@ from rahman.params import (
     load_params_file,
     validate,
 )
+from rahman.scalars import parse_rational
 
 from conftest import fraction_derive, fraction_validate
 
@@ -183,3 +184,14 @@ def test_load_params_file_without_n(tmp_path):
     p, n = load_params_file(path)
     assert p.p1 == Fraction(-1, 11)
     assert n is None
+
+
+@pytest.mark.parametrize("text", ["0.30000000000000001", "0.00001", "123456789012345678.5"])
+def test_load_params_file_reads_a_json_decimal_as_written(tmp_path, text):
+    """A JSON number in a parameter file keeps every digit it was written
+    with, as the same text does in --p."""
+    path = tmp_path / "params.json"
+    path.write_text(f'{{"p": [{text}, 2, 3, 5]}}')
+    p, _ = load_params_file(path)
+    assert p == ParameterSet(*(parse_rational(x) for x in f"{text},2,3,5".split(",")))
+    assert p.p1 == Fraction(text)

@@ -30,7 +30,7 @@ from rahman.polymodule import (
     verify_weight_diagonality,
 )
 from rahman.polynomials import eval_P, eval_P_operator
-from rahman.report import Recorder, Report
+from rahman.report import Report
 from rahman.scalars import format_rational, multinomial
 from rahman.sl3 import (
     build,
@@ -666,9 +666,9 @@ def test_each_verifier_takes_one_carrier(fn, params):
     assert tuple(inspect.signature(fn).parameters) == params
 
 
-def test_recorder_lets_other_errors_through():
+def test_report_lets_other_errors_through():
     with pytest.raises(TypeError):
-        with Recorder("probe"):
+        with Report("probe"):
             raise TypeError("a programming error, not a failed check")
 
 
@@ -718,23 +718,22 @@ def test_every_suite_on_seeded_parameters_at_degree_7(seed):
     assert [r.name for r in reports if not r.ok] == []
 
 
-def test_recorder_describes_values_past_the_str_digit_limit():
+def test_report_describes_values_past_the_str_digit_limit():
     """A failed check on an int too long for repr counts once and keeps
     its context; the value is printed exactly."""
-    with Recorder("probe") as rec:
-        rec.equal(Fraction(7**6000), 0, "ctx")
-    report = rec.report()
+    with Report("probe") as report:
+        report.equal(Fraction(7**6000), 0, "ctx")
     assert report.checked == 1
     assert report.first_failure.startswith("ctx: ")
     assert report.first_failure.endswith(" != 0")
     assert format_rational(7**6000) in report.first_failure
 
 
-def test_recorder_keeps_repr_text():
-    with Recorder("probe") as rec:
+def test_report_keeps_repr_text():
+    with Report("probe") as rec:
         rec.equal(Fraction(1, 2), 0, "ctx")
         rec.equal_over(3, 4, 6, "later")
-    assert rec.report() == Report("probe", 2, "ctx: Fraction(1, 2) != 0")
-    with Recorder("probe") as rec:
+    assert rec == Report("probe", 2, "ctx: Fraction(1, 2) != 0")
+    with Report("probe") as rec:
         rec.equal_over(3, 4, 6, "over")
-    assert rec.report().first_failure == "over: Fraction(1, 2) != Fraction(2, 3)"
+    assert rec.first_failure == "over: Fraction(1, 2) != Fraction(2, 3)"
