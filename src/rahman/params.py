@@ -71,8 +71,8 @@ class DerivedParams:
     """All constants derived from a valid ParameterSet.
 
     ``eta`` and ``eta_t`` are the two weight triples (each sums to 1 and
-    starts with 1/nu); ``k`` = nu eta_t and ``k_t`` = nu eta, so
-    k[0] = k_t[0] = 1; ``theta`` and ``theta_t`` are the two basis
+    starts with 1/nu), and the properties ``k`` = nu eta_t and ``k_t`` =
+    nu eta are read off them; ``theta`` and ``theta_t`` are the two basis
     normalization scalars with theta * theta_t = nu.
     """
 
@@ -83,10 +83,16 @@ class DerivedParams:
     nu: Rational
     eta: tuple
     eta_t: tuple
-    k: tuple
-    k_t: tuple
     theta: Rational
     theta_t: Rational
+
+    @property
+    def k(self) -> tuple:
+        return tuple(self.nu * e for e in self.eta_t)
+
+    @property
+    def k_t(self) -> tuple:
+        return tuple(self.nu * e for e in self.eta)
 
     def dual(self) -> "DerivedParams":
         """The constants of the dual parameters, by swapping fields.
@@ -100,8 +106,6 @@ class DerivedParams:
             v=self.u,
             eta=self.eta_t,
             eta_t=self.eta,
-            k=self.k_t,
-            k_t=self.k,
             theta=self.theta_t,
             theta_t=self.theta,
         )
@@ -146,9 +150,8 @@ def derive(p: ParameterSet) -> DerivedParams:
     total = P1 + P2 + P3 + P4
     det = P2 * P3 - P1 * P4  # nonzero by validation
     a, b, c, dd = P1 + P2, P1 + P3, P2 + P4, P3 + P4
-    det2 = det * det
-    nu = Fraction(a * b * c * dd, det2)
-    eta0, one = 1 / nu, Fraction(1)
+    nu = Fraction(a * b * c * dd, det * det)
+    eta0 = 1 / nu
     return DerivedParams(
         t=Fraction(a * b, P1 * total),
         u=Fraction(b * dd, P3 * total),
@@ -157,8 +160,6 @@ def derive(p: ParameterSet) -> DerivedParams:
         nu=nu,
         eta=(eta0, Fraction(P1 * P2 * total, a * b * c), Fraction(P3 * P4 * total, b * c * dd)),
         eta_t=(eta0, Fraction(P1 * P3 * total, a * b * dd), Fraction(P2 * P4 * total, a * c * dd)),
-        k=(one, Fraction(c * P1 * P3 * total, det2), Fraction(b * P2 * P4 * total, det2)),
-        k_t=(one, Fraction(dd * P1 * P2 * total, det2), Fraction(a * P3 * P4 * total, det2)),
         theta=Fraction(b * c, det),
         theta_t=Fraction(a * dd, det),
     )

@@ -48,11 +48,14 @@ def parse_rational(text: str) -> Rational:
     value), and plain decimals ("1.25") are accepted.  Whitespace around
     the string is ignored.  A zero denominator raises ValueError, like
     any other malformed string; so does exponent notation ("1e3"), whose
-    exact value can be far too large to build.
+    exact value can be far too large to build, and an underscore ("1_0"),
+    which ``Fraction`` reads only from Python 3.11 on.
     """
     text = text.strip()
     if "e" in text or "E" in text:
         raise ValueError(f"exponent notation is not accepted in {text!r}")
+    if "_" in text:
+        raise ValueError(f"digit-group underscores are not accepted in {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:

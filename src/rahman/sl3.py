@@ -157,18 +157,17 @@ def dagger(beta: Mat, s: StructureSet) -> Mat:
     W~ is diagonal: with eta~ = k / g over the ints, entry (i, j) is
     k_i beta[j][i] / k_j, one int over beta's den times the lcm of the
     nonzero k_j.  A zero entry of beta gives a zero entry with no division;
-    a nonzero one over eta~_j = 0 raises Fraction's ZeroDivisionError.
+    a nonzero one over eta~_j = 0 raises ZeroDivisionError naming eta~_j.
     Requires a traceless argument; fixes both Cartan subalgebras.
     """
     _require_traceless(beta)
-    eta_t = s.d.eta_t
-    k, _ = over_common_denominator(eta_t)
+    k, _ = over_common_denominator(s.d.eta_t)
     scale = lcm(*filter(None, k))
 
     def at(i, j):
         n = beta.nums[j][i]
         if n and not k[j]:
-            return eta_t[i] * beta[j, i] / eta_t[j]  # raises ZeroDivisionError
+            raise ZeroDivisionError(f"zero denominator: eta~_{j} = 0")
         return k[i] * n * (scale // k[j]) if n else 0
 
     return Mat._over(tuple(tuple(at(i, j) for j in range(3)) for i in range(3)), beta.den * scale)

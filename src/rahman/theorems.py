@@ -6,7 +6,8 @@ expansion, the bilinear form, or operator action on the module) against
 the theorem's closed form; none compares a formula against itself.
 trans1 and trans2 check ``p_table``, the table ``rahman table`` prints,
 which reads Sym^N(R) (``f.tilde_columns``); pcosines lowers x~^N by the
-sl3 action, which reads R^-1, and pairs by ``inner``.
+sl3 action, which reads R^-1, and pairs by ``inner``; orthogonality weights P
+by the Gram diagonals ``f.gram`` and ``f.dual.gram``.
 
 P is read as one D x D matrix of ``eval_P`` values per verifier: rows
 (s, t), columns (sigma, tau), in lattice order.  Each theorem about the
@@ -25,6 +26,7 @@ still names the two Fractions it compared.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from operator import add, mul
 
 from .form import (
@@ -149,37 +151,32 @@ def verify_pcosines(f: BilinearForm) -> Report:
     return rec
 
 
-def verify_orthogonality(d: DerivedParams, n: int) -> Report:
+def verify_orthogonality(f: BilinearForm) -> Report:
     """Both weighted orthogonality relations over all index pairs.
 
-    Relation 1 sums products of two columns of P; relation 2 is relation
-    1 of the dual parameters, whose P is the transpose, so it sums
-    products of two rows.  The weight eta~_0^i eta~_1^j eta~_2^k
-    multinomial(N; i, j, k) of each lattice point and the diagonal right
-    sides are computed once per relation.  Each column and the weights are
-    scaled to integers over one denominator once, so each sum is one
-    integer dot product, compared with its right side as integers.
+    Relation 1 sums products of two columns of P, weighted by N! theta^N /
+    ||x^lambda||^2 = eta~^lambda multinomial(N; lambda); its diagonal right
+    side is ||x~^mu||^2 / (N! nu^N theta~^N) = 1 / (k~^mu multinomial(N; mu)).
+    Relation 2 is relation 1 with ``f`` and ``f.dual`` exchanged, so it sums
+    products of two rows of P (the dual's P is the transpose).  The columns
+    and the weights are scaled to integers over one denominator once, so each
+    sum is one integer dot product, compared with its right side as integers.
     """
-    points = lattice(n)
+    n, points = f.n, lattice(f.n)
     with Report(f"orthogonality.N{n}") as rec:
-        p = _p_matrix(d, n)
+        p = _p_matrix(f.s.d, n)
+        unit = {g: factorial(n) * g.s.d.theta**n for g in (f, f.dual)}  # N! theta^N
         relations = []
-        for label, side, columns in (
-            ("relation 1", d, list(zip(*p))),
-            ("relation 2", d.dual(), p),
+        for label, side, other, columns in (
+            ("relation 1", f, f.dual, list(zip(*p))),
+            ("relation 2", f.dual, f, p),
         ):
             weights, weight_den = over_common_denominator(
-                side.eta_t[0] ** i * side.eta_t[1] ** j * side.eta_t[2] ** k
-                * multinomial(n, [i, j, k])
-                for (i, j, k) in points
-            )
+                unit[side] / side.gram[key] for key in points)
             scaled = [over_common_denominator(column) for column in columns]
-            weighted = [
-                (list(map(mul, weights, numerators)), weight_den * den)
-                for numerators, den in scaled
-            ]
-            diagonal = [1 / (side.k_t[1] ** j * side.k_t[2] ** k * multinomial(n, [i, j, k]))
-                        for (i, j, k) in points]
+            weighted = [(list(map(mul, weights, numerators)), weight_den * den)
+                        for numerators, den in scaled]
+            diagonal = [other.gram[key] / (unit[other] * f.s.d.nu**n) for key in points]
             relations.append((label, scaled, weighted, diagonal))
         for a, (_, s_idx, t_idx) in enumerate(points):
             for b, (_, sigma, tau) in enumerate(points):
@@ -318,7 +315,7 @@ SUITES = {
         verify_trans2(f),
         verify_pcosines(f),
     ],
-    "orthogonality": lambda s, f, n: [verify_orthogonality(s.d, n)],
+    "orthogonality": lambda s, f, n: [verify_orthogonality(f)],
     "recurrence": lambda s, f, n: [verify_recurrences(s, n)],
     "operators": lambda s, f, n: [verify_operator_identities(s, n)],
 }

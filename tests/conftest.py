@@ -277,8 +277,6 @@ def fraction_derive(p: ParameterSet) -> DerivedParams:
         nu=nu,
         eta=eta,
         eta_t=eta_t,
-        k=tuple(nu * e for e in eta_t),
-        k_t=tuple(nu * e for e in eta),
         theta=(p1 + p3) * (p2 + p4) / det,
         theta_t=(p1 + p2) * (p3 + p4) / det,
     )

@@ -146,7 +146,7 @@ def test_criterion_5_theorem_suite(ctx):
     started = time.monotonic()
     failures = []
     for p in PARAMS:
-        s, d, forms = ctx[p]
+        s, _, forms = ctx[p]
         for n in range(5):
             f = forms[n]
             _collect(failures, verify_trans1(f))
@@ -155,7 +155,7 @@ def test_criterion_5_theorem_suite(ctx):
             _collect(failures, verify_recurrences(s, n))
             _collect(failures, verify_operator_identities(s, n))
         for n in range(6):
-            _collect(failures, verify_orthogonality(d, n))
+            _collect(failures, verify_orthogonality(forms[n]))
     _conclude(5, "theorem verifiers", failures, started, 300.0)
 
 
@@ -163,7 +163,6 @@ def test_criterion_6_corruption_sensitivity(ctx):
     started = time.monotonic()
     s = with_corrupted_eta_t(ctx[PARAMS[0]][0], 1, 1)
     f = BilinearForm(s, 2)
-    d = s.d
     checks = [
         lambda: verify_matrices(s),
         lambda: verify_dagger(s),
@@ -175,7 +174,7 @@ def test_criterion_6_corruption_sensitivity(ctx):
         lambda: verify_dual_sum_identities(f),
         lambda: verify_trans2(f),
         lambda: verify_pcosines(f),
-        lambda: verify_orthogonality(d, 2),
+        lambda: verify_orthogonality(f),
     ]
     # every verifier reports a raised error as a failed check, so none raises
     failed = [report.name for report in (check() for check in checks) if not report.ok]

@@ -286,6 +286,24 @@ def test_malformed_input_exits_2(runner, defect_files, argv):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("source", ["--p", "params-file"])
+def test_a_digit_group_underscore_is_refused_on_every_python(runner, tmp_path, source):
+    """Fraction reads "1_0" as 10 from Python 3.11 on and refuses it on
+    3.10; the CLI refuses it on both, with one message."""
+    if source == "--p":
+        argv, prefix = ["check", "--p", "1_0,2,3,5"], "bad --p value"
+    else:
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"p": ["1_0", "2", "3", "5"]}))
+        argv, prefix = ["check", "--params-file", str(path)], "bad parameter file"
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1] == (
+        f"Error: {prefix}: digit-group underscores are not accepted in '1_0'"
+    )
+
+
 @pytest.mark.parametrize("args", [["3", "0", "0", "0"], ["0", "0", "1", "2"]])
 def test_eval_off_the_lattice_message(runner, args):
     result = runner.invoke(main, ["eval", *args, "--p", "1,2,3,5", "--N", "2"])

@@ -155,7 +155,7 @@ def test_the_dual_of_a_corruption_trips_exactly_these_verifiers():
         "trans1": lambda: verify_trans1(f),
         "trans2": lambda: verify_trans2(f),
         "pcosines": lambda: verify_pcosines(f),
-        "orthogonality": lambda: verify_orthogonality(s.d, n),
+        "orthogonality": lambda: verify_orthogonality(f),
         "recurrences": lambda: verify_recurrences(s, n),
         "operators": lambda: verify_operator_identities(s, n),
     }

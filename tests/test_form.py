@@ -258,18 +258,24 @@ def test_gram_reads_corrupted_constants(index, delta, theta, n):
 @pytest.mark.parametrize("n", [1, 2, 5])
 @pytest.mark.parametrize("index", range(3))
 def test_gram_on_a_zeroed_eta_t_raises_as_the_fraction_formula(reference_structure, index, n):
-    """eta~_index = 0 raises Fraction's ZeroDivisionError, with the same
-    text, at the first lattice point with a positive power of it."""
+    """eta~_index = 0 at N > 0 raises ZeroDivisionError naming the weight,
+    where the Fraction formula raises its own."""
     s = reference_structure
     eta_t = list(s.d.eta_t)
     eta_t[index] = Fraction(0)
     s = _with_constants(s, eta_t=tuple(eta_t))
-    with pytest.raises(ZeroDivisionError) as expected:
+    with pytest.raises(ZeroDivisionError):
         fraction_gram(s.d, n)
     with pytest.raises(ZeroDivisionError) as err:
         BilinearForm(s, n).gram
     assert type(err.value) is ZeroDivisionError
-    assert str(err.value) == str(expected.value) and str(err.value).endswith(", 0)")
+    assert str(err.value) == f"zero denominator: eta~_{index} = 0"
+
+
+def test_gram_at_degree_0_reads_no_eta_t_weight(reference_structure):
+    """At N = 0 no weight has a positive power, so a zero one raises nothing."""
+    s = _with_constants(reference_structure, eta_t=(Fraction(0),) * 3)
+    assert BilinearForm(s, 0).gram == fraction_gram(s.d, 0) == {(0, 0, 0): 1}
 
 
 def test_tilde_base_norm(reference_structure):

@@ -69,6 +69,15 @@ def test_rational_refuses_exponent_notation():
     assert parse_rational("-0.5") == Fraction(-1, 2)
 
 
+def test_rational_refuses_digit_group_underscores():
+    """Fraction reads "1_0" as 10 from Python 3.11 on, and refuses it on
+    3.10; parse_rational refuses it on both, with one message."""
+    for text in ("1_0", "1_000/3", "-0.2_5", " 7/1_1 "):
+        with pytest.raises(ValueError) as err:
+            parse_rational(text)
+        assert str(err.value) == f"digit-group underscores are not accepted in {text.strip()!r}"
+
+
 def test_format_rational_prints_past_the_str_digit_limit():
     """Numerator and denominator each have more than the 4300 digits
     str(int) prints by default; both are printed exactly."""

@@ -91,7 +91,7 @@ P_VERIFIERS = {
     "verify_trans1": lambda s, f, n: verify_trans1(f),
     "verify_trans2": lambda s, f, n: verify_trans2(f),
     "verify_pcosines": lambda s, f, n: verify_pcosines(f),
-    "verify_orthogonality": lambda s, f, n: verify_orthogonality(s.d, n),
+    "verify_orthogonality": lambda s, f, n: verify_orthogonality(f),
     "verify_recurrences": lambda s, f, n: verify_recurrences(s, n),
 }
 
@@ -214,8 +214,8 @@ def test_an_identity_R_trips_pcosines_by_value(n):
 
 @pytest.mark.parametrize("n", [0, 2, 3])
 @pytest.mark.parametrize("p", PARAM_MATRIX, ids=str)
-def test_orthogonality(structures, p, n):
-    report = verify_orthogonality(structures[p].d, n)
+def test_orthogonality(forms, p, n):
+    report = verify_orthogonality(forms[p, n])
     assert report.ok, report.first_failure
 
 
@@ -382,7 +382,7 @@ def test_each_kernel_constant_is_caught(p, field):
     d = derive(p)
     s = build(p, dataclasses.replace(d, **{field: getattr(d, field) + 1}))
     for n in (1, 2, 3):
-        assert not verify_orthogonality(s.d, n).ok
+        assert not verify_orthogonality(BilinearForm(s, n)).ok
         assert not verify_recurrences(s, n).ok
         assert not verify_operator_identities(s, n).ok
 
@@ -454,7 +454,7 @@ VERIFIERS = {
     "trans1": lambda s, f, n: verify_trans1(f),
     "trans2": lambda s, f, n: verify_trans2(f),
     "pcosines": lambda s, f, n: verify_pcosines(f),
-    "orthogonality": lambda s, f, n: verify_orthogonality(s.d, n),
+    "orthogonality": lambda s, f, n: verify_orthogonality(f),
     "recurrences": lambda s, f, n: verify_recurrences(s, n),
     "operators": lambda s, f, n: verify_operator_identities(s, n),
 }
@@ -478,11 +478,12 @@ def _run(name: str, s, n: int) -> Report:
         ("operators", False, "NotTraceless: trace is "),
         ("generation", True, "ZeroDivisionError: "),
         ("trans2", True, "ZeroDivisionError: "),
+        ("orthogonality", True, "ZeroDivisionError: "),
         ("pcosines", True, "NotTraceless: trace is 1/32, expected 0"),
     ],
     ids=["dagger", "action_tables", "block_structure", "irreducibility", "representation",
          "weights", "operators", "generation-zeroed", "trans2-zeroed",
-         "pcosines-zeroed"],
+         "orthogonality-zeroed", "pcosines-zeroed"],
 )
 def test_verifier_reports_a_raised_error_as_a_failure(name, zeroed, error):
     """On eta~_1 shifted by 1 the tilde elements lose their zero trace; on
@@ -614,8 +615,12 @@ TRIPPED_BY = {
         "weights", "block_structure", "irreducibility", "trans1", "pcosines", "operators",
     },
     "kernel t + 1": {"trans1", "trans2", "pcosines", "orthogonality", "recurrences", "operators"},
-    "plain norm doubled": {"adjointness", "tilde_norms", "dual_sums", "trans2", "pcosines"},
-    "tilde norm doubled": {"tilde_norms", "dual_sums", "trans1"},
+    # Orthogonality reads its weights and right sides off both Gram
+    # diagonals, so a doubled norm on either side trips it.
+    "plain norm doubled": {
+        "adjointness", "tilde_norms", "dual_sums", "trans2", "pcosines", "orthogonality",
+    },
+    "tilde norm doubled": {"tilde_norms", "dual_sums", "trans1", "orthogonality"},
     "tilde column + x^N": {"tilde_norms", "dual_sums", "trans2"},
 }
 
@@ -650,7 +655,7 @@ CARRIER_SIGNATURES = {
     verify_adjointness: ("f",),
     verify_tilde_norms: ("f",),
     verify_dual_sum_identities: ("f",),
-    verify_orthogonality: ("d", "n"),
+    verify_orthogonality: ("f",),
     inner: ("xi", "zeta", "f"),
     dual_basis: ("f",),
     action: ("matrix",),
