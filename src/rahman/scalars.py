@@ -8,11 +8,14 @@ every operation.
 
 from __future__ import annotations
 
+import re
 from decimal import Decimal
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
 Rational = Fraction
+
+_RATIONAL = re.compile(r"[-+]?(?:\d+\s*/\s*\d+|\d+(?:\.\d*)?|\.\d+)", re.ASCII)
 
 __all__ = [
     "Rational",
@@ -44,20 +47,22 @@ def exact_rational(value, name: str) -> Rational:
 def parse_rational(text: str) -> Rational:
     """Parse a rational from its canonical "num/den" string form.
 
-    The denominator part is optional ("672" and "672/1" are the same
-    value), and plain decimals ("1.25") are accepted.  Whitespace around
-    the string is ignored.  A zero denominator raises ValueError, like
-    any other malformed string; so does exponent notation ("1e3"), whose
-    exact value can be far too large to build, and an underscore ("1_0"),
-    which ``Fraction`` reads only from Python 3.11 on.
+    The denominator part is optional ("672" and "672/1" are the same value),
+    plain decimals ("1.25") are accepted, digits are ASCII, and whitespace
+    around the string and around "/" is ignored.  Any other string ("1.d")
+    raises ValueError in one text on every Python; so do a zero denominator,
+    exponent notation ("1e3"), whose exact value can be far too large to
+    build, and an underscore ("1_0"), which ``Fraction`` reads only from 3.11.
     """
     text = text.strip()
     if "e" in text or "E" in text:
         raise ValueError(f"exponent notation is not accepted in {text!r}")
     if "_" in text:
         raise ValueError(f"digit-group underscores are not accepted in {text!r}")
-    try:
-        return Fraction(text)
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"not a rational number: {text!r}")
+    try:  # Fraction reads spaces around "/" only from Python 3.11 on
+        return Fraction("".join(text.split()))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 

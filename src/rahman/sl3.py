@@ -193,19 +193,25 @@ def expansion_coefficients(p: ParameterSet) -> tuple:
     """The tables of varphi~ and phi~ in the plain basis {e_ij, varphi, phi}.
 
     Each table maps the six off-diagonal labels "eIJ" plus "h1", "h2"
-    (varphi and phi) to its coefficient.  The plain and tilde sides
-    exchange under the dual, so the tables of varphi and phi in the
-    tilde basis are ``expansion_coefficients(p.dual())``.
+    (varphi and phi) to its coefficient.  The mirror (p3, p4, p1, p2)
+    negates R and exchanges its columns 1 and 2, so y~ and z~ and with
+    them varphi~ and phi~: the phi~ table is the mirror's varphi~ table.
+    The plain and tilde sides exchange under the dual, so the tables of
+    varphi and phi in the tilde basis are ``expansion_coefficients(p.dual())``.
 
     The same coefficients reappear, with shift prefactors, in the four
     seven-term recurrences, so this is their single source.
     """
-    p1, p2, p3, p4 = p.as_tuple()
-    total = p1 + p2 + p3 + p4
-    a, b, c, dd = p1 + p2, p1 + p3, p2 + p4, p3 + p4
-    g = p2 * p3 - p1 * p4
+    return _varphi_t_table(p.as_tuple()), _varphi_t_table((p.p3, p.p4, p.p1, p.p2))
 
-    varphi_t = {
+
+def _varphi_t_table(p: tuple) -> dict:
+    """The paper's table of varphi~ in the plain basis, for p = (p1, .., p4)."""
+    p1, p2, p3, p4 = p
+    total = p1 + p2 + p3 + p4
+    a, b, c = p1 + p2, p1 + p3, p2 + p4
+    g = p2 * p3 - p1 * p4
+    return {
         "e01": -p2 * g / (a * b * c),
         "e02": p1 * g / (a * b * c),
         "e10": -p1 * p2 * p3 * total / (a * b * g),
@@ -215,24 +221,6 @@ def expansion_coefficients(p: ParameterSet) -> tuple:
         "h1": p2 * p3 / (a * b) - p1 * p2 * total / (a * b * c),
         "h2": p1 * p4 / (a * c) - p1 * p2 * total / (a * b * c),
     }
-    phi_t = {
-        "e01": p4 * g / (b * dd * c),
-        "e02": -p3 * g / (b * dd * c),
-        "e10": p1 * p3 * p4 * total / (b * dd * g),
-        "e12": -p1 * p3 / (b * dd),
-        "e20": -p2 * p3 * p4 * total / (c * dd * g),
-        "e21": -p2 * p4 / (c * dd),
-        "h1": p1 * p4 / (b * dd) - p3 * p4 * total / (b * dd * c),
-        "h2": p2 * p3 / (c * dd) - p3 * p4 * total / (b * dd * c),
-    }
-    return varphi_t, phi_t
-
-
-def _combine(coeffs: dict, units: dict, h1: Mat, h2: Mat) -> Mat:
-    result = Mat.zero()
-    for (i, j) in OFF_DIAGONAL:
-        result = result + units[i, j].scale(coeffs[f"e{i}{j}"])
-    return result + h1.scale(coeffs["h1"]) + h2.scale(coeffs["h2"])
 
 
 def verify_matrices(s: StructureSet) -> Report:
@@ -297,19 +285,18 @@ def verify_dagger(s: StructureSet) -> Report:
 def verify_expansions(s: StructureSet) -> Report:
     """The four long cross-basis expansion identities, entry by entry.
 
-    Oracle: the conjugation definitions (varphi~ = R varphi R^-1 and
-    the inverse conjugation for the reverse direction).
+    Each side compares its varphi~ and phi~ (conjugation through its R)
+    with their tables over the plain basis; the phi~ table is the varphi~
+    table of the mirror (p3, p4, p1, p2).  On ``s.dual()``, whose R is
+    R^-1, that check is varphi and phi in the tilde basis.
     """
-    cases = [
-        ("varphi~", s.varphi_t, s.e, s.varphi, s.phi),
-        ("phi~", s.phi_t, s.e, s.varphi, s.phi),
-        ("varphi", s.varphi, s.e_t, s.varphi_t, s.phi_t),
-        ("phi", s.phi, s.e_t, s.varphi_t, s.phi_t),
-    ]
     with Report("structure.expansions") as rec:
-        tables = expansion_coefficients(s.p) + expansion_coefficients(s.p.dual())
-        for (label, target, units, h1, h2), coeffs in zip(cases, tables):
-            rec.equal(target, _combine(coeffs, units, h1, h2), lambda: f"{label} expansion")
+        for side, mark in ((s, "~"), (s.dual(), "")):
+            tables = expansion_coefficients(side.p)
+            for name, target, coeffs in zip(("varphi", "phi"), (side.varphi_t, side.phi_t), tables):
+                units = (side.e[i, j].scale(coeffs[f"e{i}{j}"]) for (i, j) in OFF_DIAGONAL)
+                combined = sum(units, side.varphi.scale(coeffs["h1"]) + side.phi.scale(coeffs["h2"]))
+                rec.equal(target, combined, f"{name}{mark} expansion")
     return rec
 
 

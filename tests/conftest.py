@@ -282,6 +282,26 @@ def fraction_derive(p: ParameterSet) -> DerivedParams:
     )
 
 
+def phi_t_table(p: ParameterSet) -> dict:
+    """The paper's table of phi~ in the plain basis {e_ij, varphi, phi},
+    transcribed entry by entry: the oracle for ``expansion_coefficients``,
+    which reads it off the varphi~ table of (p3, p4, p1, p2)."""
+    p1, p2, p3, p4 = p.as_tuple()
+    total = p1 + p2 + p3 + p4
+    b, c, dd = p1 + p3, p2 + p4, p3 + p4
+    g = p2 * p3 - p1 * p4
+    return {
+        "e01": p4 * g / (b * dd * c),
+        "e02": -p3 * g / (b * dd * c),
+        "e10": p1 * p3 * p4 * total / (b * dd * g),
+        "e12": -p1 * p3 / (b * dd),
+        "e20": -p2 * p3 * p4 * total / (c * dd * g),
+        "e21": -p2 * p4 / (c * dd),
+        "h1": p1 * p4 / (b * dd) - p3 * p4 * total / (b * dd * c),
+        "h2": p2 * p3 / (c * dd) - p3 * p4 * total / (b * dd * c),
+    }
+
+
 def fraction_gram(d: DerivedParams, n: int) -> dict:
     """||x^r y^s z^t||^2 = r! s! t! theta^N / (eta~_0^r eta~_1^s eta~_2^t),
     Fraction by Fraction in lattice order: the oracle for

@@ -286,21 +286,40 @@ def test_malformed_input_exits_2(runner, defect_files, argv):
     assert result.stdout == ""
 
 
-@pytest.mark.parametrize("source", ["--p", "params-file"])
-def test_a_digit_group_underscore_is_refused_on_every_python(runner, tmp_path, source):
-    """Fraction reads "1_0" as 10 from Python 3.11 on and refuses it on
-    3.10; the CLI refuses it on both, with one message."""
+SOURCE_PREFIX = {"--p": "bad --p value", "params-file": "bad parameter file"}
+
+
+def _refusal(runner, tmp_path, source, text):
+    """The last stderr line of ``check`` with p1 given as ``text`` by
+    ``source``; the run must exit 2 and print nothing to stdout."""
     if source == "--p":
-        argv, prefix = ["check", "--p", "1_0,2,3,5"], "bad --p value"
+        argv = ["check", "--p", f"{text},2,3,5"]
     else:
         path = tmp_path / "params.json"
-        path.write_text(json.dumps({"p": ["1_0", "2", "3", "5"]}))
-        argv, prefix = ["check", "--params-file", str(path)], "bad parameter file"
+        path.write_text(json.dumps({"p": [text, "2", "3", "5"]}))
+        argv = ["check", "--params-file", str(path)]
     result = runner.invoke(main, argv)
     assert result.exit_code == 2
     assert result.stdout == ""
-    assert result.stderr.splitlines()[-1] == (
-        f"Error: {prefix}: digit-group underscores are not accepted in '1_0'"
+    return result.stderr.splitlines()[-1]
+
+
+@pytest.mark.parametrize("source", list(SOURCE_PREFIX))
+def test_a_digit_group_underscore_is_refused_on_every_python(runner, tmp_path, source):
+    """Fraction reads "1_0" as 10 from Python 3.11 on and refuses it on
+    3.10; the CLI refuses it on both, with one message."""
+    assert _refusal(runner, tmp_path, source, "1_0") == (
+        f"Error: {SOURCE_PREFIX[source]}: digit-group underscores are not accepted in '1_0'"
+    )
+
+
+@pytest.mark.parametrize("text", ["1.d", "\u0661", "\u0663/\u0664"])
+@pytest.mark.parametrize("source", list(SOURCE_PREFIX))
+def test_a_non_rational_is_refused_in_one_text(runner, tmp_path, source, text):
+    """Fraction's own text for "1.d" differs between Pythons, and it reads
+    non-ASCII digits ("\u0661" as 1); the CLI refuses each with one message."""
+    assert _refusal(runner, tmp_path, source, text) == (
+        f"Error: {SOURCE_PREFIX[source]}: not a rational number: {text!r}"
     )
 
 

@@ -1,9 +1,10 @@
+import re
 from decimal import Decimal
 from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rahman.scalars import (
     PartsMismatch,
@@ -99,3 +100,28 @@ def test_over_common_denominator(values):
 def test_over_common_denominator_uses_the_lcm():
     assert over_common_denominator([Fraction(1, 4), Fraction(-5, 6), 2]) == ([3, -10, 24], 12)
     assert over_common_denominator([]) == ([], 1)
+
+
+@given(st.text(alphabet="0129+-./ \td", max_size=8))
+@settings(max_examples=500)
+def test_rational_reads_what_fraction_reads(text):
+    """On ASCII text with no exponent or underscore, parse_rational accepts
+    exactly the strings Fraction accepts from Python 3.11 on, spaces
+    around "/" included, with the same value."""
+    try:
+        expected = Fraction(re.sub(r"\s*/\s*", "/", text))
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+    else:
+        assert parse_rational(text) == expected
+
+
+def test_rational_refuses_what_is_not_an_ascii_rational():
+    """Fraction's text for "1.d" differs between Pythons, and it reads
+    non-ASCII digits; parse_rational refuses both with one message."""
+    for text in ("1.d", " 1.d ", "\u0661", "\u0663/\u0664", "1/2/3", ".", "--1"):
+        with pytest.raises(ValueError) as err:
+            parse_rational(text)
+        assert str(err.value) == f"not a rational number: {text.strip()!r}"
+    assert parse_rational(" 3 / 4 ") == parse_rational("3\t/4") == Fraction(3, 4)

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rahman import params
+from rahman import params, sl3
 from rahman.matrices import Mat
 from rahman.params import ParameterSet, ValidationError, derive
 from rahman.scalars import format_rational
@@ -12,6 +12,7 @@ from rahman.sl3 import (
     NotTraceless,
     build,
     dagger,
+    expansion_coefficients,
     r_closed_form,
     verify_dagger,
     verify_expansions,
@@ -19,7 +20,8 @@ from rahman.sl3 import (
     verify_matrices,
 )
 
-from conftest import PARAM_MATRIX, Dense, dense_product
+from conftest import PARAM_MATRIX, Dense, dense_product, phi_t_table
+from test_params import valid_parameter_sets
 
 
 def test_r_corner_entry(reference_structure):
@@ -49,6 +51,38 @@ def test_expansions(structures, p):
 def test_generation(structures, p):
     report = verify_generation(structures[p])
     assert report.ok, report.first_failure
+
+
+@given(valid_parameter_sets())
+@settings(max_examples=60, deadline=None)
+def test_the_phi_t_table_is_the_papers(p):
+    assert expansion_coefficients(p)[1] == phi_t_table(p)
+
+
+@given(valid_parameter_sets())
+@settings(max_examples=30, deadline=None)
+def test_the_mirror_negates_r_and_exchanges_its_columns_1_and_2(p):
+    """The mirror (p3, p4, p1, p2) of a valid p is valid, and its R is -R
+    with columns 1 and 2 exchanged: it exchanges y~ and z~, so varphi~
+    and phi~."""
+    R = r_closed_form(p)
+    mirror = ParameterSet.of(p.p3, p.p4, p.p1, p.p2)
+    assert r_closed_form(mirror) == Mat([[-R[i, j] for j in (0, 2, 1)] for i in range(3)])
+    s, t = build(p), build(mirror)
+    assert (t.varphi_t, t.phi_t) == (s.phi_t, s.varphi_t)
+
+
+@pytest.mark.parametrize("key", list(phi_t_table(PARAM_MATRIX[0])))
+def test_a_wrong_phi_t_entry_trips_the_expansions_at_phi_t(monkeypatch, reference_params, key):
+    tables = sl3.expansion_coefficients
+
+    def wrong(p):
+        varphi_t, phi_t = tables(p)
+        return varphi_t, {**phi_t, key: phi_t[key] + 1}
+
+    monkeypatch.setattr(sl3, "expansion_coefficients", wrong)
+    report = verify_expansions(build(reference_params))
+    assert report.first_failure.startswith("phi~ expansion: "), report.first_failure
 
 
 def test_dagger_fixes_cartan_elements(reference_structure):

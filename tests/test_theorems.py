@@ -539,6 +539,7 @@ IDENTITY = Mat.identity()
 # label: (patch -> (structure, form)), one targeted corruption each.
 CORRUPTIONS = {
     "eta~_1 + 1": _corrupted_structure(lambda s: with_corrupted_eta_t(s, 1, 1)),
+    "dual of eta~_1 + 1": _corrupted_structure(lambda s: with_corrupted_eta_t(s, 1, 1).dual()),
     "R = R^-1 = I": _corrupted_structure(
         lambda s: dataclasses.replace(s, R=IDENTITY, Rinv=IDENTITY)),
     "R[0][1] + 1": _corrupted_structure(
@@ -600,6 +601,15 @@ TRIPPED_BY = {
         "matrices", "dagger", "expansions", "action_tables", "representation", "weights",
         "block_structure", "irreducibility", "tilde_norms", "dual_sums", "pcosines",
         "orthogonality", "operators",
+    },
+    # A dual derived again from p would repair the corruption and let
+    # these 13 pass.  On the dual the corrupted R sits in the R^-1 slot,
+    # its row 1 scaled by the corrupted eta~_1: generation reads that row
+    # through psi~, and pcosines reads only row 0.
+    "dual of eta~_1 + 1": {
+        "matrices", "dagger", "expansions", "generation", "block_structure",
+        "action_tables", "representation", "weights", "irreducibility", "tilde_norms",
+        "dual_sums", "orthogonality", "operators",
     },
     "R = R^-1 = I": {
         "matrices", "dagger", "expansions", "generation", "irreducibility", "tilde_norms",
