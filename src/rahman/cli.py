@@ -94,7 +94,35 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _dump_json(data) -> str:
-    return json.dumps(data, indent=2)
+    """``json.dumps(data, indent=2)`` for nested dicts, lists, strs and ints,
+    byte for byte.  With an indent ``json.dumps`` runs CPython's pure-Python
+    encoder; this is one recursive pass with one ``join`` per container."""
+    return _json_value(data, "\n")
+
+
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_value(value, newline: str) -> str:
+    """``value`` as ``json.dumps`` writes it at the depth whose line break
+    and indent are ``newline``."""
+    kind = type(value)
+    if kind is str:
+        return _json_string(value)
+    if kind is int:
+        return int.__repr__(value)
+    deeper = newline + "  "
+    if kind is list:
+        if not value:
+            return "[]"
+        items = [_json_value(item, deeper) for item in value]
+        return "[" + deeper + ("," + deeper).join(items) + newline + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = [_json_string(key) + ": " + _json_value(item, deeper) for key, item in value.items()]
+        return "{" + deeper + ("," + deeper).join(items) + newline + "}"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 _OPTIONS = {

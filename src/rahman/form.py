@@ -21,8 +21,9 @@ its entries is one integer dot product: tilde_norms and the tilde
 duality entries of dual_sums read it instead of calling ``inner``.
 
 A Poly3 carries no coordinate tag.  ``inner`` reads both arguments as
-plain coordinates and sums int products over the lcm of the Gram
-denominators it meets; ``expand`` reads its argument as tilde coordinates
+plain coordinates and sums int products over the Gram diagonal, held
+once per form as integers over one denominator (``gram_over``, which
+``tilde_gram`` reads too); ``expand`` reads its argument as tilde coordinates
 and sums their int columns.  The tilde dual basis is ``dual_basis(f.dual)``,
 in tilde coordinates.  The tests keep an independent oracle for the
 columns: the substitution of the tilde variables, multiplied out over
@@ -98,6 +99,15 @@ class BilinearForm:
         }
 
     @cached_property
+    def gram_over(self) -> tuple:
+        """The Gram diagonal over the ints: ({lattice point: numerator}, den),
+        den the lcm of its denominators.  Read by ``inner`` and
+        ``tilde_gram``; reading it reads ``gram``."""
+        points = lattice(self.n)
+        numerators, den = over_common_denominator(self.gram[key] for key in points)
+        return dict(zip(points, numerators)), den
+
+    @cached_property
     def dual(self) -> "BilinearForm":
         """The form of ``s.dual()``: its ``gram`` holds the tilde norms."""
         return BilinearForm(self.s.dual(), self.n)
@@ -150,7 +160,8 @@ class BilinearForm:
         check that reads it.
         """
         columns = list(self.tilde_columns.values())
-        weights, den = over_common_denominator(self.gram[key] for key in lattice(self.n))
+        weights, den = self.gram_over
+        weights = list(weights.values())
         table = [[None] * len(columns) for _ in columns]
         for i, (left, left_den) in enumerate(columns):
             weighted = list(map(mul, weights, left))
@@ -183,18 +194,24 @@ class BilinearForm:
         return [format_rational(self.gram[key]) for key in lattice(self.n)]
 
 
+_ZERO = Fraction(0)
+
+
 def inner(xi: Poly3, zeta: Poly3, f: BilinearForm) -> Fraction:
     """Evaluate the form on two polynomials in plain coordinates.
 
-    A polynomial in tilde coordinates is paired through ``f.expand``.
+    One integer sum over the Gram diagonal of ``f.gram_over`` and one
+    Fraction.  A polynomial in tilde coordinates is paired through
+    ``f.expand``.
     """
     f._require_its_degree(xi)
     f._require_its_degree(zeta)
     keys = xi.nums.keys() & zeta.nums.keys()
     if not keys:  # the Gram is read only where the supports meet
-        return Fraction(0)
-    weights, den = over_common_denominator(f.gram[key] for key in keys)
-    total = sum(w * xi.nums[key] * zeta.nums[key] for w, key in zip(weights, keys))
+        return _ZERO
+    weights, den = f.gram_over
+    left, right = xi.nums, zeta.nums
+    total = sum(weights[key] * left[key] * right[key] for key in keys)
     return Fraction(total, den * xi.den * zeta.den)
 
 

@@ -6,7 +6,8 @@ degree-N module are applied by ``polymodule.action`` and never stored as
 matrices.  A matrix is int row tuples ``nums`` over one int ``den`` > 0
 with gcd(den, *nums) = 1, so equal matrices have equal (nums, den) and
 zero has den 1.  Arithmetic is over the ints with one gcd per result
-(``Mat._over``); ``rows``, ``m[i, j]``, ``to_json`` and ``repr`` give
+(``Mat._over``), a commutator included (``bracket`` forms both products
+in one pass); ``rows``, ``m[i, j]``, ``to_json`` and ``repr`` give
 Fractions.  ``Mat(...)`` refuses a float or bool entry and ``scale`` such
 a factor.  A matrix is immutable and can be shared freely.
 """
@@ -128,8 +129,27 @@ class Mat:
         return Fraction(sum(self.nums[i][i] for i in range(3)), self.den)
 
     def bracket(self, other: "Mat") -> "Mat":
-        """Commutator [self, other] = self other - other self."""
-        return self @ other - other @ self
+        """Commutator [self, other] = self other - other self, in one integer
+        pass over self.den * other.den.
+
+        Each nonzero entry a = self[i, k] adds a * other[k, j] to entry
+        (i, j) of the first product and other[m, i] * a to entry (m, k) of
+        the second, so both products skip every zero factor of self.
+        """
+        b = other.nums
+        out = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+        for i, row in enumerate(self.nums):
+            for k, a in enumerate(row):
+                if not a:
+                    continue
+                target = out[i]
+                for j, y in enumerate(b[k]):
+                    if y:
+                        target[j] += a * y
+                for m in range(3):
+                    if b[m][i]:
+                        out[m][k] -= b[m][i] * a
+        return Mat._over(tuple(map(tuple, out)), self.den * other.den)
 
     def inverse(self) -> "Mat":
         """den adj(nums) / det(nums), over the ints; raises ZeroDivisionError

@@ -355,6 +355,9 @@ def verify_representation_law(s: StructureSet, n: int) -> Report:
     monomials = [Poly3.monomial(*point) for point in lattice(n)]
     with Report(f"module.representation.N{n}") as rec:
         actions = {name: action(beta) for name, beta in basis.items()}
+        # Each generator's image of each monomial, computed once and read
+        # by every pair and by the tilde compatibility rows.
+        images = {name: [apply(m) for m in monomials] for name, apply in actions.items()}
         for a, name_b in enumerate(names):
             beta, on_beta = basis[name_b], actions[name_b]
             for name_g in names[a + 1:]:
@@ -362,14 +365,17 @@ def verify_representation_law(s: StructureSet, n: int) -> Report:
                 on_bracket = action(beta.bracket(gamma))
                 rec.equal(
                     [on_bracket(m) for m in monomials],
-                    [on_beta(on_gamma(m)) - on_gamma(on_beta(m)) for m in monomials],
+                    [
+                        on_beta(gamma_m) - on_gamma(beta_m)
+                        for gamma_m, beta_m in zip(images[name_g], images[name_b])
+                    ],
                     lambda: f"bracket pair ({name_b}, {name_g})",
                 )
         for name, conjugated in zip(names, s.tilde_basis().values()):
             on_conjugated = _tilde_action(conjugated, s)
             rec.equal(
                 [on_conjugated(m).coeffs for m in monomials],
-                [actions[name](m).coeffs for m in monomials],
+                [image.coeffs for image in images[name]],
                 lambda: f"tilde compatibility for {name}",
             )
     return rec

@@ -2,7 +2,11 @@
 
 A structure is p, its constants d, the transition matrix R between the
 plain and tilde coordinates, and R^-1; U and the weight matrices W, W~
-follow from d and are formed on first read.  The plain Cartan basis
+follow from d and are formed on first read.  Every one of them is formed
+once, over the ints: ``build`` writes U, R = theta~ W~ U^t and
+R^-1 = theta W U as integer rows over one denominator each, and the
+integer weights of eta~ that ``dagger`` reads on every call are a
+per-structure ``cached_property``.  The plain Cartan basis
 elements and the matrix units are ``StructureSet`` class constants
 (``varphi``, ``phi``, ``psi``, ``e``).  Their tilde conjugates R m R^-1 are
 built on first read from the structure's own R and R^-1, so a structure
@@ -45,6 +49,7 @@ __all__ = [
 OFF_DIAGONAL = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
 
 _THIRD = Fraction(1, 3)
+_IDENTITY = Mat.identity()
 
 
 class NotTraceless(ValueError):
@@ -52,8 +57,9 @@ class NotTraceless(ValueError):
 
 
 def _require_traceless(beta: Mat) -> None:
-    """Raise NotTraceless unless beta has trace 0."""
-    if beta.trace() != 0:
+    """Raise NotTraceless unless beta has trace 0, read off the int diagonal."""
+    nums = beta.nums
+    if nums[0][0] + nums[1][1] + nums[2][2]:
         raise NotTraceless(f"trace is {beta.trace()}, expected 0")
 
 
@@ -77,11 +83,18 @@ class StructureSet:
 
     @cached_property
     def W(self) -> Mat:
-        return Mat.diag(self.d.eta)
+        return _weighted(1, self.d.eta, _IDENTITY)
 
     @cached_property
     def Wt(self) -> Mat:
-        return Mat.diag(self.d.eta_t)
+        return _weighted(1, self.d.eta_t, _IDENTITY)
+
+    @cached_property
+    def eta_t_weights(self) -> tuple:
+        """(k, scale): eta~ = k / g over the ints, and the lcm of the nonzero
+        k_j, which ``dagger`` reads on every call."""
+        k, _ = over_common_denominator(self.d.eta_t)
+        return tuple(k), lcm(*filter(None, k))
 
     @cached_property
     def e_t(self) -> dict:
@@ -130,8 +143,20 @@ class StructureSet:
 
 
 def _u(d: DerivedParams) -> Mat:
-    """U, the one source of ``build`` and ``StructureSet.U``."""
-    return Mat([[1, 1, 1], [1, 1 - d.t, 1 - d.v], [1, 1 - d.u, 1 - d.w]])
+    """U, the one source of ``build`` and ``StructureSet.U``: the entries
+    1 - t, 1 - v, 1 - u, 1 - w as ints over the lcm of their denominators."""
+    (t, u, v, w), den = over_common_denominator((d.t, d.u, d.v, d.w))
+    return Mat._over(((den, den, den), (den, den - t, den - v), (den, den - u, den - w)), den)
+
+
+def _weighted(c, weights, m: Mat) -> Mat:
+    """c diag(weights) m, for rationals c and weights, as one integer
+    product over one denominator."""
+    k, g = over_common_denominator(weights)
+    return Mat._over(
+        tuple(tuple(c.numerator * w * x for x in row) for w, row in zip(k, m.nums)),
+        c.denominator * g * m.den,
+    )
 
 
 def build(p: ParameterSet, d: DerivedParams | None = None) -> StructureSet:
@@ -146,8 +171,8 @@ def build(p: ParameterSet, d: DerivedParams | None = None) -> StructureSet:
         validate(p)
 
     U = _u(d)
-    R = (Mat.diag(d.eta_t) @ U.transpose()).scale(d.theta_t)
-    Rinv = (Mat.diag(d.eta) @ U).scale(d.theta)
+    R = _weighted(d.theta_t, d.eta_t, U.transpose())
+    Rinv = _weighted(d.theta, d.eta, U)
     return StructureSet(p, d, R, Rinv)
 
 
@@ -156,13 +181,13 @@ def dagger(beta: Mat, s: StructureSet) -> Mat:
 
     W~ is diagonal: with eta~ = k / g over the ints, entry (i, j) is
     k_i beta[j][i] / k_j, one int over beta's den times the lcm of the
-    nonzero k_j.  A zero entry of beta gives a zero entry with no division;
-    a nonzero one over eta~_j = 0 raises ZeroDivisionError naming eta~_j.
-    Requires a traceless argument; fixes both Cartan subalgebras.
+    nonzero k_j; both are read once per structure (``s.eta_t_weights``).
+    A zero entry of beta gives a zero entry with no division; a nonzero
+    one over eta~_j = 0 raises ZeroDivisionError naming eta~_j.  Requires
+    a traceless argument; fixes both Cartan subalgebras.
     """
     _require_traceless(beta)
-    k, _ = over_common_denominator(s.d.eta_t)
-    scale = lcm(*filter(None, k))
+    k, scale = s.eta_t_weights
 
     def at(i, j):
         n = beta.nums[j][i]
@@ -225,14 +250,13 @@ def _varphi_t_table(p: tuple) -> dict:
 
 def verify_matrices(s: StructureSet) -> Report:
     """Cross-check R and R^-1 against their closed forms and the W identities."""
-    identity = Mat.identity()
     with Report("structure.matrices") as rec:
         rec.equal(s.R, r_closed_form(s.p), "R factored vs closed form")
         rec.equal(s.Rinv, r_closed_form(s.p.dual()), "R^-1 factored vs closed form")
-        rec.equal(s.R @ s.Rinv, identity, "R R^-1")
+        rec.equal(s.R @ s.Rinv, _IDENTITY, "R R^-1")
         rec.equal(
             (s.W @ s.U @ s.Wt @ s.U.transpose()).scale(s.d.nu),
-            identity,
+            _IDENTITY,
             "nu W U W~ U^t",
         )
         rec.equal(
@@ -269,12 +293,13 @@ def verify_dagger(s: StructureSet) -> Report:
             for name in ("varphi" + mark, "phi" + mark):
                 rec.equal(images[name], everything[name], f"{table} {name}")
 
-        # Antiautomorphism law over all 64 ordered pairs of the plain basis.
+        # Antiautomorphism law over all 64 ordered pairs of the plain basis:
+        # [beta, gamma]^dagger = [gamma^dagger, beta^dagger].
         for name_b, beta in plain.items():
             for name_g, gamma in plain.items():
                 rec.equal(
                     dagger(beta.bracket(gamma), s),
-                    -(images[name_b].bracket(images[name_g])),
+                    images[name_g].bracket(images[name_b]),
                     lambda: f"bracket law [{name_b},{name_g}]",
                 )
 

@@ -40,6 +40,20 @@ def with_corrupted_eta_t(s: StructureSet, index: int, delta) -> StructureSet:
     return build(s.p, replace(s.d, eta_t=tuple(eta_t)))
 
 
+def fraction_structure(d: DerivedParams) -> dict:
+    """U, W, W~, R = theta~ W~ U^t and R^-1 = theta W U from the constants,
+    Fraction by Fraction: the oracle for the integer ``sl3.build``."""
+    U = Dense([[1, 1, 1], [1, 1 - d.t, 1 - d.v], [1, 1 - d.u, 1 - d.w]])
+    W, Wt = Dense.diag(d.eta), Dense.diag(d.eta_t)
+    return {
+        "U": U,
+        "W": W,
+        "Wt": Wt,
+        "R": (Wt @ U.transpose()).scale(d.theta_t),
+        "Rinv": (W @ U).scale(d.theta),
+    }
+
+
 def adjacent(a: tuple, b: tuple) -> bool:
     """True iff the componentwise difference is a permutation of (1, -1, 0):
     the oracle for ``polymodule._neighbours``."""

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from rahman.cli import main
+from rahman.cli import _dump_json, main
 from rahman.params import ParameterSet, derive
 from rahman.polynomials import eval_P
 from rahman.theorems import run_suites
@@ -490,3 +490,28 @@ def test_a_parameter_file_entry_that_is_no_string_or_number_exits_2(
     assert result.stderr.splitlines()[-1] == (
         f'Error: bad parameter file: "p" entries must be JSON strings or numbers, got {named}'
     )
+
+
+# Strings with quotes, backslashes, control and non-ASCII characters, which
+# json escapes; ints of any size that str() prints.
+JSON_STRINGS = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\n\t\x00\x7f\u2028é€😀')))
+JSON_DATA = st.recursive(
+    st.one_of(st.integers(), st.integers(-10**30, 10**30), JSON_STRINGS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(JSON_STRINGS, children, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@given(JSON_DATA)
+@settings(max_examples=300, deadline=None)
+def test_dump_json_writes_the_bytes_of_json_dumps(data):
+    assert _dump_json(data) == json.dumps(data, indent=2)
+
+
+@pytest.mark.parametrize("value", [True, None, 1.5, (1, 2), {1: "a"}])
+def test_dump_json_refuses_what_the_cli_never_prints(value):
+    with pytest.raises(TypeError):
+        _dump_json(value)

@@ -272,6 +272,53 @@ def test_gram_on_a_zeroed_eta_t_raises_as_the_fraction_formula(reference_structu
     assert str(err.value) == f"zero denominator: eta~_{index} = 0"
 
 
+@st.composite
+def polynomial_pairs(draw, n):
+    """Two degree-n polynomials on random lattice subsets, either possibly
+    zero, with coefficients of mixed denominators."""
+    points = st.lists(st.sampled_from(lattice(n)), max_size=6, unique=True)
+    coefficients = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+    return tuple(Poly3({point: draw(coefficients) for point in draw(points)}) for _ in range(2))
+
+
+@given(wide_parameter_sets(), st.integers(0, 2), wide_rationals, st.data())
+@settings(max_examples=100, deadline=None)
+def test_inner_matches_the_fraction_sum_over_the_gram(p, index, delta, data):
+    """``inner`` over the form's integer Gram is sum gram * xi * zeta over
+    Fractions, on built and on shifted constants, and each form reads its
+    own Gram."""
+    n = data.draw(st.integers(0, 5))
+    xi, zeta = data.draw(polynomial_pairs(n))
+    s = build(p)
+    shifted = with_corrupted_eta_t(s, index, delta if delta != -s.d.eta_t[index] else 1)
+    for form in (BilinearForm(s, n), BilinearForm(shifted, n)):
+        gram = fraction_gram(form.s.d, n)
+        keys = xi.nums.keys() & zeta.nums.keys()
+        expected = sum((gram[key] * xi[key] * zeta[key] for key in keys), Fraction(0))
+        value = inner(xi, zeta, form)
+        assert type(value) is Fraction and value == expected
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("index", range(3))
+def test_inner_on_a_zeroed_eta_t_raises_only_where_the_supports_meet(
+    reference_structure, index, n
+):
+    """With eta~_index = 0 the Gram cannot be built at N > 0: pairings of
+    disjoint supports are 0 without it, and a pairing whose supports meet
+    raises the Gram's ZeroDivisionError, every time it is asked."""
+    s = with_corrupted_eta_t(reference_structure, index, -reference_structure.d.eta_t[index])
+    f = BilinearForm(s, n)
+    x_n, y_n = Poly3.monomial(n, 0, 0), Poly3.monomial(0, n, 0)
+    assert inner(x_n, y_n, f) == 0
+    assert inner(x_n, Poly3.zero(), f) == 0
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError) as err:
+            inner(x_n + y_n, y_n, f)
+        assert str(err.value) == f"zero denominator: eta~_{index} = 0"
+    assert inner(y_n, x_n, f) == 0
+
+
 def test_gram_at_degree_0_reads_no_eta_t_weight(reference_structure):
     """At N = 0 no weight has a positive power, so a zero one raises nothing."""
     s = _with_constants(reference_structure, eta_t=(Fraction(0),) * 3)

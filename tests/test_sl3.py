@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from math import gcd
 
@@ -20,8 +21,15 @@ from rahman.sl3 import (
     verify_matrices,
 )
 
-from conftest import PARAM_MATRIX, Dense, dense_product, phi_t_table
-from test_params import valid_parameter_sets
+from conftest import (
+    PARAM_MATRIX,
+    Dense,
+    dense_product,
+    fraction_structure,
+    phi_t_table,
+    with_corrupted_eta_t,
+)
+from test_params import valid_parameter_sets, wide_parameter_sets, wide_rationals
 
 
 def test_r_corner_entry(reference_structure):
@@ -187,6 +195,66 @@ def test_build_refuses_an_invalid_p_with_or_without_preset_constants(values, exp
     with pytest.raises(ValidationError) as err:
         build(ParameterSet.of(*values), d)
     assert err.value.expression == expression
+
+
+def _assert_structure_is_the_oracle(s):
+    """U, W, W~, R and R^-1 of s, as Fractions, are the oracle's from s.d."""
+    for name, expected in fraction_structure(s.d).items():
+        assert Dense(getattr(s, name).rows) == expected, name
+
+
+@given(st.one_of(valid_parameter_sets(), wide_parameter_sets()))
+@settings(max_examples=150, deadline=None)
+def test_build_matches_the_fraction_formula(p):
+    """The integer rows of ``build`` are the Fraction products, on negative
+    and non-integer parameters, and so are those of the dual."""
+    s = build(p)
+    _assert_structure_is_the_oracle(s)
+    _assert_structure_is_the_oracle(s.dual())
+
+
+@given(valid_parameter_sets(), st.integers(0, 2), st.one_of(wide_rationals, st.just(None)))
+@settings(max_examples=100, deadline=None)
+def test_build_on_corrupted_constants_matches_the_fraction_formula(p, index, delta):
+    """``build(p, d)`` reads the preset constants, corrupted or zeroed."""
+    s = build(p)
+    delta = -s.d.eta_t[index] if delta is None else delta
+    _assert_structure_is_the_oracle(with_corrupted_eta_t(s, index, delta))
+
+
+def _dagger_oracle(beta, eta_t):
+    """W~ beta^t W~^-1, Fraction by Fraction; a zero entry of beta stays
+    zero with no division."""
+    return Dense([
+        [eta_t[i] * beta[j, i] / eta_t[j] if beta[j, i] else 0 for j in range(3)]
+        for i in range(3)
+    ])
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_dagger_reads_the_weights_of_a_replaced_structure(reference_structure, index):
+    """A structure replaced after its weights were read brings its own: a
+    shifted eta~ gives its own W~ beta^t W~^-1, and a zeroed eta~_j raises
+    on every entry that divides by it, naming eta~_j."""
+    s = reference_structure
+    beta = s.varphi_t + s.e[0, 1] + s.e[2, 1]
+    dagger(beta, s)  # reads the reference weights first
+    eta_t = list(s.d.eta_t)
+    eta_t[index] += 3
+    shifted = dataclasses.replace(s, d=dataclasses.replace(s.d, eta_t=tuple(eta_t)))
+    assert Dense(dagger(beta, shifted).rows) == _dagger_oracle(beta, eta_t)
+    assert Dense(dagger(beta, s).rows) == _dagger_oracle(beta, s.d.eta_t)
+
+    eta_t[index] = Fraction(0)
+    zeroed = dataclasses.replace(s, d=dataclasses.replace(s.d, eta_t=tuple(eta_t)))
+    with pytest.raises(ZeroDivisionError) as err:
+        dagger(beta, zeroed)
+    assert type(err.value) is ZeroDivisionError
+    assert str(err.value) == f"zero denominator: eta~_{index} = 0"
+    # A matrix with no entry over eta~_index needs no division by it.
+    others = [j for j in range(3) if j != index]
+    unit = s.e[others[0], others[1]]
+    assert Dense(dagger(unit, zeroed).rows) == _dagger_oracle(unit, eta_t)
 
 
 def test_closed_form_matches_factored_form():
