@@ -24,7 +24,7 @@ from .form import BilinearForm, dual_basis, p_table
 from .params import ParameterSet, ValidationError, derive, load_params_file, validate
 from .polymodule import lattice
 from .polynomials import eval_P
-from .scalars import format_rational, parse_rational
+from .scalars import format_rational, parse_integer, parse_rational
 from .sl3 import build
 from .theorems import run_suites
 
@@ -36,9 +36,25 @@ def _max_n() -> int:
     if raw is None:
         return DEFAULT_MAX_N
     try:
-        return int(raw)
+        return parse_integer(raw)
     except ValueError:
         raise click.UsageError(f"RAHMAN_MAX_N must be an integer, got {raw!r}")
+
+
+class _Integer(click.ParamType):
+    """An int as ``parse_integer`` reads it, so "1_0" and non-ASCII digits
+    exit 2 as they do in ``--p``."""
+
+    name = "integer"
+
+    def convert(self, value, param, ctx):
+        try:
+            return value if type(value) is int else parse_integer(value)
+        except ValueError as exc:
+            self.fail(str(exc), param, ctx)
+
+
+_INTEGER = _Integer()
 
 
 def _resolve_params(p: str | None, params_file: str | None, n: int | None):
@@ -129,7 +145,7 @@ _OPTIONS = {
     "p": click.option("--p", "p", default=None, help="four rationals: 1,2,3,5"),
     "params-file": click.option("--params-file", default=None, type=click.Path(),
                                 help='JSON file: {"p": ["1","2","3","5"], "N": 4}'),
-    "N": click.option("--N", "n", default=None, type=int, help="total degree"),
+    "N": click.option("--N", "n", default=None, type=_INTEGER, help="total degree"),
     "format": click.option("--format", "fmt", default="json",
                            type=click.Choice(["json", "csv"])),
     "out": click.option("--out", default=None, type=click.Path(),
@@ -168,10 +184,10 @@ def check(p, params_file, out):
 
 
 @main.command("eval")
-@click.argument("a", type=int)
-@click.argument("b", type=int)
-@click.argument("c", type=int)
-@click.argument("d", type=int)
+@click.argument("a", type=_INTEGER)
+@click.argument("b", type=_INTEGER)
+@click.argument("c", type=_INTEGER)
+@click.argument("d", type=_INTEGER)
 @_options("p", "params-file", "N", "out")
 def eval_command(a, b, c, d, p, params_file, n, out):
     """Evaluate P(A, B, C, D) at integer arguments; prints one value."""

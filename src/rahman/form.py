@@ -37,7 +37,7 @@ from functools import cached_property
 from math import factorial, lcm
 from operator import mul
 
-from .params import DerivedParams
+from .params import DerivedParams, _zero_weight
 from .polymodule import (
     DegreeMismatch,
     Poly3,
@@ -87,7 +87,7 @@ class BilinearForm:
         """
         n, eta_t, theta = self.n, self.s.d.eta_t, self.s.d.theta
         if n and 0 in eta_t:
-            raise ZeroDivisionError(f"zero denominator: eta~_{eta_t.index(0)} = 0")
+            raise _zero_weight(eta_t.index(0))
         # k! / eta~_i^k is tops[i][k] / bottoms[i][k].
         tops = [[factorial(k) * e.denominator**k for k in range(n + 1)] for e in eta_t]
         bottoms = [[e.numerator**k for k in range(n + 1)] for e in eta_t]

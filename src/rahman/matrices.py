@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 
-from .scalars import exact_rational, format_rational
+from .scalars import exact_rational, format_rational, over_common_denominator
 
 __all__ = ["Mat"]
 
@@ -30,8 +30,8 @@ class Mat:
         rows = [[exact_rational(x, "matrix entry") for x in row] for row in rows]
         if len(rows) != 3 or any(len(row) != 3 for row in rows):
             raise ValueError(f"a Mat is 3x3, got rows of lengths {[len(row) for row in rows]}")
-        self.den = den = lcm(*(x.denominator for row in rows for x in row))
-        self.nums = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
+        nums, self.den = over_common_denominator(chain.from_iterable(rows))
+        self.nums = (tuple(nums[:3]), tuple(nums[3:6]), tuple(nums[6:]))
 
     @classmethod
     def _over(cls, nums, den: int) -> "Mat":

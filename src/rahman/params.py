@@ -39,6 +39,12 @@ class ValidationError(ValueError):
         super().__init__(f"zero denominator: {expression} = 0")
 
 
+def _zero_weight(j: int) -> ZeroDivisionError:
+    """The error of a division by eta~_j = 0: one text for ``sl3.dagger``
+    and ``BilinearForm.gram``."""
+    return ZeroDivisionError(f"zero denominator: eta~_{j} = 0")
+
+
 @dataclass(frozen=True)
 class ParameterSet:
     """Four exact rationals.  Each field is stored as a Fraction; a float

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import gcd, lcm
+from math import gcd
 from operator import add
 
 from .matrices import Mat
 from .report import Report
-from .scalars import exact_rational, format_over
+from .scalars import exact_rational, format_over, over_common_denominator
 from .sl3 import OFF_DIAGONAL, StructureSet, _require_traceless
 
 __all__ = [
@@ -100,8 +100,8 @@ class Poly3:
             clean[key] = value
         if len(degrees) > 1:
             raise NotHomogeneous(f"mixed degrees {sorted(degrees)}")
-        self.den = den = lcm(*(value.denominator for value in clean.values()))
-        self.nums = {key: v.numerator * (den // v.denominator) for key, v in clean.items()}
+        nums, self.den = over_common_denominator(clean.values())
+        self.nums = dict(zip(clean, nums))
         self.degree = degrees.pop() if degrees else None
 
     @classmethod

@@ -16,12 +16,14 @@ from math import factorial, gcd, lcm
 Rational = Fraction
 
 _RATIONAL = re.compile(r"[-+]?(?:\d+\s*/\s*\d+|\d+(?:\.\d*)?|\.\d+)", re.ASCII)
+_INTEGER = re.compile(r"[-+]?\d+", re.ASCII)
 
 __all__ = [
     "Rational",
     "PartsMismatch",
     "exact_rational",
     "parse_rational",
+    "parse_integer",
     "format_rational",
     "format_over",
     "over_common_denominator",
@@ -65,6 +67,17 @@ def parse_rational(text: str) -> Rational:
         return Fraction("".join(text.split()))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def parse_integer(text: str) -> int:
+    """Parse an int: ASCII digits with an optional sign, whitespace around
+    the string ignored, as ``parse_rational`` reads its digits.  Any other
+    string raises ValueError in one text on every Python, also the ones
+    ``int`` reads: an underscore ("1_0", 10) and non-ASCII digits ("\u0662", 2).
+    """
+    if not _INTEGER.fullmatch(text.strip()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def format_rational(value: Rational) -> str:

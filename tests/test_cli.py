@@ -287,18 +287,33 @@ def test_malformed_input_exits_2(runner, defect_files, argv):
 
 
 SOURCE_PREFIX = {"--p": "bad --p value", "params-file": "bad parameter file"}
+# Each integer input, and the text its refusal starts with.
+INTEGER_PREFIX = {
+    "--N": "Invalid value for '--N': not an integer:",
+    "eval": "Invalid value for 'A': not an integer:",
+    "RAHMAN_MAX_N": "RAHMAN_MAX_N must be an integer, got",
+}
 
 
 def _refusal(runner, tmp_path, source, text):
-    """The last stderr line of ``check`` with p1 given as ``text`` by
-    ``source``; the run must exit 2 and print nothing to stdout."""
+    """The last stderr line of a run given ``text`` by ``source``: p1 of
+    ``check`` by --p or a parameter file, table's --N, eval's A, or the
+    ceiling RAHMAN_MAX_N of ``table --N 13``.  The run must exit 2 and
+    print nothing to stdout."""
+    env = {"RAHMAN_MAX_N": None}
     if source == "--p":
         argv = ["check", "--p", f"{text},2,3,5"]
-    else:
+    elif source == "params-file":
         path = tmp_path / "params.json"
         path.write_text(json.dumps({"p": [text, "2", "3", "5"]}))
         argv = ["check", "--params-file", str(path)]
-    result = runner.invoke(main, argv)
+    elif source == "--N":
+        argv = ["table", "--p", "1,2,3,5", "--N", text]
+    elif source == "eval":
+        argv = ["eval", text, "0", "0", "0", "--p", "1,2,3,5", "--N", "12"]
+    else:
+        argv, env = ["table", "--p", "1,2,3,5", "--N", "13"], {source: text}
+    result = runner.invoke(main, argv, env=env)
     assert result.exit_code == 2
     assert result.stdout == ""
     return result.stderr.splitlines()[-1]
@@ -321,6 +336,15 @@ def test_a_non_rational_is_refused_in_one_text(runner, tmp_path, source, text):
     assert _refusal(runner, tmp_path, source, text) == (
         f"Error: {SOURCE_PREFIX[source]}: not a rational number: {text!r}"
     )
+
+
+@pytest.mark.parametrize("text", ["1_0", "1_3", "\u0662", "\u0661", " 1_0 "])
+@pytest.mark.parametrize("source", list(INTEGER_PREFIX))
+def test_an_integer_input_is_read_in_ascii_digits_only(runner, tmp_path, source, text):
+    """``int`` reads "1_0" as 10 and non-ASCII digits ("\u0662" as 2), so
+    ``table --N 1_0`` printed the N = 10 table and RAHMAN_MAX_N=1_3 lifted
+    the ceiling; --N, eval's A B C D and RAHMAN_MAX_N refuse them as --p does."""
+    assert _refusal(runner, tmp_path, source, text) == f"Error: {INTEGER_PREFIX[source]} {text!r}"
 
 
 @pytest.mark.parametrize("args", [["3", "0", "0", "0"], ["0", "0", "1", "2"]])

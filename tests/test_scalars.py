@@ -11,6 +11,7 @@ from rahman.scalars import (
     format_rational,
     multinomial,
     over_common_denominator,
+    parse_integer,
     parse_rational,
 )
 
@@ -77,6 +78,19 @@ def test_rational_refuses_digit_group_underscores():
         with pytest.raises(ValueError) as err:
             parse_rational(text)
         assert str(err.value) == f"digit-group underscores are not accepted in {text.strip()!r}"
+
+
+def test_integer_string_forms():
+    assert [parse_integer(text) for text in ("12", " -3 ", "+007", "0")] == [12, -3, 7, 0]
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0662", "\u0661\u0663", "1.0", "2/1", "", "+", "1 2"])
+def test_an_integer_is_ascii_digits_with_an_optional_sign(text):
+    """``int`` reads "1_0" as 10 and the Arabic-Indic digits as 2 and 13;
+    parse_integer refuses them, as parse_rational does, in one text."""
+    with pytest.raises(ValueError) as err:
+        parse_integer(text)
+    assert str(err.value) == f"not an integer: {text!r}"
 
 
 def test_format_rational_prints_past_the_str_digit_limit():
