@@ -7,20 +7,19 @@ the theorem's closed form; none compares a formula against itself.
 trans1 and trans2 check ``p_table``, the table ``rahman table`` prints,
 which reads Sym^N(R) (``f.tilde_columns``); pcosines lowers x~^N by the
 sl3 action, which reads R^-1, and pairs by ``inner``; orthogonality weights P
-by the Gram diagonals ``f.gram`` and ``f.dual.gram``.
+by the Gram diagonals ``f.gram`` and ``f.dual.gram``; the recurrences act
+on V by the expansion matrices of ``sl3.expansion_coefficients``.
 
-P is read as one D x D matrix of ``eval_P`` values per verifier: rows
-(s, t), columns (sigma, tau), in lattice order.  Each theorem about the
-tilde side is its plain-side twin for the dual parameters (p2 and p3
+P is read as one D x D matrix of ``eval_P`` values per verifier (D =
+(N+1)(N+2)/2, the dimension of V, in which each ``checked`` is given):
+rows (s, t), columns (sigma, tau), in lattice order.  Each theorem about
+the tilde side is its plain-side twin for the dual parameters (p2 and p3
 swapped), whose P is the transpose: orthogonality relation 2 and
 recurrence parts (iii) and (iv) read the transpose, and trans1 and the
 front operator identity run the plain-side check on ``s.dual()``.
-
-The orthogonality and recurrence sums run over the integers: each P
-column or row, weight vector and coefficient table is scaled once to
-integers over one common denominator (``over_common_denominator``), so
-each checked value is one integer sum, compared exactly.  A failed check
-still names the two Fractions it compared.
+The orthogonality and recurrence sums scale each P column or row, weight
+vector and image to integers over one denominator once, so each check
+compares two integer sums; a failure still names the two Fractions.
 """
 
 from __future__ import annotations
@@ -97,11 +96,8 @@ def _p_table_against_eval_P(name: str, f: BilinearForm) -> Report:
         table = p_table(f)
         for column, point in enumerate(points):
             for row, key in enumerate(points):
-                rec.equal(
-                    table[row][column],
-                    p[row][column],
-                    lambda: f"monomial {point}, coefficient of {key}",
-                )
+                rec.equal(table[row][column], p[row][column],
+                          lambda: f"monomial {point}, coefficient of {key}")
     return rec
 
 
@@ -110,12 +106,14 @@ def verify_trans2(f: BilinearForm) -> Report:
 
     The coefficient of x^r y^s z^t in x~^rho y~^sigma z~^tau is
     N! nu^N P(s, t, sigma, tau) / ||x^r y^s z^t||^2: ``p_table``.
+    ``checked`` = D^2.
     """
     return _p_table_against_eval_P(f"transitions.trans2.N{f.n}", f)
 
 
 def verify_trans1(f: BilinearForm) -> Report:
-    """Plain monomials expanded in the tilde basis: trans2 on the dual."""
+    """Plain monomials expanded in the tilde basis: trans2 on the dual.
+    ``checked`` = D^2."""
     return _p_table_against_eval_P(f"transitions.trans1.N{f.n}", f.dual)
 
 
@@ -128,6 +126,7 @@ def verify_pcosines(f: BilinearForm) -> Report:
     image divided by the exponent of x~ it lowered (at N = 0 nothing is
     lowered, and no lowering operator is built).  Right side through
     eval_P.  This reads R^-1 and the derivation, never Sym^N(R).
+    ``checked`` = D^2.
     """
     s, n = f.s, f.n
     scale = pairing_scale(s.d, n)
@@ -161,6 +160,7 @@ def verify_orthogonality(f: BilinearForm) -> Report:
     products of two rows of P (the dual's P is the transpose).  The columns
     and the weights are scaled to integers over one denominator once, so each
     sum is one integer dot product, compared with its right side as integers.
+    ``checked`` = 2 D^2.
     """
     n, points = f.n, lattice(f.n)
     with Report(f"orthogonality.N{n}") as rec:
@@ -192,67 +192,56 @@ def verify_orthogonality(f: BilinearForm) -> Report:
 def verify_recurrences(s: StructureSet, n: int) -> Report:
     """The four seven-term recurrences, against direct P evaluation.
 
-    Parts (i) and (ii) shift the back pair (sigma, tau) of P(s, t, sigma,
-    tau).  Parts (iii) and (iv) are parts (i) and (ii) of the dual
-    parameters, so their failures name the dual's indices (sigma, tau,
-    s, t).  The shifted terms are the moves e_i - e_j of mu = (N - sigma -
-    tau, sigma, tau), times mu_j.  A move leaves the lattice only if mu_j is
-    0, so the zero-counter checks there cannot fail (kept for the count).
-
-    Each P row and each coefficient table is scaled to integers over one
-    denominator once, and both sides are multiplied by 3 (clearing the
-    N/3 shifts) and by those denominators, so each check compares two
-    integers.
+    Parts (i) and (ii) act on V by varphi and phi in the tilde basis, the
+    varphi~ and phi~ matrices of the dual parameters.  The image of x^mu,
+    mu = (N - sigma - tau, sigma, tau), holds the seven terms, and P(s, t,
+    .) summed over it is s - N/3 or t - N/3 times P(s, t, sigma, tau);
+    both sides are multiplied by 3 and the denominators.  Parts (iii) and
+    (iv) are parts (i) and (ii) of the dual parameters, on the transpose
+    of P, so their failures name the dual's indices (sigma, tau, s, t).
+    Before each part's equality, each move e_i - e_j of mu (``_MOVES``)
+    that leaves the lattice is one check of mu_j = 0, which cannot fail
+    (kept for the count, ROADMAP item 5).  ``checked`` = 4D(D + 6(N+1)).
     """
     points = lattice(n)
     index = {point: position for position, point in enumerate(points)}
-    # Per column mu, per move (i, j): key, counter mu_j, column of the move.
-    stencils = [
-        [(f"e{i}{j}", mu[j], index.get(tuple(map(add, mu, move))))
-         for (i, j), move in _MOVES.items()]
+    # Per column mu: each move (i, j) that leaves the lattice, with mu_j.
+    off_lattice = [
+        [(f"e{i}{j}", mu[j]) for (i, j), move in _MOVES.items()
+         if tuple(map(add, mu, move)) not in index]
         for mu in points
     ]
+    monomials = [Poly3.monomial(*mu) for mu in points]
 
     with Report(f"recurrences.N{n}") as rec:
         p = _p_matrix(s.d, n)
-        # (part, scaled coefficient table and its denominator, index of
-        # the eigenvalue in (s, t), scaled P rows).  Parts (i) and (ii)
-        # expand varphi and phi in the tilde basis: the varphi~ and phi~
-        # tables of the dual parameters.
+        # (part, index of the eigenvalue in (s, t), scaled P rows, and per
+        # column mu the image of x^mu as its denominator and its (column,
+        # numerator) pairs).
         parts = []
-        for (first, second), q, p_side in (
-            (("i", "ii"), s.p.dual(), p),
-            (("iii", "iv"), s.p, list(zip(*p))),
-        ):
+        for names, q, p_side in ((("i", "ii"), s.p.dual(), p), (("iii", "iv"), s.p, zip(*p))):
             rows = [over_common_denominator(p_row) for p_row in p_side]
-            for name, coeffs, eig in zip((first, second), expansion_coefficients(q), (0, 1)):
-                numerators, den = over_common_denominator(coeffs.values())
-                parts.append((name, dict(zip(coeffs, numerators)), den, eig, rows))
+            for name, matrix, eig in zip(names, expansion_coefficients(q), (0, 1)):
+                images = map(action(matrix), monomials)
+                stencils = [(image.den, [(index[nu], c) for nu, c in image.nums.items()])
+                            for image in images]
+                parts.append((name, eig, rows, stencils))
 
         for row, (_, s_idx, t_idx) in enumerate(points):
-            for column, ((_, sigma, tau), stencil) in enumerate(zip(points, stencils)):
-                for name, coeffs, coeff_den, eig, rows in parts:
+            for column, ((_, sigma, tau), moves) in enumerate(zip(points, off_lattice)):
+                for name, eig, rows, stencils in parts:
                     p_row, p_den = rows[row]
-                    base = p_row[column]
-                    total = (
-                        (3 * sigma - n) * coeffs["h1"] + (3 * tau - n) * coeffs["h2"]
-                    ) * base
-                    for key, factor, shifted in stencil:
-                        if shifted is None:
-                            rec.check(
-                                factor == 0,
-                                lambda: f"part ({name}) at {(s_idx, t_idx, sigma, tau)}: "
-                                f"out-of-range term {key} has nonzero counter {factor}",
-                            )
-                            continue
-                        if factor == 0:
-                            continue
-                        total += 3 * factor * coeffs[key] * p_row[shifted]
-
+                    den, terms = stencils[column]
+                    for key, counter in moves:
+                        rec.check(
+                            counter == 0,
+                            lambda: f"part ({name}) at {(s_idx, t_idx, sigma, tau)}: "
+                            f"out-of-range term {key} has nonzero counter {counter}",
+                        )
                     rec.equal_over(
-                        (3 * (s_idx, t_idx)[eig] - n) * coeff_den * base,
-                        total,
-                        3 * coeff_den * p_den,
+                        (3 * (s_idx, t_idx)[eig] - n) * den * p_row[column],
+                        3 * sum(c * p_row[nu] for nu, c in terms),
+                        3 * den * p_den,
                         lambda: f"part ({name}) at {(s_idx, t_idx, sigma, tau)}",
                     )
     return rec
@@ -265,7 +254,7 @@ def verify_operator_identities(s: StructureSet, n: int) -> Report:
     acts on plain monomials; the front identity is the back identity of
     the dual, which acts on tilde monomials.  Each side is one
     ``eval_P_operator`` call over every (s, t), so CD = DC is checked
-    once per side.
+    once per side.  ``checked`` = 2D.
     """
     pairs = _pairs(n)
     third = Fraction(n, 3)
@@ -283,11 +272,8 @@ def verify_operator_identities(s: StructureSet, n: int) -> Report:
         for index, (s_idx, t_idx) in enumerate(pairs):
             target = Poly3.monomial(n - s_idx - t_idx, s_idx, t_idx)
             for label, side_images in images:
-                rec.equal(
-                    side_images[index],
-                    target,
-                    lambda: f"{label} identity at (s,t)={(s_idx, t_idx)}",
-                )
+                rec.equal(side_images[index], target,
+                          lambda: f"{label} identity at (s,t)={(s_idx, t_idx)}")
     return rec
 
 

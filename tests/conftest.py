@@ -4,10 +4,11 @@ from math import factorial
 
 import pytest
 
+from rahman.matrices import Mat
 from rahman.params import DerivedParams, ParameterSet, ValidationError, derive
 from rahman.polymodule import DegreeMismatch, Poly3, lattice
 from rahman.scalars import format_rational
-from rahman.sl3 import StructureSet, build
+from rahman.sl3 import OFF_DIAGONAL, StructureSet, build
 
 PARAM_MATRIX = [
     ParameterSet.of(1, 2, 3, 5),
@@ -296,15 +297,24 @@ def fraction_derive(p: ParameterSet) -> DerivedParams:
     )
 
 
-def phi_t_table(p: ParameterSet) -> dict:
-    """The paper's table of phi~ in the plain basis {e_ij, varphi, phi},
-    transcribed entry by entry: the oracle for ``expansion_coefficients``,
-    which reads it off the varphi~ table of (p3, p4, p1, p2)."""
+# The plain basis {e_ij, varphi, phi}, keyed as the expansion tables are.
+EXPANSION_BASIS = {
+    **{f"e{i}{j}": StructureSet.e[i, j] for i, j in OFF_DIAGONAL},
+    "h1": StructureSet.varphi,
+    "h2": StructureSet.phi,
+}
+
+
+def phi_t_table(p: ParameterSet) -> Mat:
+    """phi~ from the paper's table in the plain basis {e_ij, varphi, phi},
+    transcribed entry by entry and summed by ``Mat.scale`` and ``+``: the
+    oracle for ``expansion_coefficients``, which reads it off the varphi~
+    table of (p3, p4, p1, p2) as one integer sum."""
     p1, p2, p3, p4 = p.as_tuple()
     total = p1 + p2 + p3 + p4
     b, c, dd = p1 + p3, p2 + p4, p3 + p4
     g = p2 * p3 - p1 * p4
-    return {
+    table = {
         "e01": p4 * g / (b * dd * c),
         "e02": -p3 * g / (b * dd * c),
         "e10": p1 * p3 * p4 * total / (b * dd * g),
@@ -314,6 +324,7 @@ def phi_t_table(p: ParameterSet) -> dict:
         "h1": p1 * p4 / (b * dd) - p3 * p4 * total / (b * dd * c),
         "h2": p2 * p3 / (c * dd) - p3 * p4 * total / (b * dd * c),
     }
+    return sum((EXPANSION_BASIS[key].scale(value) for key, value in table.items()), Mat.zero())
 
 
 def fraction_gram(d: DerivedParams, n: int) -> dict:

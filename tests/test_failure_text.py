@@ -34,7 +34,7 @@ from rahman.polymodule import (
 )
 from rahman.sl3 import build, verify_dagger
 
-from conftest import with_corrupted_eta_t
+from conftest import EXPANSION_BASIS, with_corrupted_eta_t
 
 REFERENCE = ParameterSet.of(1, 2, 3, 5)
 NEGATIVE = ParameterSet.of(Fraction(-3, 2), 5, Fraction(1, 2), -3)
@@ -56,7 +56,7 @@ def _wrong_expansion_coefficient(patch):
 
     def wrong(p):
         varphi, phi = expansion_coefficients(p)
-        return {**varphi, "e01": varphi["e01"] + 1}, phi
+        return varphi + EXPANSION_BASIS["e01"], phi
 
     patch(theorems, "expansion_coefficients", wrong)
 

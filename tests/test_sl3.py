@@ -22,6 +22,7 @@ from rahman.sl3 import (
 )
 
 from conftest import (
+    EXPANSION_BASIS,
     PARAM_MATRIX,
     Dense,
     dense_product,
@@ -80,13 +81,13 @@ def test_the_mirror_negates_r_and_exchanges_its_columns_1_and_2(p):
     assert (t.varphi_t, t.phi_t) == (s.phi_t, s.varphi_t)
 
 
-@pytest.mark.parametrize("key", list(phi_t_table(PARAM_MATRIX[0])))
+@pytest.mark.parametrize("key", list(EXPANSION_BASIS))
 def test_a_wrong_phi_t_entry_trips_the_expansions_at_phi_t(monkeypatch, reference_params, key):
     tables = sl3.expansion_coefficients
 
     def wrong(p):
         varphi_t, phi_t = tables(p)
-        return varphi_t, {**phi_t, key: phi_t[key] + 1}
+        return varphi_t, phi_t + EXPANSION_BASIS[key]
 
     monkeypatch.setattr(sl3, "expansion_coefficients", wrong)
     report = verify_expansions(build(reference_params))
