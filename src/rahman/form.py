@@ -247,7 +247,11 @@ def p_table(f: BilinearForm) -> list:
 
 
 def verify_adjointness(f: BilinearForm) -> Report:
-    """<beta xi, zeta> = <xi, beta^dagger zeta> over the whole basis grid."""
+    """<beta xi, zeta> = <xi, beta^dagger zeta> over the whole basis grid.
+
+    ``checked`` = 8 D^2, D = (N+1)(N+2)/2: 8 basis elements beta, D
+    monomials xi and D monomials zeta.
+    """
     s, n = f.s, f.n
     monomials = [Poly3.monomial(*point) for point in lattice(n)]
     with Report(f"form.adjointness.N{n}") as rec:
@@ -270,7 +274,7 @@ def verify_tilde_norms(f: BilinearForm) -> Report:
     """Tilde monomials are orthogonal, with the norms ``f.dual.gram``.
 
     Oracle: plain-basis expansion plus the defining Gram data, read off
-    ``f.tilde_gram``.
+    ``f.tilde_gram``.  ``checked`` = D(D+1)/2, one per pair lam <= mu.
     """
     n = f.n
     points = lattice(n)
@@ -295,6 +299,7 @@ def verify_dual_sum_identities(f: BilinearForm) -> Report:
     coordinates are constant (and the mirror argument on the plain side).
     The tilde side is the plain side of ``f.dual``, the form of the
     swapped structure; each duality check reads its side's Gram matrix.
+    ``checked`` = 2 D^2 + 2: two sums and two D x D dualities.
     """
     n = f.n
     scale = pairing_scale(f.s.d, n)
