@@ -41,6 +41,13 @@ def with_corrupted_eta_t(s: StructureSet, index: int, delta) -> StructureSet:
     return build(s.p, replace(s.d, eta_t=tuple(eta_t)))
 
 
+def shifted_entry(m: Mat) -> Mat:
+    """m with 1 added to entry (0, 1): a corrupted R or R^-1."""
+    rows = [list(row) for row in m.rows]
+    rows[0][1] += 1
+    return Mat(rows)
+
+
 def fraction_structure(d: DerivedParams) -> dict:
     """U, W, W~, R = theta~ W~ U^t and R^-1 = theta W U from the constants,
     Fraction by Fraction: the oracle for the integer ``sl3.build``."""

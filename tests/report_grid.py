@@ -23,7 +23,7 @@ from rahman.scalars import format_rational
 from rahman.sl3 import build
 from rahman.theorems import SUITES
 
-from conftest import with_corrupted_eta_t
+from conftest import shifted_entry, with_corrupted_eta_t
 
 GOLDEN = Path(__file__).parent / "data" / "report_grid.txt"
 
@@ -35,12 +35,6 @@ PARAMETERS = [
 ]
 DEGREES = range(4)
 IDENTITY = Mat.identity()
-
-
-def _plus_one_at_0_1(m: Mat) -> Mat:
-    rows = [list(row) for row in m.rows]
-    rows[0][1] += 1
-    return Mat(rows)
 
 
 def structures(p: ParameterSet) -> dict:
@@ -56,8 +50,8 @@ def structures(p: ParameterSet) -> dict:
         shifted = dataclasses.replace(s.d, **{field: getattr(s.d, field) + 1})
         found[f"{field} + 1"] = build(p, shifted)
     found["R = R^-1 = I"] = dataclasses.replace(s, R=IDENTITY, Rinv=IDENTITY)
-    found["R[0][1] + 1"] = dataclasses.replace(s, R=_plus_one_at_0_1(s.R))
-    found["R^-1[0][1] + 1"] = dataclasses.replace(s, Rinv=_plus_one_at_0_1(s.Rinv))
+    found["R[0][1] + 1"] = dataclasses.replace(s, R=shifted_entry(s.R))
+    found["R^-1[0][1] + 1"] = dataclasses.replace(s, Rinv=shifted_entry(s.Rinv))
     return {**found, **{f"dual of {label}": t.dual() for label, t in found.items()}}
 
 

@@ -50,7 +50,7 @@ from rahman.theorems import (
     verify_trans2,
 )
 
-from conftest import EXPANSION_BASIS, PARAM_MATRIX, with_corrupted_eta_t
+from conftest import EXPANSION_BASIS, PARAM_MATRIX, shifted_entry, with_corrupted_eta_t
 from test_failure_text import _doubled_plain_norm, _doubled_tilde_norm
 from test_params import valid_parameter_sets
 
@@ -145,13 +145,6 @@ def test_transition_verifiers_check_the_printed_table(forms, monkeypatch):
         )
 
 
-def _shifted_entry(m: Mat) -> Mat:
-    """m with 1 added to entry (0, 1)."""
-    rows = [list(row) for row in m.rows]
-    rows[0][1] += 1
-    return Mat(rows)
-
-
 def _tilde_column_plus_x_n(f):
     """Add x^N to the Sym^N(R) column of x~^mu, mu the last lattice point."""
     mu = lattice(f.n)[-1]
@@ -179,7 +172,7 @@ def test_a_wrong_entry_of_R_inverse_trips_pcosines_but_not_trans2(n):
     trace, and trans2, which never reads R^-1, still passes.  trans1 fails
     by value: the dual's R is this R^-1, the mirror of R[0][1] + 1 on trans2."""
     s = _reference_with()
-    f = BilinearForm(dataclasses.replace(s, Rinv=_shifted_entry(s.Rinv)), n)
+    f = BilinearForm(dataclasses.replace(s, Rinv=shifted_entry(s.Rinv)), n)
     report = verify_pcosines(f)
     assert report.first_failure.startswith("raised NotTraceless: ")
     assert verify_trans2(f).ok
@@ -540,9 +533,9 @@ CORRUPTIONS = {
     "R = R^-1 = I": _corrupted_structure(
         lambda s: dataclasses.replace(s, R=IDENTITY, Rinv=IDENTITY)),
     "R[0][1] + 1": _corrupted_structure(
-        lambda s: dataclasses.replace(s, R=_shifted_entry(s.R))),
+        lambda s: dataclasses.replace(s, R=shifted_entry(s.R))),
     "R^-1[0][1] + 1": _corrupted_structure(
-        lambda s: dataclasses.replace(s, Rinv=_shifted_entry(s.Rinv))),
+        lambda s: dataclasses.replace(s, Rinv=shifted_entry(s.Rinv))),
     "kernel t + 1": _corrupted_kernel,
     "plain norm doubled": _corrupted_form(_doubled_plain_norm),
     "tilde norm doubled": _corrupted_form(_doubled_tilde_norm),
