@@ -45,6 +45,7 @@ from .polymodule import (
     action,
     lattice,
     lattice_dimension,
+    monomials,
 )
 from .report import Report
 from .scalars import format_rational, over_common_denominator
@@ -118,9 +119,9 @@ class BilinearForm:
         plain basis, as (numerators in lattice order, denominator).
 
         Each degree-k tilde monomial is a degree-(k-1) one times one tilde
-        variable.  The lattice index of (r, s, t) is a(a+1)/2 + t with
-        a = s + t, whatever the degree, so multiplying by x, y or z moves
-        index i to i, i + a + 1 or i + a + 2.
+        variable.  The lattice index of (r, s, t) is ``_lattice_index``,
+        a(a+1)/2 + t with a = s + t, whatever the degree, so multiplying by
+        x, y or z moves index i to i, i + a + 1 or i + a + 2.
         """
         R = self.s.R
         linear, scales = zip(
@@ -253,15 +254,15 @@ def verify_adjointness(f: BilinearForm) -> Report:
     monomials xi and D monomials zeta.
     """
     s, n = f.s, f.n
-    monomials = [Poly3.monomial(*point) for point in lattice(n)]
+    basis = monomials(n)
     with Report(f"form.adjointness.N{n}") as rec:
         for name, beta in s.cartan_basis().items():
             on_beta = action(beta)
             on_dagger = action(dagger(beta, s))
-            dagger_images = [on_dagger(zeta) for zeta in monomials]
-            for xi in monomials:
+            dagger_images = [on_dagger(zeta) for zeta in basis]
+            for xi in basis:
                 image = on_beta(xi)
-                for zeta, zeta_image in zip(monomials, dagger_images):
+                for zeta, zeta_image in zip(basis, dagger_images):
                     rec.equal(
                         inner(image, zeta, f),
                         inner(xi, zeta_image, f),

@@ -14,14 +14,15 @@ Fractions.  The public ``Poly3(...)`` refuses a float or bool
 coefficient and any exponent that is not a nonnegative int, and
 ``scale`` a float or bool factor.
 
-The six moves e_i - e_j of e_ij on exponents are one table, ``_MOVES``,
-read by ``_neighbours`` and the recurrences' off-lattice checks;
-``_derivation`` and the action tables, which those checks test, write
-their shifts out.  The recurrences act by ``action`` itself.  The
-cross-Cartan actions act as in a rank-2 Leonard pair: they vanish off
-the diagonal and the lattice neighbours (``verify_block_structure``),
-and no neighbour entry vanishes (``irreducibility_probe``), so V is
-irreducible.
+``monomials`` builds the basis of V in ``lattice`` order, which
+``_lattice_index`` inverts.  The six moves e_i - e_j of e_ij on
+exponents are one table, ``_MOVES``, read by ``_neighbours`` and the
+recurrences' off-lattice checks; ``_derivation`` and the action tables,
+which those checks test, keep their own shifts.  The recurrences act by
+``action`` itself.  The cross-Cartan actions act as in a rank-2 Leonard
+pair: they vanish off the diagonal and the lattice neighbours
+(``verify_block_structure``), and no neighbour entry vanishes
+(``irreducibility_probe``), so V is irreducible.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "Poly3",
     "lattice",
     "lattice_dimension",
+    "monomials",
     "action",
     "verify_block_structure",
     "irreducibility_probe",
@@ -80,6 +82,17 @@ def lattice(n: int) -> list:
 def lattice_dimension(n: int) -> int:
     _require_degree(n)
     return (n + 1) * (n + 2) // 2
+
+
+def _lattice_index(point: tuple) -> int:
+    """The position of (r, s, t) in its ``lattice``: a(a+1)/2 + t, a = s + t."""
+    a = point[1] + point[2]
+    return a * (a + 1) // 2 + point[2]
+
+
+def monomials(n: int) -> list:
+    """The degree-n monomial basis x^r y^s z^t, in lattice order."""
+    return [Poly3._over({point: 1}, 1, n) for point in lattice(n)]
 
 
 class Poly3:
@@ -127,13 +140,7 @@ class Poly3:
 
     @classmethod
     def monomial(cls, r: int, s: int, t: int, coeff=1) -> "Poly3":
-        """``Poly3({(r, s, t): coeff})``, with its checks, built directly."""
-        value = exact_rational(coeff, "coefficient")
-        if value == 0:
-            return cls.zero()
-        if any(type(x) is not int or x < 0 for x in (r, s, t)):
-            raise ValueError(f"bad exponent triple {(r, s, t)!r}")
-        return cls._over({(r, s, t): value.numerator}, value.denominator, r + s + t)
+        return cls({(r, s, t): coeff})
 
     @classmethod
     def zero(cls) -> "Poly3":
@@ -189,7 +196,7 @@ class Poly3:
 
     def to_json(self) -> list:
         """Deterministic JSON form: list of {"index", "coeff"} in lattice order."""
-        keys = sorted(self.nums, key=lambda k: (-k[0], -k[1]))
+        keys = sorted(self.nums, key=_lattice_index)
         return [
             {"index": list(key), "coeff": format_over(self.nums[key], self.den)}
             for key in keys
@@ -223,6 +230,12 @@ def _tilde_action(beta: Mat, s: StructureSet):
     return _derivation(s.Rinv @ beta @ s.R)
 
 
+# e_i - e_j for all nine units e_ij, read by ``_derivation`` alone: it is
+# kept apart from ``_MOVES``, the band block structure checks it against.
+_DERIVATION_SHIFTS = {(i, j): tuple(int(k == i) - int(k == j) for k in range(3))
+                      for j in range(3) for i in range(3)}
+
+
 def _derivation(matrix: Mat):
     """``action`` without the trace check, which each caller makes first.
 
@@ -232,11 +245,7 @@ def _derivation(matrix: Mat):
     # For each variable j: (shift of the exponent triple, numerator of
     # m[i][j]) for the nonzero entries of column j, in row order.
     columns = [
-        [
-            (tuple(int(k == i) - int(k == j) for k in range(3)), matrix.nums[i][j])
-            for i in range(3)
-            if matrix.nums[i][j]
-        ]
+        [(_DERIVATION_SHIFTS[i, j], matrix.nums[i][j]) for i in range(3) if matrix.nums[i][j]]
         for j in range(3)
     ]
 
@@ -262,8 +271,8 @@ _MOVES = {(i, j): tuple(int(k == i) - int(k == j) for k in range(3)) for i, j in
 
 def _neighbours(point: tuple) -> list:
     """The lattice points adjacent to ``point``, in lattice order."""
-    shifted = sorted((tuple(map(add, point, move)) for move in _MOVES.values()), reverse=True)
-    return [mu for mu in shifted if min(mu) >= 0]
+    shifted = (tuple(map(add, point, move)) for move in _MOVES.values())
+    return sorted((mu for mu in shifted if min(mu) >= 0), key=_lattice_index)
 
 
 def _cross_cartan_images(s: StructureSet, n: int):
@@ -281,10 +290,9 @@ def _cross_cartan_images(s: StructureSet, n: int):
         ("varphi on tilde", on_tilde, s.varphi),
         ("phi on tilde", on_tilde, s.phi),
     ]
-    monomials = [Poly3.monomial(*lam) for lam in lattice(n)]
+    basis = monomials(n)
     for label, make_action, beta in cases:
-        apply = make_action(beta)
-        yield label, [apply(m) for m in monomials]
+        yield label, list(map(make_action(beta), basis))
 
 
 def verify_block_structure(s: StructureSet, n: int) -> Report:
@@ -332,15 +340,16 @@ def verify_action_tables(s: StructureSet, n: int) -> Report:
 
     basis = s.cartan_basis()
     with Report(f"module.action_tables.N{n}") as rec:
+        points = list(zip(lattice(n), monomials(n)))
         for kind, gens, make_action in (
             ("plain", basis, action),
             ("tilde", s.tilde_basis(), partial(_tilde_action, s=s)),
         ):
             actions = {label: make_action(beta) for label, beta in zip(basis, gens.values())}
-            for point in lattice(n):
+            for point, monomial in points:
                 for label, image in expected_rows(*point):
                     rec.equal(
-                        actions[label](Poly3.monomial(*point)),
+                        actions[label](monomial),
                         Poly3(image),
                         lambda: f"{kind} table {label} at {point}",
                     )
@@ -358,19 +367,19 @@ def verify_representation_law(s: StructureSet, n: int) -> Report:
     """
     basis = s.cartan_basis()
     names = list(basis)
-    monomials = [Poly3.monomial(*point) for point in lattice(n)]
+    plain = monomials(n)
     with Report(f"module.representation.N{n}") as rec:
         actions = {name: action(beta) for name, beta in basis.items()}
         # Each generator's image of each monomial, computed once and read
         # by every pair and by the tilde compatibility rows.
-        images = {name: [apply(m) for m in monomials] for name, apply in actions.items()}
+        images = {name: [apply(m) for m in plain] for name, apply in actions.items()}
         for a, name_b in enumerate(names):
             beta, on_beta = basis[name_b], actions[name_b]
             for name_g in names[a + 1:]:
                 gamma, on_gamma = basis[name_g], actions[name_g]
                 on_bracket = action(beta.bracket(gamma))
                 rec.equal(
-                    [on_bracket(m) for m in monomials],
+                    [on_bracket(m) for m in plain],
                     [
                         on_beta(gamma_m) - on_gamma(beta_m)
                         for gamma_m, beta_m in zip(images[name_g], images[name_b])
@@ -380,7 +389,7 @@ def verify_representation_law(s: StructureSet, n: int) -> Report:
         for name, conjugated in zip(names, s.tilde_basis().values()):
             on_conjugated = _tilde_action(conjugated, s)
             rec.equal(
-                [on_conjugated(m).coeffs for m in monomials],
+                [on_conjugated(m).coeffs for m in plain],
                 [image.coeffs for image in images[name]],
                 lambda: f"tilde compatibility for {name}",
             )
@@ -398,16 +407,13 @@ def verify_weight_diagonality(s: StructureSet, n: int) -> Report:
         ("varphi~ tilde", on_tilde, s.varphi_t, 1),
         ("phi~ tilde", on_tilde, s.phi_t, 2),
     ]
-    monomials = [Poly3.monomial(*point) for point in points]
+    basis = monomials(n)
     with Report(f"module.weights.N{n}") as rec:
         for label, make_action, beta, slot in cases:
             apply = make_action(beta)
             rec.equal(
-                [apply(m) for m in monomials],
-                [
-                    m.scale(Fraction(point[slot]) - Fraction(n, 3))
-                    for m, point in zip(monomials, points)
-                ],
+                [apply(m) for m in basis],
+                [m.scale(point[slot] - Fraction(n, 3)) for m, point in zip(basis, points)],
                 label,
             )
     return rec

@@ -37,7 +37,7 @@ from math import factorial, lcm
 from operator import mul
 
 from .params import DerivedParams
-from .polymodule import Poly3, _require_degree, lattice
+from .polymodule import Poly3, _require_degree, monomials
 
 __all__ = [
     "NonCommutingOperators",
@@ -176,10 +176,8 @@ def eval_P_operator(
     for s_arg, t_arg in int_pairs:
         _check_lattice(n, s_arg, t_arg)
     c_op, d_op = op_pair
-    for point in lattice(n):
-        m = Poly3.monomial(*point)
-        if c_op(d_op(m)) != d_op(c_op(m)):
-            raise NonCommutingOperators("operator pair does not commute")
+    if any(c_op(d_op(m)) != d_op(c_op(m)) for m in monomials(n)):
+        raise NonCommutingOperators("operator pair does not commute")
 
     top = max((s_arg + t_arg for s_arg, t_arg in int_pairs), default=0)
     powers = {}

@@ -12,11 +12,12 @@ on V by the expansion matrices of ``sl3.expansion_coefficients``.
 
 P is read as one D x D matrix of ``eval_P`` values per verifier (D =
 (N+1)(N+2)/2, the dimension of V, in which each ``checked`` is given):
-rows (s, t), columns (sigma, tau), in lattice order.  Each theorem about
-the tilde side is its plain-side twin for the dual parameters (p2 and p3
-swapped), whose P is the transpose: orthogonality relation 2 and
-recurrence parts (iii) and (iv) read the transpose, and trans1 and the
-front operator identity run the plain-side check on ``s.dual()``.
+rows (s, t), columns (sigma, tau), in the order of ``lattice`` and
+``monomials``.  Each theorem about the tilde side is its plain-side twin
+for the dual parameters (p2 and p3 swapped), whose P is the transpose:
+orthogonality relation 2 and recurrence parts (iii) and (iv) read the
+transpose, and trans1 and the front operator identity run the plain-side
+check on ``s.dual()``.
 The orthogonality and recurrence sums scale each P column or row, weight
 vector and image to integers over one denominator once, so each check
 compares two integer sums; a failure still names the two Fractions.
@@ -41,9 +42,11 @@ from .params import DerivedParams, ParameterSet
 from .polymodule import (
     _MOVES,
     Poly3,
+    _lattice_index,
     action,
     irreducibility_probe,
     lattice,
+    monomials,
     verify_action_tables,
     verify_block_structure,
     verify_representation_law,
@@ -74,18 +77,13 @@ __all__ = [
 ]
 
 
-def _pairs(n: int) -> list:
-    """All (s, t) with s, t >= 0 and s + t <= n, in lattice order."""
-    return [(s, t) for (_, s, t) in lattice(n)]
-
-
 def _p_matrix(d: DerivedParams, n: int) -> list:
     """P(s, t | sigma, tau) by ``eval_P``: rows (s, t), columns (sigma, tau).
 
     The dual parameters' P is the transpose.
     """
-    pairs = _pairs(n)
-    return [[eval_P(a, b, c, dd, d, n) for (c, dd) in pairs] for (a, b) in pairs]
+    points = lattice(n)
+    return [[eval_P(a, b, c, dd, d, n) for (_, c, dd) in points] for (_, a, b) in points]
 
 
 def _p_table_against_eval_P(name: str, f: BilinearForm) -> Report:
@@ -142,8 +140,7 @@ def verify_pcosines(f: BilinearForm) -> Report:
             image = (by_z(tilde[rho + 1, sigma, tau - 1]) if tau
                      else by_y(tilde[rho + 1, sigma - 1, 0]))
             tilde[rho, sigma, tau] = image.scale(Fraction(1, rho + 1))
-        for row, point in enumerate(points):
-            monomial = Poly3.monomial(*point)
+        for row, (point, monomial) in enumerate(zip(points, monomials(n))):
             for column, (key, xi) in enumerate(tilde.items()):
                 lhs = inner(monomial, xi, f)
                 rec.equal(lhs, scale * p[row][column], lambda: f"pair ({point}, {key})")
@@ -204,14 +201,13 @@ def verify_recurrences(s: StructureSet, n: int) -> Report:
     (kept for the count, ROADMAP item 5).  ``checked`` = 4D(D + 6(N+1)).
     """
     points = lattice(n)
-    index = {point: position for position, point in enumerate(points)}
     # Per column mu: each move (i, j) that leaves the lattice, with mu_j.
     off_lattice = [
         [(f"e{i}{j}", mu[j]) for (i, j), move in _MOVES.items()
-         if tuple(map(add, mu, move)) not in index]
+         if min(map(add, mu, move)) < 0]
         for mu in points
     ]
-    monomials = [Poly3.monomial(*mu) for mu in points]
+    basis = monomials(n)
 
     with Report(f"recurrences.N{n}") as rec:
         p = _p_matrix(s.d, n)
@@ -222,8 +218,8 @@ def verify_recurrences(s: StructureSet, n: int) -> Report:
         for names, q, p_side in ((("i", "ii"), s.p.dual(), p), (("iii", "iv"), s.p, zip(*p))):
             rows = [over_common_denominator(p_row) for p_row in p_side]
             for name, matrix, eig in zip(names, expansion_coefficients(q), (0, 1)):
-                images = map(action(matrix), monomials)
-                stencils = [(image.den, [(index[nu], c) for nu, c in image.nums.items()])
+                images = map(action(matrix), basis)
+                stencils = [(image.den, [(_lattice_index(nu), c) for nu, c in image.nums.items()])
                             for image in images]
                 parts.append((name, eig, rows, stencils))
 
@@ -256,9 +252,9 @@ def verify_operator_identities(s: StructureSet, n: int) -> Report:
     ``eval_P_operator`` call over every (s, t), so CD = DC is checked
     once per side.  ``checked`` = 2D.
     """
-    pairs = _pairs(n)
+    pairs = [(s_idx, t_idx) for (_, s_idx, t_idx) in lattice(n)]
     third = Fraction(n, 3)
-    start = Poly3.monomial(n, 0, 0)
+    basis = monomials(n)
 
     def shifted(beta):
         apply = action(beta)
@@ -268,9 +264,8 @@ def verify_operator_identities(s: StructureSet, n: int) -> Report:
         images = []
         for label, side in (("back", s), ("front", s.dual())):
             ops = (shifted(side.varphi_t), shifted(side.phi_t))
-            images.append((label, eval_P_operator(pairs, ops, start, side.d, n)))
-        for index, (s_idx, t_idx) in enumerate(pairs):
-            target = Poly3.monomial(n - s_idx - t_idx, s_idx, t_idx)
+            images.append((label, eval_P_operator(pairs, ops, basis[0], side.d, n)))
+        for index, ((s_idx, t_idx), target) in enumerate(zip(pairs, basis)):
             for label, side_images in images:
                 rec.equal(side_images[index], target,
                           lambda: f"{label} identity at (s,t)={(s_idx, t_idx)}")

@@ -244,8 +244,9 @@ def expand_tilde_monomial_direct(rho: int, sigma: int, tau: int, s: StructureSet
     over Fractions.  On ``s.dual()`` this is the tilde-basis expansion of
     the plain monomial x^rho y^sigma z^tau.
     """
-    xt, yt, zt = tilde_variables(s)
-    return xt.power(rho) * yt.power(sigma) * zt.power(tau)
+    xt, yt, zt = (FractionPoly(variable.coeffs, 1) for variable in tilde_variables(s))
+    product = xt.power(rho) * yt.power(sigma) * zt.power(tau)
+    return Poly3(product.coeffs)
 
 
 def fraction_validate(p: ParameterSet) -> ParameterSet:

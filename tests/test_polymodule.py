@@ -14,13 +14,15 @@ from rahman.polymodule import (
     irreducibility_probe,
     lattice,
     lattice_dimension,
+    monomials,
     verify_action_tables,
     verify_block_structure,
     verify_representation_law,
     verify_weight_diagonality,
 )
-from rahman.polymodule import _neighbours, _tilde_action
+from rahman.polymodule import _lattice_index, _neighbours, _tilde_action
 from rahman.polynomials import _falling_coefficients, eval_P_operator
+from rahman.scalars import format_rational
 from rahman.sl3 import NotTraceless, build
 
 from conftest import (
@@ -48,6 +50,45 @@ def test_lattice_order_is_graded():
     points = lattice(3)
     assert points[0] == (3, 0, 0)
     assert points == sorted(points, key=lambda p: (-p[0], -p[1]))
+
+
+@pytest.mark.parametrize("n", range(21))
+def test_lattice_index_inverts_lattice(n):
+    assert [_lattice_index(point) for point in lattice(n)] == list(range(lattice_dimension(n)))
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_monomials_are_the_lattice_monomials(n):
+    """``monomials(n)`` is the validated ``Poly3.monomial`` of each lattice
+    point, in lattice order, equal in value, den, degree and key order."""
+    def fields(basis):
+        return [(list(m.nums.items()), m.den, m.degree) for m in basis]
+
+    expected = [Poly3.monomial(*point) for point in lattice(n)]
+    assert monomials(n) == expected
+    assert fields(monomials(n)) == fields(expected)
+
+
+@st.composite
+def multi_term_coefficients(draw):
+    """A coefficient dict of 2 to 8 nonzero terms on the degree-n lattice,
+    1 <= n <= 8, in a drawn order."""
+    n = draw(st.integers(1, 8))
+    points = draw(st.lists(st.sampled_from(lattice(n)), min_size=2, max_size=8, unique=True))
+    values = st.fractions(max_denominator=9).filter(bool)
+    return {point: draw(values) for point in points}
+
+
+@given(multi_term_coefficients())
+def test_to_json_lists_terms_by_descending_r_then_s(coeffs):
+    """``to_json`` sorts by ``_lattice_index``: the order of the key
+    (-r, -s) on a homogeneous polynomial."""
+    xi = Poly3(coeffs)
+    keys = sorted(coeffs, key=lambda k: (-k[0], -k[1]))
+    assert [entry["index"] for entry in xi.to_json()] == [list(key) for key in keys]
+    assert [entry["coeff"] for entry in xi.to_json()] == [
+        format_rational(coeffs[key]) for key in keys
+    ]
 
 
 def test_adjacent():
@@ -355,8 +396,8 @@ exponents = st.one_of(
               st.just(0.5), st.just(Fraction(0))),
 )
 def test_monomial_is_the_validating_constructor(r, s, t, coeff):
-    """``Poly3.monomial`` skips the dict walk of ``Poly3(...)`` but builds
-    the same polynomial, and refuses the same inputs with the same text; a
+    """``Poly3.monomial`` is ``Poly3({(r, s, t): coeff})``: it builds the
+    same polynomial, and refuses the same inputs with the same text; a
     zero coefficient gives the zero polynomial, whatever the exponents."""
     assert _built(lambda: Poly3.monomial(r, s, t, coeff)) == _built(
         lambda: Poly3({(r, s, t): coeff})
@@ -386,8 +427,9 @@ def _dense_matrix_of(apply, n):
     """DxD matrix of an action on degree-n polynomials: its images of the
     monomials in lattice order, as columns.  A test-only oracle for the
     dense products."""
-    columns = [apply(Poly3.monomial(*point)).to_vector(n) for point in lattice(n)]
-    return Dense(columns).transpose()
+    points = lattice(n)
+    images = (apply(Poly3.monomial(*point)) for point in points)
+    return Dense([[image[key] for key in points] for image in images]).transpose()
 
 
 def test_matrix_of_examples(reference_structure):
@@ -415,7 +457,7 @@ def test_act_matches_dense_products(structures, p, n):
     plain = [Poly3.monomial(*point) for point in points]
 
     def columns(images):
-        return Dense([image.to_vector(n) for image in images]).transpose()
+        return Dense([[image[key] for key in points] for image in images]).transpose()
 
     basis = s.cartan_basis()
     dense = {name: _dense_matrix_of(action(beta), n) for name, beta in basis.items()}

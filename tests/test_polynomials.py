@@ -244,9 +244,9 @@ def test_extended_sum_range_changes_nothing(derived_matrix):
 
 def _matrix(op, n):
     """Dense matrix of a module operator, one basis monomial per column."""
-    return Dense(
-        [op(Poly3.monomial(*point)).to_vector(n) for point in lattice(n)]
-    ).transpose()
+    points = lattice(n)
+    images = (op(Poly3.monomial(*point)) for point in points)
+    return Dense([[image[key] for key in points] for image in images]).transpose()
 
 
 def _diagonal(weight):
@@ -363,7 +363,9 @@ def test_operator_matches_dense_oracle(structures, derived_matrix, p, n):
             for point in lattice(n)
         ]
         for index, pair in enumerate(pairs):
-            batch = Dense([images[index].to_vector(n) for images in columns]).transpose()
+            batch = Dense(
+                [[images[index][key] for key in lattice(n)] for images in columns]
+            ).transpose()
             assert batch == _dense_operator(pair, dense_ops, side_d, n)
 
 
