@@ -20,6 +20,11 @@ the Gram diagonal, scaled to integers over one denominator, so each of
 its entries is one integer dot product: tilde_norms and the tilde
 duality entries of dual_sums read it instead of calling ``inner``.
 
+P by its defining sum, the side the theorems check ``p_table`` and
+the pairings against, is ``BilinearForm.p_matrix``: one D x D matrix of
+``eval_P`` values per form, built on first use and read by trans1 (as
+the transpose), trans2, pcosines and orthogonality.
+
 A Poly3 carries no coordinate tag.  ``inner`` reads both arguments as
 plain coordinates and sums int products over the Gram diagonal, held
 once per form as integers over one denominator (``gram_over``, which
@@ -47,6 +52,7 @@ from .polymodule import (
     lattice_dimension,
     monomials,
 )
+from .polynomials import eval_P
 from .report import Report
 from .scalars import format_rational, over_common_denominator
 from .sl3 import StructureSet, dagger
@@ -98,6 +104,19 @@ class BilinearForm:
                                  theta_bottom * bottoms[0][r] * bottoms[1][st] * bottoms[2][t])
             for r, st, t in lattice(n)
         }
+
+    @cached_property
+    def p_matrix(self) -> list:
+        """P(s, t | sigma, tau) by ``eval_P``, the defining sum: rows (s, t),
+        columns (sigma, tau), in lattice order; built on first use.
+
+        ``DerivedParams.dual`` swaps u and v, and the sum is symmetric under
+        that swap with (s, t) and (sigma, tau) exchanged, so the dual form's
+        P is this transpose, for any constants.  It shares no code with
+        ``p_table`` or ``inner``, the other sides of its checks.
+        """
+        d, n, points = self.s.d, self.n, lattice(self.n)
+        return [[eval_P(a, b, c, e, d, n) for (_, c, e) in points] for (_, a, b) in points]
 
     @cached_property
     def gram_over(self) -> tuple:

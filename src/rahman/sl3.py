@@ -11,8 +11,10 @@ elements and the matrix units are ``StructureSet`` class constants
 (``varphi``, ``phi``, ``psi``, ``e``).  Their tilde conjugates R m R^-1 are
 built on first read from the structure's own R and R^-1, so a structure
 that only feeds ``rahman table`` never forms them.  The paper's table of
-varphi~ in the plain basis gives varphi~ and phi~ as matrices
-(``expansion_coefficients``), which the recurrences apply to the module.
+varphi~ in the plain basis, transcribed over the cleared integers P1..P4
+with its eight entries over one denominator, gives varphi~ and phi~ as
+matrices (``expansion_coefficients``), which the recurrences apply to the
+module.
 The verifiers in this module check the identities that tie these objects
 together, always comparing an independently computed left side against
 a closed form.
@@ -32,7 +34,7 @@ from math import lcm
 from types import MappingProxyType
 
 from .matrices import Mat
-from .params import DerivedParams, ParameterSet, _zero_weight, derive, validate
+from .params import DerivedParams, ParameterSet, _cleared, _zero_weight, derive, validate
 from .report import Report
 from .scalars import over_common_denominator
 
@@ -221,45 +223,52 @@ def expansion_coefficients(p: ParameterSet) -> tuple:
     """varphi~ and phi~ as matrices, read off their tables in the plain
     basis {e_ij, varphi, phi}: the one source of the expansion matrices.
 
-    ``_varphi_t_table`` transcribes the paper's table of varphi~.  The
+    ``_varphi_t_table`` transcribes the paper's table of varphi~ over the
+    cleared integers P1..P4 of ``p``, which is validated first.  The
     mirror (p3, p4, p1, p2) negates R and exchanges its columns 1 and 2,
     so y~ and z~ and with them varphi~ and phi~: phi~ is the mirror's
     varphi~.  The sides exchange under the dual, so varphi and phi in the
     tilde basis are ``expansion_coefficients(p.dual())``.
     """
+    P1, P2, P3, P4 = _cleared(p)
     return tuple(
-        _in_plain_basis(_varphi_t_table(q)) for q in (p.as_tuple(), (p.p3, p.p4, p.p1, p.p2))
+        _in_plain_basis(*_varphi_t_table(q)) for q in ((P1, P2, P3, P4), (P3, P4, P1, P2))
     )
 
 
-def _varphi_t_table(p: tuple) -> dict:
-    """The paper's table of varphi~ in the plain basis, for p = (p1, .., p4);
-    "h1" and "h2" are the coefficients of varphi and phi."""
+def _varphi_t_table(p: tuple) -> tuple:
+    """The paper's table of varphi~ in the plain basis, for the cleared
+    integers p = (P1, .., P4), as (int numerators, den): every entry is
+    homogeneous of degree 0, so it is that of p1..p4, and all eight lie
+    over the one den a b c g.  "h1" and "h2" are the coefficients of
+    varphi and phi."""
     p1, p2, p3, p4 = p
     total = p1 + p2 + p3 + p4
     a, b, c = p1 + p2, p1 + p3, p2 + p4
     g = p2 * p3 - p1 * p4
     return {
-        "e01": -p2 * g / (a * b * c),
-        "e02": p1 * g / (a * b * c),
-        "e10": -p1 * p2 * p3 * total / (a * b * g),
-        "e12": -p1 * p3 / (a * b),
-        "e20": p1 * p2 * p4 * total / (a * c * g),
-        "e21": -p2 * p4 / (a * c),
-        "h1": p2 * p3 / (a * b) - p1 * p2 * total / (a * b * c),
-        "h2": p1 * p4 / (a * c) - p1 * p2 * total / (a * b * c),
-    }
+        "e01": -p2 * g * g,                   # -p2 g / (a b c)
+        "e02": p1 * g * g,                    # p1 g / (a b c)
+        "e10": -p1 * p2 * p3 * total * c,     # -p1 p2 p3 T / (a b g)
+        "e12": -p1 * p3 * c * g,              # -p1 p3 / (a b)
+        "e20": p1 * p2 * p4 * total * b,      # p1 p2 p4 T / (a c g)
+        "e21": -p2 * p4 * b * g,              # -p2 p4 / (a c)
+        "h1": (p2 * p3 * c - p1 * p2 * total) * g,  # p2 p3 / (a b) - p1 p2 T / (a b c)
+        "h2": (p1 * p4 * b - p1 * p2 * total) * g,  # p1 p4 / (a c) - p1 p2 T / (a b c)
+    }, a * b * c * g
 
 
-def _in_plain_basis(table: dict) -> Mat:
-    """The matrix of a table over {e_ij, varphi, phi}, one int sum per
-    entry: varphi and phi are diagonal, over one denominator."""
-    (*units, h1, h2), den = over_common_denominator(table.values())
+def _in_plain_basis(table: dict, den: int) -> Mat:
+    """The matrix of a table over {e_ij, varphi, phi}, its entries int
+    numerators over ``den`` != 0, one int sum per entry: varphi and phi
+    are diagonal, over one denominator."""
+    sign = -1 if den < 0 else 1
+    *units, h1, h2 = (sign * x for x in table.values())
     vp, ph = StructureSet.varphi, StructureSet.phi
     nums = [[h1 * x + h2 * y for x, y in zip(*rows)] for rows in zip(vp.nums, ph.nums)]
     for (i, j), c in zip(OFF_DIAGONAL, units):
         nums[i][j] = c * vp.den
-    return Mat._over(tuple(map(tuple, nums)), den * vp.den)
+    return Mat._over(tuple(map(tuple, nums)), sign * den * vp.den)
 
 
 def verify_matrices(s: StructureSet) -> Report:

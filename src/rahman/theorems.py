@@ -10,11 +10,13 @@ sl3 action, which reads R^-1, and pairs by ``inner``; orthogonality weights P
 by the Gram diagonals ``f.gram`` and ``f.dual.gram``; the recurrences act
 on V by the expansion matrices of ``sl3.expansion_coefficients``.
 
-P is read as one D x D matrix of ``eval_P`` values per verifier (D =
-(N+1)(N+2)/2, the dimension of V, in which each ``checked`` is given):
-rows (s, t), columns (sigma, tau), in the order of ``lattice`` and
-``monomials``.  Each theorem about the tilde side is its plain-side twin
-for the dual parameters (p2 and p3 swapped), whose P is the transpose:
+P is read as one D x D matrix of ``eval_P`` values (D = (N+1)(N+2)/2,
+the dimension of V, in which each ``checked`` is given): rows (s, t),
+columns (sigma, tau), in the order of ``lattice`` and ``monomials``.
+The form's verifiers share ``f.p_matrix``, evaluated once per form; the
+recurrences, which take a structure and no form, evaluate their own.
+Each theorem about the tilde side is its plain-side twin for the dual
+parameters (p2 and p3 swapped), whose P is the transpose: trans1,
 orthogonality relation 2 and recurrence parts (iii) and (iv) read the
 transpose, and trans1 and the front operator identity run the plain-side
 check on ``s.dual()``.
@@ -78,20 +80,26 @@ __all__ = [
 
 
 def _p_matrix(d: DerivedParams, n: int) -> list:
-    """P(s, t | sigma, tau) by ``eval_P``: rows (s, t), columns (sigma, tau).
+    """P(s, t | sigma, tau) by ``eval_P``, for ``verify_recurrences``, which
+    takes a structure and no form: rows (s, t), columns (sigma, tau).
 
-    The dual parameters' P is the transpose.
+    It stays apart from ``BilinearForm.p_matrix`` while the benchmark's
+    trace tests pin ``eval_P`` bound here and repeated within a run
+    (ROADMAP item 1); item 4 moves the recurrences onto the form's matrix.
     """
     points = lattice(n)
     return [[eval_P(a, b, c, dd, d, n) for (_, c, dd) in points] for (_, a, b) in points]
 
 
-def _p_table_against_eval_P(name: str, f: BilinearForm) -> Report:
-    """``p_table(f)`` against ``eval_P``, tilde monomial by tilde monomial."""
+def _p_table_against_eval_P(name: str, f: BilinearForm, side: BilinearForm) -> Report:
+    """``p_table(side)`` against ``eval_P``, tilde monomial by tilde monomial.
+
+    ``side`` is f or ``f.dual``, whose P is the transpose of ``f.p_matrix``.
+    """
     points = lattice(f.n)
     with Report(name) as rec:
-        p = _p_matrix(f.s.d, f.n)
-        table = p_table(f)
+        p = f.p_matrix if side is f else list(zip(*f.p_matrix))
+        table = p_table(side)
         for column, point in enumerate(points):
             for row, key in enumerate(points):
                 rec.equal(table[row][column], p[row][column],
@@ -106,13 +114,13 @@ def verify_trans2(f: BilinearForm) -> Report:
     N! nu^N P(s, t, sigma, tau) / ||x^r y^s z^t||^2: ``p_table``.
     ``checked`` = D^2.
     """
-    return _p_table_against_eval_P(f"transitions.trans2.N{f.n}", f)
+    return _p_table_against_eval_P(f"transitions.trans2.N{f.n}", f, f)
 
 
 def verify_trans1(f: BilinearForm) -> Report:
-    """Plain monomials expanded in the tilde basis: trans2 on the dual.
-    ``checked`` = D^2."""
-    return _p_table_against_eval_P(f"transitions.trans1.N{f.n}", f.dual)
+    """Plain monomials expanded in the tilde basis: trans2 on the dual,
+    against the transpose of ``f.p_matrix``.  ``checked`` = D^2."""
+    return _p_table_against_eval_P(f"transitions.trans1.N{f.n}", f, f.dual)
 
 
 def verify_pcosines(f: BilinearForm) -> Report:
@@ -130,7 +138,7 @@ def verify_pcosines(f: BilinearForm) -> Report:
     scale = pairing_scale(s.d, n)
     points = lattice(n)
     with Report(f"transitions.pcosines.N{n}") as rec:
-        p = _p_matrix(s.d, n)
+        p = f.p_matrix
         x0, y0, z0 = (s.R[i, 0] for i in range(3))
         tilde = {(n, 0, 0): Poly3({
             (a, b, c): multinomial(n, (a, b, c)) * x0**a * y0**b * z0**c for (a, b, c) in points
@@ -161,7 +169,7 @@ def verify_orthogonality(f: BilinearForm) -> Report:
     """
     n, points = f.n, lattice(f.n)
     with Report(f"orthogonality.N{n}") as rec:
-        p = _p_matrix(f.s.d, n)
+        p = f.p_matrix
         unit = {g: factorial(n) * g.s.d.theta**n for g in (f, f.dual)}  # N! theta^N
         relations = []
         for label, side, other, columns in (
@@ -304,8 +312,9 @@ SUITES = {
 def run_suites(p: ParameterSet, n: int, names=("all",)) -> list:
     """Run the named verification suites and return their Reports.
 
-    "all" anywhere in ``names`` runs every suite.  An unknown name raises
-    ValueError before anything is built.
+    Each named suite runs once, in order of first mention; "all" anywhere
+    in ``names`` runs every suite.  An unknown name raises ValueError
+    before anything is built.
     """
     names = list(names)
     for name in names:
@@ -313,7 +322,7 @@ def run_suites(p: ParameterSet, n: int, names=("all",)) -> list:
             raise ValueError(
                 f"unknown suite {name!r}; choose from all, {', '.join(SUITES)}"
             )
-    selected = list(SUITES) if "all" in names else names
+    selected = list(SUITES) if "all" in names else dict.fromkeys(names)
 
     s = build(p)
     f = BilinearForm(s, n)

@@ -4,11 +4,17 @@ from math import factorial
 
 import pytest
 
+import rahman.form
+import rahman.theorems
 from rahman.matrices import Mat
 from rahman.params import DerivedParams, ParameterSet, ValidationError, derive
 from rahman.polymodule import DegreeMismatch, Poly3, lattice
 from rahman.scalars import format_rational
 from rahman.sl3 import OFF_DIAGONAL, StructureSet, build
+
+# The modules whose verifiers read eval_P: ``BilinearForm.p_matrix`` and
+# the recurrences' own matrix.  A test that patches eval_P patches both.
+EVAL_P_READERS = (rahman.form, rahman.theorems)
 
 PARAM_MATRIX = [
     ParameterSet.of(1, 2, 3, 5),
@@ -311,6 +317,28 @@ EXPANSION_BASIS = {
     "h1": StructureSet.varphi,
     "h2": StructureSet.phi,
 }
+
+
+def varphi_t_table(p: ParameterSet) -> Mat:
+    """varphi~ from the paper's table in the plain basis {e_ij, varphi, phi},
+    transcribed entry by entry over Fractions and summed by ``Mat.scale``
+    and ``+``: the oracle for ``expansion_coefficients``, which forms it
+    over the cleared integers as one integer sum."""
+    p1, p2, p3, p4 = p.as_tuple()
+    total = p1 + p2 + p3 + p4
+    a, b, c = p1 + p2, p1 + p3, p2 + p4
+    g = p2 * p3 - p1 * p4
+    table = {
+        "e01": -p2 * g / (a * b * c),
+        "e02": p1 * g / (a * b * c),
+        "e10": -p1 * p2 * p3 * total / (a * b * g),
+        "e12": -p1 * p3 / (a * b),
+        "e20": p1 * p2 * p4 * total / (a * c * g),
+        "e21": -p2 * p4 / (a * c),
+        "h1": p2 * p3 / (a * b) - p1 * p2 * total / (a * b * c),
+        "h2": p1 * p4 / (a * c) - p1 * p2 * total / (a * b * c),
+    }
+    return sum((EXPANSION_BASIS[key].scale(value) for key, value in table.items()), Mat.zero())
 
 
 def phi_t_table(p: ParameterSet) -> Mat:

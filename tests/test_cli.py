@@ -101,6 +101,16 @@ def test_verify_runs_positional_suites_in_order(runner):
     assert set(prefixes) == {"module", "structure", "form"}
 
 
+def test_verify_runs_a_repeated_suite_once(runner):
+    """A suite named twice runs once, in the place of its first mention."""
+    results = [
+        runner.invoke(main, ["verify", *suites, "--p", "1,2,3,5", "--N", "1"])
+        for suites in (("structure", "transitions", "structure"), ("structure", "transitions"))
+    ]
+    assert [result.exit_code for result in results] == [0, 0]
+    assert results[0].stdout == results[1].stdout
+
+
 def test_verify_unknown_suite(runner):
     result = runner.invoke(main, ["verify", "bogus", "--p", "1,2,3,5", "--N", "1"])
     assert result.exit_code == 2

@@ -34,20 +34,21 @@ from rahman.polymodule import (
 )
 from rahman.sl3 import build, verify_dagger
 
-from conftest import EXPANSION_BASIS, with_corrupted_eta_t
+from conftest import EVAL_P_READERS, EXPANSION_BASIS, with_corrupted_eta_t
 
 REFERENCE = ParameterSet.of(1, 2, 3, 5)
 NEGATIVE = ParameterSet.of(Fraction(-3, 2), 5, Fraction(1, 2), -3)
 
 
 def _wrong_p_entry(patch):
-    """P(1, 0 | 0, 1) off by one wherever the theorems read eval_P."""
+    """P(1, 0 | 0, 1) off by one wherever the verifiers read eval_P."""
     eval_P = theorems.eval_P
 
     def wrong(a, b, c, d, derived, n):
         return eval_P(a, b, c, d, derived, n) + ((a, b, c, d) == (1, 0, 0, 1))
 
-    patch(theorems, "eval_P", wrong)
+    for module in EVAL_P_READERS:
+        patch(module, "eval_P", wrong)
 
 
 def _wrong_expansion_coefficient(patch):

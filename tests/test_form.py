@@ -146,6 +146,29 @@ def test_p_table_matches_eval_P_at_the_ceiling(reference_structure):
         assert table[row][col] == eval_P(*pairs[row], *pairs[col], s.d, n)
 
 
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("p", PARAM_MATRIX, ids=str)
+def test_p_matrix_is_eval_P_entry_by_entry(structures, p, n):
+    s = structures[p]
+    points = lattice(n)
+    assert BilinearForm(s, n).p_matrix == [
+        [eval_P(a, b, c, dd, s.d, n) for (_, c, dd) in points] for (_, a, b) in points
+    ]
+
+
+@given(valid_parameter_sets(), st.lists(wide_rationals, min_size=4, max_size=4),
+       st.integers(0, 3))
+@settings(max_examples=25, deadline=None)
+def test_the_dual_p_matrix_is_the_transpose_for_any_constants(p, kernel, n):
+    """The dual swaps u and v, and the defining sum is symmetric under that
+    swap with its two index pairs exchanged, so the dual form's P is the
+    transpose for any t, u, v, w, not only derived ones: trans1 reads it so."""
+    t, u, v, w = kernel
+    s = build(p, dataclasses.replace(derive(p), t=t, u=u, v=v, w=w))
+    f = BilinearForm(s, n)
+    assert BilinearForm(s.dual(), n).p_matrix == [list(column) for column in zip(*f.p_matrix)]
+
+
 def _columns_as_polys(f):
     """``f.tilde_columns`` as plain Poly3s, keyed by tilde monomial."""
     points = lattice(f.n)

@@ -28,6 +28,7 @@ from conftest import (
     dense_product,
     fraction_structure,
     phi_t_table,
+    varphi_t_table,
     with_corrupted_eta_t,
 )
 from test_params import valid_parameter_sets, wide_parameter_sets, wide_rationals
@@ -66,6 +67,27 @@ def test_generation(structures, p):
 @settings(max_examples=60, deadline=None)
 def test_the_phi_t_table_is_the_papers(p):
     assert expansion_coefficients(p)[1] == phi_t_table(p)
+
+
+@given(valid_parameter_sets())
+@settings(max_examples=60, deadline=None)
+def test_both_integer_expansion_tables_are_the_papers(p):
+    """The integer tables equal the Fraction transcriptions of the paper's
+    varphi~ and phi~ tables, on negative and non-integer parameters too."""
+    assert expansion_coefficients(p) == (varphi_t_table(p), phi_t_table(p))
+
+
+@pytest.mark.parametrize(
+    "values, expression",
+    [((1, -1, 3, 5), "p1+p2"), ((1, 2, -1, 5), "p1+p3"), ((1, 2, 3, -2), "p2+p4"),
+     ((1, 2, 3, 6), "p1p4-p2p3")],
+)
+def test_expansion_coefficients_refuses_an_invalid_p(values, expression):
+    """A vanishing denominator of the tables is refused by name, before any
+    table is formed, as ``validate`` names it."""
+    with pytest.raises(ValidationError) as caught:
+        expansion_coefficients(ParameterSet.of(*values))
+    assert str(caught.value) == f"zero denominator: {expression} = 0"
 
 
 @given(valid_parameter_sets())

@@ -50,7 +50,13 @@ from rahman.theorems import (
     verify_trans2,
 )
 
-from conftest import EXPANSION_BASIS, PARAM_MATRIX, shifted_entry, with_corrupted_eta_t
+from conftest import (
+    EVAL_P_READERS,
+    EXPANSION_BASIS,
+    PARAM_MATRIX,
+    shifted_entry,
+    with_corrupted_eta_t,
+)
 from test_failure_text import _doubled_plain_norm, _doubled_tilde_norm
 from test_params import valid_parameter_sets
 
@@ -86,7 +92,8 @@ def test_pcosines(forms, p, n):
 
 
 # The verifiers that read P through eval_P, on a structure s and its form
-# f of degree n.
+# f of degree n.  The first four read ``f.p_matrix``; recurrences builds
+# its own matrix.
 P_VERIFIERS = {
     "verify_trans1": lambda s, f, n: verify_trans1(f),
     "verify_trans2": lambda s, f, n: verify_trans2(f),
@@ -97,33 +104,44 @@ P_VERIFIERS = {
 
 
 @pytest.mark.parametrize("verifier", P_VERIFIERS.values(), ids=P_VERIFIERS)
-def test_transition_verifiers_read_eval_P(structures, forms, monkeypatch, verifier):
+def test_transition_verifiers_read_eval_P(monkeypatch, verifier):
     """Each P-based check compares against eval_P itself, not a table
-    built by the code it checks: one wrong eval_P value must trip it."""
+    built by the code it checks: one wrong eval_P value must trip it.
+    The form caches its P matrix, so each run takes a fresh form."""
 
     def perturbed(a, b, c, dd, derived, n):
         value = eval_P(a, b, c, dd, derived, n)
         return value + 1 if (a, b, c, dd) == (1, 0, 0, 1) else value
 
-    monkeypatch.setattr("rahman.theorems.eval_P", perturbed)
-    p = PARAM_MATRIX[0]
-    assert not verifier(structures[p], forms[p, 2], 2).ok
+    for module in EVAL_P_READERS:
+        monkeypatch.setattr(module, "eval_P", perturbed)
+    s = build(PARAM_MATRIX[0])
+    assert not verifier(s, BilinearForm(s, 2), 2).ok
 
 
 @pytest.mark.parametrize("verifier", P_VERIFIERS.values(), ids=P_VERIFIERS)
-def test_P_verifiers_evaluate_each_entry_once(structures, forms, monkeypatch, verifier):
-    """Each P-based verifier evaluates the D x D matrix of P once: D^2
-    eval_P calls at N=3 (D = 10), no two with the same arguments."""
-    calls = []
+def test_P_verifiers_evaluate_each_entry_once(monkeypatch, verifier):
+    """On one fresh form at N=3 (D = 10), whichever P verifier runs first,
+    the four readers of ``f.p_matrix`` together make D^2 eval_P calls, no
+    two with the same arguments, and recurrences makes its own D^2."""
+    calls = {module: [] for module in EVAL_P_READERS}
 
-    def counting(a, b, c, dd, derived, n):
-        calls.append((a, b, c, dd))
-        return eval_P(a, b, c, dd, derived, n)
+    def counting(module):
+        def count(a, b, c, dd, derived, n):
+            calls[module].append((a, b, c, dd))
+            return eval_P(a, b, c, dd, derived, n)
+        return count
 
-    monkeypatch.setattr("rahman.theorems.eval_P", counting)
-    p = PARAM_MATRIX[0]
-    assert verifier(structures[p], forms[p, 3], 3).ok
-    assert len(calls) == len(set(calls)) == 100
+    for module in EVAL_P_READERS:
+        monkeypatch.setattr(module, "eval_P", counting(module))
+    s = build(PARAM_MATRIX[0])
+    f = BilinearForm(s, 3)
+    assert verifier(s, f, 3).ok
+    for other in P_VERIFIERS.values():
+        if other is not verifier:
+            assert other(s, f, 3).ok
+    for module, made in calls.items():
+        assert len(made) == len(set(made)) == 100, module.__name__
 
 
 def test_transition_verifiers_check_the_printed_table(forms, monkeypatch):
@@ -378,16 +396,17 @@ def test_each_kernel_constant_is_caught(p, field):
 
 
 def _wrong_kernel(patch, field: str):
-    """eval_P and eval_P_operator, as the theorems read them, with t, u, v
+    """eval_P and eval_P_operator, as the verifiers read them, with t, u, v
     or w shifted by 1; the structure and the form stay correct."""
 
     def shifted(derived):
         return dataclasses.replace(derived, **{field: getattr(derived, field) + 1})
 
-    patch(
-        theorems, "eval_P",
-        lambda a, b, c, dd, derived, n: eval_P(a, b, c, dd, shifted(derived), n),
-    )
+    for module in EVAL_P_READERS:
+        patch(
+            module, "eval_P",
+            lambda a, b, c, dd, derived, n: eval_P(a, b, c, dd, shifted(derived), n),
+        )
     patch(
         theorems, "eval_P_operator",
         lambda pairs, ops, v, derived, n: eval_P_operator(pairs, ops, v, shifted(derived), n),
