@@ -94,13 +94,23 @@ def _require_n(n: int | None) -> int:
     return n
 
 
+class _StdoutFailed(click.ClickException):
+    """A write to stdout failed (a full disk, a closed pipe): exit 2 with one
+    Error: line, never a traceback or the exit 1 of a failed verification."""
+
+    exit_code = 2
+
+
 def _emit(text: str, out: str | None) -> None:
     # Not click.echo: it caches each stdout it sees, keyed by that stream
     # and holding it, so an in-process caller that swaps stdout per call
     # would keep every output alive.
     if out is None:
-        sys.stdout.write(text + "\n")
-        sys.stdout.flush()
+        try:
+            sys.stdout.write(text + "\n")
+            sys.stdout.flush()
+        except OSError as exc:
+            raise _StdoutFailed(f"cannot write to stdout: {exc}")
         return
     try:
         with open(out, "w") as handle:

@@ -214,25 +214,27 @@ class BilinearForm:
         return [format_rational(self.gram[key]) for key in lattice(self.n)]
 
 
-_ZERO = Fraction(0)
-
-
 def inner(xi: Poly3, zeta: Poly3, f: BilinearForm) -> Fraction:
     """Evaluate the form on two polynomials in plain coordinates.
 
     One integer sum over the Gram diagonal of ``f.gram_over`` and one
-    Fraction.  A polynomial in tilde coordinates is paired through
-    ``f.expand``.
+    Fraction (``_inner_over``).  A polynomial in tilde coordinates is
+    paired through ``f.expand``.
     """
+    return Fraction(*_inner_over(xi, zeta, f))
+
+
+def _inner_over(xi: Poly3, zeta: Poly3, f: BilinearForm) -> tuple:
+    """``inner`` as (int numerator, int den > 0), not reduced."""
     f._require_its_degree(xi)
     f._require_its_degree(zeta)
     keys = xi.nums.keys() & zeta.nums.keys()
     if not keys:  # the Gram is read only where the supports meet
-        return _ZERO
+        return 0, 1
     weights, den = f.gram_over
     left, right = xi.nums, zeta.nums
     total = sum(weights[key] * left[key] * right[key] for key in keys)
-    return Fraction(total, den * xi.den * zeta.den)
+    return total, den * xi.den * zeta.den
 
 
 def dual_basis(f: BilinearForm) -> list:
@@ -270,7 +272,8 @@ def verify_adjointness(f: BilinearForm) -> Report:
     """<beta xi, zeta> = <xi, beta^dagger zeta> over the whole basis grid.
 
     ``checked`` = 8 D^2, D = (N+1)(N+2)/2: 8 basis elements beta, D
-    monomials xi and D monomials zeta.
+    monomials xi and D monomials zeta.  Each pair of sides is compared as
+    integers over the product of their denominators (``_inner_over``).
     """
     s, n = f.s, f.n
     basis = monomials(n)
@@ -282,9 +285,12 @@ def verify_adjointness(f: BilinearForm) -> Report:
             for xi in basis:
                 image = on_beta(xi)
                 for zeta, zeta_image in zip(basis, dagger_images):
-                    rec.equal(
-                        inner(image, zeta, f),
-                        inner(xi, zeta_image, f),
+                    ln, ld = _inner_over(image, zeta, f)
+                    rn, rd = _inner_over(xi, zeta_image, f)
+                    rec.equal_over(
+                        ln * rd,
+                        rn * ld,
+                        ld * rd,
                         lambda: f"beta={name}, xi={xi.coeffs}, zeta={zeta.coeffs}",
                     )
     return rec

@@ -6,8 +6,9 @@ degree-N module are applied by ``polymodule.action`` and never stored as
 matrices.  A matrix is int row tuples ``nums`` over one int ``den`` > 0
 with gcd(den, *nums) = 1, so equal matrices have equal (nums, den) and
 zero has den 1.  Arithmetic is over the ints with one gcd per result
-(``Mat._over``), a commutator included (``bracket`` forms both products
-in one pass); ``rows``, ``m[i, j]``, ``to_json`` and ``repr`` give
+(``Mat._over``); the product and the commutator (``bracket``) are
+straight-line integer expressions over the 9 + 9 numerators, with no loop
+and no zero test.  ``rows``, ``m[i, j]``, ``to_json`` and ``repr`` give
 Fractions.  ``Mat(...)`` refuses a float or bool entry and ``scale`` such
 a factor.  A matrix is immutable and can be shared freely.
 """
@@ -36,8 +37,13 @@ class Mat:
     @classmethod
     def _over(cls, nums, den: int) -> "Mat":
         """nums / den in canonical form, for int row tuples and a den > 0."""
-        if den != 1 and (g := gcd(den, *chain.from_iterable(nums))) != 1:
-            nums, den = tuple(tuple(x // g for x in row) for row in nums), den // g
+        if den != 1:
+            (a, b, c), (d, e, f), (g, h, i) = nums
+            k = gcd(den, a, b, c, d, e, f, g, h, i)
+            if k != 1:
+                nums = ((a // k, b // k, c // k), (d // k, e // k, f // k),
+                        (g // k, h // k, i // k))
+                den //= k
         result = object.__new__(cls)
         result.nums, result.den = nums, den
         return result
@@ -99,22 +105,15 @@ class Mat:
         return Mat._over(nums, self.den * c.denominator)
 
     def __matmul__(self, other: "Mat") -> "Mat":
-        """Row-by-row integer product that skips every zero factor.
-
-        The structural matrices are mostly matrix units and diagonals,
-        so most of the 27 products of the dense formula are by zero.
-        """
-        rows = []
-        for row in self.nums:
-            out = [0, 0, 0]
-            for a, other_row in zip(row, other.nums):
-                if not a:
-                    continue
-                for j, b in enumerate(other_row):
-                    if b:
-                        out[j] += a * b
-            rows.append(tuple(out))
-        return Mat._over(tuple(rows), self.den * other.den)
+        """The integer product over self.den * other.den: nine explicit sums
+        of three products each, and one gcd."""
+        (a, b, c), (d, e, f), (g, h, i) = self.nums
+        (A, B, C), (D, E, F), (G, H, I) = other.nums
+        return Mat._over((
+            (a * A + b * D + c * G, a * B + b * E + c * H, a * C + b * F + c * I),
+            (d * A + e * D + f * G, d * B + e * E + f * H, d * C + e * F + f * I),
+            (g * A + h * D + i * G, g * B + h * E + i * H, g * C + h * F + i * I),
+        ), self.den * other.den)
 
     def apply(self, vector):
         """Multiply by a column 3-vector (list of Fractions)."""
@@ -129,27 +128,28 @@ class Mat:
         return Fraction(sum(self.nums[i][i] for i in range(3)), self.den)
 
     def bracket(self, other: "Mat") -> "Mat":
-        """Commutator [self, other] = self other - other self, in one integer
-        pass over self.den * other.den.
+        """Commutator [self, other] = self other - other self over
+        self.den * other.den, one integer expression per entry.
 
-        Each nonzero entry a = self[i, k] adds a * other[k, j] to entry
-        (i, j) of the first product and other[m, i] * a to entry (m, k) of
-        the second, so both products skip every zero factor of self.
+        In entry (r, s) the terms of k = r and k = s of the two products
+        combine to other[r, s] (self[r, r] - self[s, s]) - self[r, s]
+        (other[r, r] - other[s, s]), which vanishes on the diagonal, so
+        every entry is four products.
         """
-        b = other.nums
-        out = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
-        for i, row in enumerate(self.nums):
-            for k, a in enumerate(row):
-                if not a:
-                    continue
-                target = out[i]
-                for j, y in enumerate(b[k]):
-                    if y:
-                        target[j] += a * y
-                for m in range(3):
-                    if b[m][i]:
-                        out[m][k] -= b[m][i] * a
-        return Mat._over(tuple(map(tuple, out)), self.den * other.den)
+        (a, b, c), (d, e, f), (g, h, i) = self.nums
+        (A, B, C), (D, E, F), (G, H, I) = other.nums
+        ae, ai, ei, AE, AI, EI = a - e, a - i, e - i, A - E, A - I, E - I
+        return Mat._over((
+            (b * D - B * d + c * G - C * g,
+             B * ae - b * AE + c * H - C * h,
+             C * ai - c * AI + b * F - B * f),
+            (d * AE - D * ae + f * G - F * g,
+             d * B - D * b + f * H - F * h,
+             F * ei - f * EI + d * C - D * c),
+            (g * AI - G * ai + h * D - H * d,
+             h * EI - H * ei + g * B - G * b,
+             g * C - G * c + h * F - H * f),
+        ), self.den * other.den)
 
     def inverse(self) -> "Mat":
         """den adj(nums) / det(nums), over the ints; raises ZeroDivisionError

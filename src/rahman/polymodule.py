@@ -124,11 +124,13 @@ class Poly3:
         den != 0, made canonical by dropping zeros, the sign and one gcd."""
         if den < 0:
             nums, den = {key: -value for key, value in nums.items()}, -den
-        if 0 in nums.values():
+        values = nums.values()
+        if 0 in values:
             nums = {key: value for key, value in nums.items() if value}
+            values = nums.values()
         if not nums:
             den, degree = 1, None
-        elif den != 1 and (g := gcd(den, *nums.values())) != 1:
+        elif den != 1 and (g := gcd(den, *values)) != 1:
             nums, den = {key: value // g for key, value in nums.items()}, den // g
         result = object.__new__(cls)
         result.nums, result.den, result.degree = nums, den, degree
@@ -242,23 +244,21 @@ def _derivation(matrix: Mat):
     Each image numerator is an int sum over xi.den * matrix.den, reduced
     by one gcd; keys keep first-term order.
     """
-    # For each variable j: (shift of the exponent triple, numerator of
-    # m[i][j]) for the nonzero entries of column j, in row order.
-    columns = [
-        [(_DERIVATION_SHIFTS[i, j], matrix.nums[i][j]) for i in range(3) if matrix.nums[i][j]]
-        for j in range(3)
+    # (j, shift of the exponent triple, numerator of m[i][j]) for the
+    # nonzero entries, variable j by variable j, each column in row order.
+    terms = [
+        (j, _DERIVATION_SHIFTS[i, j], matrix.nums[i][j])
+        for j in range(3) for i in range(3) if matrix.nums[i][j]
     ]
 
     def apply(xi: Poly3) -> Poly3:
         out: dict = {}
         for exps, numerator in xi.nums.items():
-            for j, entries in enumerate(columns):
-                if exps[j] == 0:
-                    continue
-                weight = numerator * exps[j]
-                for (da, db, dc), entry in entries:
-                    key = (exps[0] + da, exps[1] + db, exps[2] + dc)
-                    out[key] = out.get(key, 0) + weight * entry
+            a, b, c = exps
+            for j, (da, db, dc), entry in terms:
+                if exps[j]:
+                    key = (a + da, b + db, c + dc)
+                    out[key] = out.get(key, 0) + numerator * exps[j] * entry
         return Poly3._over(out, xi.den * matrix.den, xi.degree)
 
     return apply

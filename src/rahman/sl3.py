@@ -5,8 +5,8 @@ plain and tilde coordinates, and R^-1; U and the weight matrices W, W~
 follow from d and are formed on first read.  Every one of them is formed
 once, over the ints: ``build`` writes U, R = theta~ W~ U^t and
 R^-1 = theta W U as integer rows over one denominator each, and the
-integer weights of eta~ that ``dagger`` reads on every call are a
-per-structure ``cached_property``.  The plain Cartan basis
+integer factors k_i / k_j of eta~ that ``dagger`` reads on every call are
+a per-structure ``cached_property``.  The plain Cartan basis
 elements and the matrix units are ``StructureSet`` class constants
 (``varphi``, ``phi``, ``psi``, ``e``).  Their tilde conjugates R m R^-1 are
 built on first read from the structure's own R and R^-1, so a structure
@@ -95,11 +95,16 @@ class StructureSet:
         return _weighted(1, self.d.eta_t, _IDENTITY)
 
     @cached_property
-    def eta_t_weights(self) -> tuple:
-        """(k, scale): eta~ = k / g over the ints, and the lcm of the nonzero
-        k_j, which ``dagger`` reads on every call."""
+    def dagger_factors(self) -> tuple:
+        """(factors, scale, zeros), which ``dagger`` reads on every call:
+        with eta~ = k / g over the ints and scale the lcm of the nonzero
+        k_j, factors[i][j] = k_i (scale // k_j), and zeros lists the j with
+        k_j = 0, whose factors are 0."""
         k, _ = over_common_denominator(self.d.eta_t)
-        return tuple(k), lcm(*filter(None, k))
+        scale = lcm(*filter(None, k))
+        factors = tuple(tuple(k[i] * (scale // k[j]) if k[j] else 0 for j in range(3))
+                        for i in range(3))
+        return factors, scale, tuple(j for j in range(3) if not k[j])
 
     @cached_property
     def e_t(self) -> dict:
@@ -185,22 +190,28 @@ def dagger(beta: Mat, s: StructureSet) -> Mat:
     """The antiautomorphism: beta -> W~ beta^t W~^-1.
 
     W~ is diagonal: with eta~ = k / g over the ints, entry (i, j) is
-    k_i beta[j][i] / k_j, one int over beta's den times the lcm of the
-    nonzero k_j; both are read once per structure (``s.eta_t_weights``).
-    A zero entry of beta gives a zero entry with no division; a nonzero
-    one over eta~_j = 0 raises ZeroDivisionError naming eta~_j.  Requires
-    a traceless argument; fixes both Cartan subalgebras.
+    k_i beta[j][i] / k_j, one product of beta[j][i] and the int
+    k_i (scale // k_j) over beta's den times the lcm ``scale`` of the
+    nonzero k_j (``s.dagger_factors``, formed once per structure).  A
+    nonzero beta[j][i] over eta~_j = 0 raises ZeroDivisionError naming
+    eta~_j, the first such in row-major order of the result; a zero one
+    gives a zero entry with no division.  Requires a traceless argument;
+    fixes both Cartan subalgebras.
     """
     _require_traceless(beta)
-    k, scale = s.eta_t_weights
-
-    def at(i, j):
-        n = beta.nums[j][i]
-        if n and not k[j]:
-            raise _zero_weight(j)
-        return k[i] * n * (scale // k[j]) if n else 0
-
-    return Mat._over(tuple(tuple(at(i, j) for j in range(3)) for i in range(3)), beta.den * scale)
+    factors, scale, zeros = s.dagger_factors
+    if zeros:
+        for i in range(3):
+            for j in zeros:
+                if beta.nums[j][i]:
+                    raise _zero_weight(j)
+    (f00, f01, f02), (f10, f11, f12), (f20, f21, f22) = factors
+    (a, b, c), (d, e, f), (g, h, i) = beta.nums
+    return Mat._over((
+        (f00 * a, f01 * d, f02 * g),
+        (f10 * b, f11 * e, f12 * h),
+        (f20 * c, f21 * f, f22 * i),
+    ), beta.den * scale)
 
 
 def r_closed_form(p: ParameterSet) -> Mat:

@@ -79,7 +79,7 @@ def adjacent(a: tuple, b: tuple) -> bool:
 
 def dense_product(a, b):
     """Rows of the product a b of two 3x3 matrices by the dense triple loop
-    over every entry: the oracle for the zero-skipping ``Mat.__matmul__``."""
+    over every entry: the oracle for the straight-line ``Mat.__matmul__``."""
     return [
         [sum((a[i, k] * b[k, j] for k in range(3)), Fraction(0)) for j in range(3)]
         for i in range(3)

@@ -1,7 +1,10 @@
 import contextlib
+import errno
 import gc
 import io
 import json
+import os
+import sys
 import weakref
 from decimal import Decimal
 from fractions import Fraction
@@ -509,6 +512,37 @@ def test_stdout_is_not_retained():
     del out
     gc.collect()
     assert ref() is None
+
+
+class _FullDisk(io.StringIO):
+    """A stdout on a full disk: every write raises, as on /dev/full."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--p", "1,2,3,5"],
+        ["check", "--p", "1,2,3,6"],
+        ["eval", "1", "0", "1", "0", "--p", "1,2,3,5", "--N", "1"],
+        ["table", "--p", "1,2,3,5", "--N", "2", "--format", "csv"],
+        ["verify", "all", "--p", "1,2,3,5", "--N", "1"],
+        ["export", "structure", "--p", "1,2,3,5"],
+    ],
+    ids=["check", "check-forbidden", "eval", "table", "verify", "export"],
+)
+def test_a_failed_stdout_write_exits_2_with_one_error_line(monkeypatch, capsys, argv):
+    """A full disk under stdout is no failed verification (exit 1) and no
+    traceback: exit 2 and one Error: line naming the stream."""
+    monkeypatch.setattr(sys, "stdout", _FullDisk())
+    with pytest.raises(SystemExit) as exc:
+        main(argv, prog_name="rahman")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == f"Error: cannot write to stdout: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
 @pytest.mark.parametrize(

@@ -293,9 +293,56 @@ half_zero_entries = st.one_of(
     st.just(Fraction(0)),
     st.fractions(min_value=-20, max_value=20, max_denominator=9),
 )
-matrices_3x3 = st.lists(
-    st.lists(half_zero_entries, min_size=3, max_size=3), min_size=3, max_size=3
-).map(Mat)
+rows_3x3 = st.lists(st.lists(half_zero_entries, min_size=3, max_size=3), min_size=3, max_size=3)
+matrices_3x3 = rows_3x3.map(Mat)
+
+
+def _traceless(rows) -> Mat:
+    """rows with the last diagonal entry set to make the trace 0."""
+    rows = [list(row) for row in rows]
+    rows[2][2] = -rows[0][0] - rows[1][1]
+    return Mat(rows)
+
+
+traceless_3x3 = rows_3x3.map(_traceless)
+# eta~ triples, a third of the entries zero.
+eta_t_triples = st.lists(
+    st.one_of(st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=7)),
+    min_size=3, max_size=3,
+)
+
+
+@given(traceless_3x3, eta_t_triples)
+@settings(max_examples=300, deadline=None)
+def test_dagger_matches_the_oracle_and_raises_where_it_divides_by_zero(
+    reference_structure, beta, eta_t
+):
+    """dagger raises ZeroDivisionError naming eta~_j exactly where the
+    oracle divides by eta~_j = 0 (its first such division, row-major),
+    and equals the oracle otherwise; a zero eta~_i only zeroes entries."""
+    s = dataclasses.replace(
+        reference_structure, d=dataclasses.replace(reference_structure.d, eta_t=tuple(eta_t))
+    )
+    # The oracle divides by eta~_j at entry (i, j) iff beta[j, i] != 0.
+    zero_divisions = [j for i in range(3) for j in range(3) if beta[j, i] and not eta_t[j]]
+    if zero_divisions:
+        with pytest.raises(ZeroDivisionError):
+            _dagger_oracle(beta, eta_t)
+        with pytest.raises(ZeroDivisionError) as err:
+            dagger(beta, s)
+        assert str(err.value) == f"zero denominator: eta~_{zero_divisions[0]} = 0"
+    else:
+        assert Dense(dagger(beta, s).rows) == _dagger_oracle(beta, eta_t)
+
+    # beta with every row j over eta~_j = 0 cleared, its trace restored on
+    # a row with a nonzero weight: no division by zero, whatever the zero
+    # eta~_i, so dagger gives the oracle's matrix.
+    weighted = [j for j in range(3) if eta_t[j]]
+    rows = [[x if eta_t[j] else 0 for x in beta.rows[j]] for j in range(3)]
+    if weighted:
+        rows[weighted[0]][weighted[0]] -= sum(rows[j][j] for j in range(3))
+    cleared = Mat(rows)
+    assert Dense(dagger(cleared, s).rows) == _dagger_oracle(cleared, eta_t)
 
 
 @given(matrices_3x3, matrices_3x3)
