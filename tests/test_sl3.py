@@ -305,7 +305,7 @@ def _traceless(rows) -> Mat:
 
 
 traceless_3x3 = rows_3x3.map(_traceless)
-# eta~ triples, a third of the entries zero.
+# eta~ triples, about half of the entries zero.
 eta_t_triples = st.lists(
     st.one_of(st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=7)),
     min_size=3, max_size=3,
