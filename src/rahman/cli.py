@@ -101,6 +101,22 @@ class _StdoutFailed(click.ClickException):
     exit_code = 2
 
 
+def _drop_stdout() -> None:
+    """Point the process's stdout at devnull after a failed write.
+
+    A failed flush keeps its bytes in the stream's buffer, and the flush at
+    interpreter exit would fail on them again: an "Exception ignored" report
+    on stderr and exit 120.  Any other stream in ``sys.stdout`` is the
+    caller's and is left alone."""
+    if sys.stdout is not sys.__stdout__:
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    finally:
+        os.close(devnull)
+
+
 def _emit(text: str, out: str | None) -> None:
     # Not click.echo: it caches each stdout it sees, keyed by that stream
     # and holding it, so an in-process caller that swaps stdout per call
@@ -110,6 +126,7 @@ def _emit(text: str, out: str | None) -> None:
             sys.stdout.write(text + "\n")
             sys.stdout.flush()
         except OSError as exc:
+            _drop_stdout()
             raise _StdoutFailed(f"cannot write to stdout: {exc}")
         return
     try:

@@ -214,14 +214,18 @@ class BilinearForm:
         return [format_rational(self.gram[key]) for key in lattice(self.n)]
 
 
+_ZERO = Fraction(0)
+
+
 def inner(xi: Poly3, zeta: Poly3, f: BilinearForm) -> Fraction:
     """Evaluate the form on two polynomials in plain coordinates.
 
     One integer sum over the Gram diagonal of ``f.gram_over`` and one
-    Fraction (``_inner_over``).  A polynomial in tilde coordinates is
-    paired through ``f.expand``.
+    Fraction (``_inner_over``), none when the sum is 0.  A polynomial in
+    tilde coordinates is paired through ``f.expand``.
     """
-    return Fraction(*_inner_over(xi, zeta, f))
+    num, den = _inner_over(xi, zeta, f)
+    return Fraction(num, den) if num else _ZERO
 
 
 def _inner_over(xi: Poly3, zeta: Poly3, f: BilinearForm) -> tuple:

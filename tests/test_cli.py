@@ -545,6 +545,36 @@ def test_a_failed_stdout_write_exits_2_with_one_error_line(monkeypatch, capsys, 
     assert err == f"Error: cannot write to stdout: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "--p", "1,2,3,5"], ["verify", "all", "--p", "1,2,3,5", "--N", "2"]],
+    ids=["check", "verify"],
+)
+def test_a_process_writing_to_dev_full_exits_2_with_one_error_line(argv, unbuffered):
+    """In a real process a buffered stdout keeps the bytes of a failed flush,
+    and the flush at interpreter exit must not fail on them again ("Exception
+    ignored", exit 120)."""
+    import rahman
+    import subprocess
+
+    env = dict(os.environ, PYTHONPATH=str(Path(rahman.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    code = "import sys; from rahman.cli import main; sys.exit(main())"
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    assert done.returncode == 2
+    assert done.stderr == (
+        f"Error: cannot write to stdout: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "entry, named", [("null", "null"), ("true", "true"), ("[1]", "an array")]
 )
